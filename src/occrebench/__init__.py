@@ -12,7 +12,6 @@ Submodules:
 * ``scenefile`` - text scene-spec parsing
 * ``gridio``    - binary voxel-grid file format
 * ``reporting`` - metrics JSON/CSV emission
-* ``cli``       - command-line entry point
 """
 
 __version__ = "0.1.0"

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import Box
+from .field import Box, trilinear_corners
 from .geometry import CameraIntrinsics, CameraView, FrustumSpec, Pose, ccs_to_tcs, \
-    all_pixel_coords, pixel_directions, project
+    all_pixel_coords, in_image, pixel_directions, project
 from .grids import VoxelGrid
 from .rendering import MODE_EVAL, SamplingConfig, interval_lengths, opacity, \
     sample_distances
@@ -97,14 +97,10 @@ def grid_sample_opacity(omap: OpacityMap, points_tcs: np.ndarray) -> np.ndarray:
     idx = np.clip(pts * scale, 0.0, [w - 1.0, h - 1.0, n - 1.0])
     lo = np.clip(np.floor(idx).astype(np.int64), 0, [w - 2, h - 2, n - 2])
     f = idx - lo
+    values = omap.values.reshape(-1)
     out = np.zeros(pts.shape[:-1])
-    for dx in (0, 1):
-        for dy in (0, 1):
-            for dz in (0, 1):
-                wgt = (np.where(dx, f[..., 0], 1 - f[..., 0])
-                       * np.where(dy, f[..., 1], 1 - f[..., 1])
-                       * np.where(dz, f[..., 2], 1 - f[..., 2]))
-                out += wgt * omap.values[lo[..., 0] + dx, lo[..., 1] + dy, lo[..., 2] + dz]
+    for flat, wgt in trilinear_corners(lo, f, omap.values.shape):
+        out += wgt * values[flat]
     return out
 
 
@@ -154,8 +150,7 @@ def frustum_mask(grid: VoxelGrid, t_vc: Pose, intr: CameraIntrinsics) -> VoxelGr
     test: projection of behind-camera points is geometrically meaningless.
     """
     centers_cam = t_vc.apply(grid.centers_flat())
-    u, v, z = project(intr, centers_cam)
-    ok = (z > 0) & (u >= 0) & (u <= intr.width - 1) & (v >= 0) & (v <= intr.height - 1)
+    ok = in_image(intr, *project(intr, centers_cam))
     return grid.like(ok.reshape(grid.counts))
 
 
@@ -326,8 +321,7 @@ def view_overlap_ratio(target: CameraView, sources, grid: VoxelGrid,
     cam = target.pose.inverse().apply(centers)
     u, v, z = project(target.intrinsics, cam)
     dist = np.linalg.norm(cam, axis=-1)
-    in_target = ((z > 0) & (u >= 0) & (u <= target.intrinsics.width - 1)
-                 & (v >= 0) & (v <= target.intrinsics.height - 1)
+    in_target = (in_image(target.intrinsics, u, v, z)
                  & (dist >= target.frustum.near) & (dist <= target.frustum.far))
     n_target = int(np.sum(in_target))
     if n_target == 0:
@@ -336,7 +330,5 @@ def view_overlap_ratio(target: CameraView, sources, grid: VoxelGrid,
     covered = np.zeros(len(pts), dtype=bool)
     for src in sources:
         cam_s = src.pose.inverse().apply(pts)
-        us, vs, zs = project(src.intrinsics, cam_s)
-        covered |= ((zs > 0) & (us >= 0) & (us <= src.intrinsics.width - 1)
-                    & (vs >= 0) & (vs <= src.intrinsics.height - 1))
+        covered |= in_image(src.intrinsics, *project(src.intrinsics, cam_s))
     return float(np.sum(covered)) / n_target

@@ -58,7 +58,7 @@ class Box:
         hi = np.asarray(self.max_corner, dtype=np.float64).reshape(3)
         if np.any(lo >= hi):
             raise ValueError("box requires min < max per axis")
-        _check_density_albedo(self.density, self.albedo)
+        _check_density(self.density)
         object.__setattr__(self, "min_corner", lo)
         object.__setattr__(self, "max_corner", hi)
         object.__setattr__(self, "albedo", _as_rgb(self.albedo))
@@ -98,7 +98,7 @@ class Sphere:
     def __post_init__(self):
         if self.radius <= 0:
             raise ValueError("sphere radius must be positive")
-        _check_density_albedo(self.density, self.albedo)
+        _check_density(self.density)
         object.__setattr__(self, "center", np.asarray(self.center, dtype=np.float64).reshape(3))
         object.__setattr__(self, "albedo", _as_rgb(self.albedo))
 
@@ -136,7 +136,7 @@ class HalfSpace:
     def __post_init__(self):
         if self.axis not in (0, 1, 2) or self.side not in (-1, 1):
             raise ValueError("half-space needs axis in {0,1,2} and side in {-1,+1}")
-        _check_density_albedo(self.density, self.albedo)
+        _check_density(self.density)
         object.__setattr__(self, "albedo", _as_rgb(self.albedo))
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
@@ -165,7 +165,7 @@ def _as_rgb(c) -> np.ndarray:
     return rgb
 
 
-def _check_density_albedo(density: float, albedo) -> None:
+def _check_density(density: float) -> None:
     if density < 0:
         raise ValueError("primitive density must be nonnegative")
 
@@ -282,6 +282,28 @@ def render_reference_image(scene: AnalyticScene, view: CameraView) -> np.ndarray
     return image.reshape(intr.height, intr.width, 3)
 
 
+def trilinear_corners(cell: np.ndarray, frac: np.ndarray, counts):
+    """The eight corners of trilinear interpolation, one at a time.
+
+    ``cell`` (..., 3) holds the lower node index of each query's cell and
+    ``frac`` (..., 3) its offset within the cell in [0, 1].  Yields (flat
+    index into a C-ordered node array of shape ``counts``, weight) per
+    corner (dx, dy, dz) in lexicographic order; the weight is
+    (wx * wy) * wz, where each factor is frac or 1 - frac.  Each corner is
+    computed afresh and no (..., 8) array is built, so a caller holds one
+    corner's arrays at a time, never all eight.
+    """
+    ny, nz = counts[1], counts[2]
+    for dx in (0, 1):
+        for dy in (0, 1):
+            for dz in (0, 1):
+                w = ((frac[..., 0] if dx else 1 - frac[..., 0])
+                     * (frac[..., 1] if dy else 1 - frac[..., 1])
+                     * (frac[..., 2] if dz else 1 - frac[..., 2]))
+                flat = ((cell[..., 0] + dx) * ny + (cell[..., 1] + dy)) * nz + (cell[..., 2] + dz)
+                yield flat, w
+
+
 # ---------------------------------------------------------------------------
 # Learnable voxel density field
 # ---------------------------------------------------------------------------
@@ -341,15 +363,10 @@ class VoxelDensityField:
 
     def density_at(self, pts: np.ndarray) -> np.ndarray:
         cell, frac, inside = self._locate(pts)
-        sp = softplus(self.theta)
+        sp = softplus(self.theta).reshape(-1)
         out = np.zeros(inside.shape)
-        for dx in (0, 1):
-            for dy in (0, 1):
-                for dz in (0, 1):
-                    w = (np.where(dx, frac[..., 0], 1 - frac[..., 0])
-                         * np.where(dy, frac[..., 1], 1 - frac[..., 1])
-                         * np.where(dz, frac[..., 2], 1 - frac[..., 2]))
-                    out += w * sp[cell[..., 0] + dx, cell[..., 1] + dy, cell[..., 2] + dz]
+        for flat, w in trilinear_corners(cell, frac, self.shape):
+            out += w * sp[flat]
         return np.where(inside, out, 0.0)
 
     def density_gradient_wrt_params(self, point: np.ndarray):
@@ -388,20 +405,10 @@ class VoxelDensityField:
         coeff = np.asarray(dloss_dsigma, dtype=np.float64).reshape(-1)
         cell, frac, inside = self._locate(pts)
         coeff = np.where(inside, coeff, 0.0)
-        sig = sigmoid(self.theta)
-        nx, ny, nz = self.shape
         grad_flat = np.zeros(self.theta.size)
-        sig_flat = sig.reshape(-1)
-        for dx in (0, 1):
-            for dy in (0, 1):
-                for dz in (0, 1):
-                    w = (np.where(dx, frac[:, 0], 1 - frac[:, 0])
-                         * np.where(dy, frac[:, 1], 1 - frac[:, 1])
-                         * np.where(dz, frac[:, 2], 1 - frac[:, 2]))
-                    flat = ((cell[:, 0] + dx) * ny + (cell[:, 1] + dy)) * nz + (cell[:, 2] + dz)
-                    grad_flat += np.bincount(flat, weights=coeff * w,
-                                             minlength=self.theta.size)
-        return (grad_flat * sig_flat).reshape(self.shape)
+        for flat, w in trilinear_corners(cell, frac, self.shape):
+            grad_flat += np.bincount(flat, weights=coeff * w, minlength=self.theta.size)
+        return (grad_flat * sigmoid(self.theta).reshape(-1)).reshape(self.shape)
 
 
 @dataclass(frozen=True)

@@ -13,14 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import AnalyticScene, Box, HalfSpace, VoxelDensityField
-from .geometry import CameraIntrinsics, CameraView, FrustumSpec, Pose
+from .geometry import CameraIntrinsics, CameraView, FrustumSpec, Pose, rotation_y
 from .grids import VoxelGrid
 from .optim import EvalSetup, TrainConfig
-
-
-def rotation_y(angle_rad: float) -> np.ndarray:
-    c, s = np.cos(angle_rad), np.sin(angle_rad)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
 
 
 def yawed_view(intr: CameraIntrinsics, fr: FrustumSpec, position,

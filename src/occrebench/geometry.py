@@ -21,7 +21,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 _ORTHO_TOL = 1e-9
-_UNIT_TOL = 1e-12
+
+
+def rotation_y(angle_rad: float) -> np.ndarray:
+    """Rotation matrix about the y axis by ``angle_rad``."""
+    c, s = np.cos(angle_rad), np.sin(angle_rad)
+    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
 
 
 def _as_vec3(x) -> np.ndarray:
@@ -99,23 +104,6 @@ class Pose:
 
 
 @dataclass(frozen=True)
-class Ray:
-    """A ray o + t*d with unit direction, tagged with its source pixel."""
-
-    origin: np.ndarray
-    direction: np.ndarray
-    pixel: tuple = (0.0, 0.0)
-
-    def __post_init__(self):
-        o = _as_vec3(self.origin)
-        d = _as_vec3(self.direction)
-        if abs(np.linalg.norm(d) - 1.0) > _UNIT_TOL:
-            raise ValueError("ray direction must be unit length within 1e-12")
-        object.__setattr__(self, "origin", o)
-        object.__setattr__(self, "direction", d)
-
-
-@dataclass(frozen=True)
 class FrustumSpec:
     """Near/far bounds of the rendering frustum, in meters."""
 
@@ -168,18 +156,12 @@ def all_pixel_coords(intr: CameraIntrinsics) -> np.ndarray:
     return np.stack([uu, vv], axis=-1)
 
 
-def ray_for_pixel(intr: CameraIntrinsics, u: float, v: float) -> Ray:
-    """Camera-frame ray through pixel (u, v); origin at the camera center."""
-    d = pixel_directions(intr, np.array([u, v]))
-    return Ray(np.zeros(3), d, pixel=(float(u), float(v)))
-
-
 def project(intr: CameraIntrinsics, points_cam: np.ndarray):
     """Perspective-project camera-frame points (..., 3) to (u, v, z).
 
     z is returned unmodified so callers can classify behind-camera points
-    (z <= 0) themselves; z == 0 yields non-finite (u, v) and must be treated
-    as outside the frustum.
+    (z <= 0); z == 0 yields non-finite (u, v).  :func:`in_image` treats
+    both as outside the image.
     """
     pts = np.asarray(points_cam, dtype=np.float64)
     z = pts[..., 2]
@@ -187,6 +169,18 @@ def project(intr: CameraIntrinsics, points_cam: np.ndarray):
         u = intr.fx * pts[..., 0] / z + intr.cx
         v = intr.fy * pts[..., 1] / z + intr.cy
     return u, v, z
+
+
+def in_image(intr: CameraIntrinsics, u: np.ndarray, v: np.ndarray,
+             z: np.ndarray) -> np.ndarray:
+    """True where a projection (u, v, z) lies in front of the camera and on
+    the image, edges included: z > 0, 0 <= u <= w-1 and 0 <= v <= h-1.
+
+    Requiring z > 0 makes the non-finite (u, v) that :func:`project`
+    returns at z == 0 count as outside.
+    """
+    return ((z > 0) & (u >= 0) & (u <= intr.width - 1)
+            & (v >= 0) & (v <= intr.height - 1))
 
 
 def ccs_to_tcs(points_cam: np.ndarray, intr: CameraIntrinsics,

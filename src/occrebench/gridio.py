@@ -12,8 +12,9 @@ Little-endian throughout:
     44      24    resolution (3 x f64)
     68      ...   payload, row-major with x fastest
 
-Round-trips are bit-exact; a frozen test vector in tests/data pins the
-layout, and any header change requires a version bump.
+Round-trips are bit-exact; the frozen test vectors
+tests/data/bool_2x3x4.ogrd and tests/data/f32_3x2x2.ogrd pin the layout,
+and any header change requires a version bump.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ compositing sum c_hat = sum_j alpha_j T_j c_j:
 where s = sign(c_hat - c_gt) per channel (the true L1 subgradient; at a
 zero residual the subgradient 0 is used).  G obeys the backward recursion
 G_i = alpha_{i+1} c_{i+1} + (1 - alpha_{i+1}) G_{i+1}, giving a stable O(N)
-evaluation; the direct O(N^2) sum is kept as a cross-check.  Both factor
+evaluation; the tests check it against the direct O(N^2) sum.  Both factor
 through T_i, so the gradient vanishes exactly where the transmittance has
 collapsed to zero - the occlusion blind spot this package quantifies.
 
@@ -28,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rendering import composite, transmittance
+from .rendering import SamplingConfig, composite, opacity, sample_points_batch, \
+    transmittance
 
 
 @dataclass(frozen=True)
@@ -78,28 +79,6 @@ def grad_reconstruction_wrt_alpha(alpha: np.ndarray, colors: np.ndarray,
         suffix[..., i, :] = (a[..., i + 1, None] * c[..., i + 1, :]
                              + (1.0 - a[..., i + 1, None]) * suffix[..., i + 1, :])
     grad = np.sum(s[..., None, :] * (c - suffix), axis=-1) * trans
-    if miss is not None:
-        grad = np.where(miss, 0.0, grad)
-    return grad
-
-
-def grad_reconstruction_wrt_alpha_quadratic(alpha: np.ndarray, colors: np.ndarray,
-                                            c_hat: np.ndarray, c_gt: np.ndarray,
-                                            miss: np.ndarray | None = None) -> np.ndarray:
-    """Direct O(N^2) evaluation of the same derivative, term by term."""
-    a = np.asarray(alpha, dtype=np.float64)
-    c = np.asarray(colors, dtype=np.float64)
-    s = np.sign(np.asarray(c_hat, dtype=np.float64) - np.asarray(c_gt, dtype=np.float64))
-    trans = transmittance(a)
-    n = a.shape[-1]
-    grad = np.zeros(a.shape)
-    for i in range(n):
-        acc = trans[..., i, None] * c[..., i, :]
-        gap = np.ones(a.shape[:-1])
-        for j in range(i + 1, n):
-            acc = acc - trans[..., i, None] * (a[..., j] * gap)[..., None] * c[..., j, :]
-            gap = gap * (1.0 - a[..., j])
-        grad[..., i] = np.sum(s * acc, axis=-1)
     if miss is not None:
         grad = np.where(miss, 0.0, grad)
     return grad
@@ -192,18 +171,24 @@ def total_loss(alpha: np.ndarray, colors: np.ndarray, sigma: np.ndarray,
     return loss, grads
 
 
-def occlusion_gradient_probe(density_field, color_source, ray, cfg,
+def occlusion_gradient_probe(density_field, color_source, origins: np.ndarray,
+                             dirs: np.ndarray, cfg: SamplingConfig,
                              c_gt: np.ndarray) -> np.ndarray:
-    """Table of (sample distance, |dL_r/dsigma|) along one ray.
+    """Table of (sample distance, |dL_r/dsigma|) per sample of each ray.
 
-    Renders the ray, evaluates the analytic reconstruction gradient, and
-    reports its magnitude per depth - the direct measurement of how
-    supervision dies behind occluders.
+    Renders the rays ``origins``/``dirs`` (R, 3) with the batched forward
+    model, evaluates the analytic reconstruction gradient against ``c_gt``
+    ((R, 3) or one color for all rays), and returns an (R, N, 2) table of
+    its magnitude per depth - the direct measurement of how supervision
+    dies behind occluders.  Samples the color source misses get zero
+    gradient.
     """
-    from .rendering import render_ray
-
-    profile = render_ray(density_field, color_source, ray, cfg)
-    g_alpha = grad_reconstruction_wrt_alpha(profile.alpha, profile.colors,
-                                            profile.color, c_gt, profile.miss)
-    g_sigma = grad_chain_alpha_to_sigma(g_alpha, profile.sigma, profile.delta)
-    return np.stack([profile.t, np.abs(g_sigma)], axis=-1)
+    t, pts, delta = sample_points_batch(origins, dirs, cfg)
+    sigma = np.asarray(density_field.density_at(pts), dtype=np.float64)
+    alpha = opacity(sigma, delta)
+    colors, hit = color_source.sample_colors(pts)
+    colors = np.where(hit[..., None], colors, 0.0)
+    c_hat, _, _ = composite(alpha, colors)
+    g_alpha = grad_reconstruction_wrt_alpha(alpha, colors, c_hat, c_gt, ~hit)
+    g_sigma = grad_chain_alpha_to_sigma(g_alpha, sigma, delta)
+    return np.stack([t, np.abs(g_sigma)], axis=-1)

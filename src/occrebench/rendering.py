@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CameraIntrinsics, CameraView, Pose, Ray, project
+from .geometry import CameraIntrinsics, CameraView, Pose, in_image, project
 
 MODE_TRAIN = "train"
 MODE_EVAL = "eval"
@@ -69,14 +69,6 @@ def _draw_jitter(cfg: SamplingConfig, shape: tuple, rng=None) -> np.ndarray | No
     if rng is None:
         rng = np.random.Generator(np.random.PCG64(cfg.seed))
     return rng.uniform(-0.5, 0.5, size=shape)
-
-
-def sample_ray_points(ray: Ray, cfg: SamplingConfig, rng=None):
-    """(t, points, delta) along one ray; arrays of shape (N,) / (N, 3)."""
-    jitter = _draw_jitter(cfg, (cfg.num_samples,), rng)
-    t = sample_distances(cfg, jitter)
-    pts = ray.origin + t[:, None] * ray.direction
-    return t, pts, interval_lengths(t, cfg.far)
 
 
 def sample_points_batch(origins: np.ndarray, dirs: np.ndarray,
@@ -136,48 +128,6 @@ def composite(alphas: np.ndarray, colors: np.ndarray):
     return c_hat, trans, residual
 
 
-@dataclass
-class RayProfile:
-    """Everything rendered along one ray."""
-
-    t: np.ndarray
-    points: np.ndarray
-    delta: np.ndarray
-    sigma: np.ndarray
-    alpha: np.ndarray
-    trans: np.ndarray
-    colors: np.ndarray
-    miss: np.ndarray
-    color: np.ndarray
-    residual: float
-
-    def __post_init__(self):
-        if np.any(np.diff(self.t) <= 0):
-            raise ValueError("sample distances must be strictly increasing")
-        if np.any(self.delta <= 0):
-            raise ValueError("interval lengths must be positive")
-        if np.any(np.diff(self.trans) > 0):
-            raise ValueError("transmittance must be non-increasing")
-
-
-def render_ray(density_field, color_source, ray: Ray, cfg: SamplingConfig,
-               rng=None) -> RayProfile:
-    """Render one ray against a density field and a color source.
-
-    ``color_source.sample_colors(points)`` must return (colors, hit); missed
-    samples keep zero color and are flagged so losses can exclude them.
-    """
-    t, pts, delta = sample_ray_points(ray, cfg, rng)
-    sigma = np.asarray(density_field.density_at(pts), dtype=np.float64)
-    alpha = opacity(sigma, delta)
-    colors, hit = color_source.sample_colors(pts)
-    colors = np.where(hit[:, None], colors, 0.0)
-    c_hat, trans, residual = composite(alpha, colors)
-    return RayProfile(t=t, points=pts, delta=delta, sigma=sigma, alpha=alpha,
-                      trans=trans, colors=colors, miss=~hit, color=c_hat,
-                      residual=float(residual))
-
-
 # ---------------------------------------------------------------------------
 # Source-view color lookup
 # ---------------------------------------------------------------------------
@@ -208,7 +158,7 @@ def sample_color_from_view(image: np.ndarray, intr: CameraIntrinsics,
     """
     pts = cam_to_source.apply(points_cam)
     u, v, z = project(intr, pts)
-    hit = (z > 0) & (u >= 0) & (u <= intr.width - 1) & (v >= 0) & (v <= intr.height - 1)
+    hit = in_image(intr, u, v, z)
     colors = np.zeros(pts.shape)
     if np.any(hit):
         colors[hit] = bilinear_sample(image, u[hit], v[hit])

@@ -11,12 +11,11 @@ from __future__ import annotations
 import hashlib
 import io
 import json
-import os
-import tempfile
 
 import numpy as np
 
 from .benchmark import MetricsReport
+from .gridio import atomic_write_bytes
 
 METRIC_COLUMNS = list(MetricsReport.METRIC_NAMES)
 COUNT_COLUMNS = ["frustum_tp", "frustum_fp", "frustum_fn", "frustum_tn",
@@ -76,25 +75,10 @@ def table_csv(header, rows) -> str:
     return out.getvalue()
 
 
-def atomic_write_text(path, text: str) -> None:
-    path = os.fspath(path)
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-occre-")
-    try:
-        with os.fdopen(fd, "w") as f:
-            f.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def write_ppm(path, image: np.ndarray) -> None:
     """8-bit binary PPM dump of a float image in [0, 1], shape (h, w, 3)."""
     img = np.clip(np.asarray(image, dtype=np.float64), 0.0, 1.0)
     data = np.round(img * 255.0).astype(np.uint8)
     h, w = data.shape[:2]
     header = f"P6\n{w} {h}\n255\n".encode()
-    from .gridio import atomic_write_bytes
     atomic_write_bytes(path, header + data.tobytes())

@@ -28,14 +28,13 @@ offending field; YAML syntax errors carry line/column.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 import yaml
 
 from .field import AnalyticScene, Box, HalfSpace, Sphere
-from .fixtures import rotation_y
-from .geometry import CameraIntrinsics, CameraView, FrustumSpec, Pose
+from .geometry import CameraIntrinsics, CameraView, FrustumSpec, Pose, rotation_y
 from .grids import FRAME_CAMERA, FRAME_VOXEL, VoxelGrid
 
 
@@ -65,7 +64,6 @@ class SceneSpec:
     views: list
     grid: VoxelGrid
     grid_to_world: Pose
-    background: np.ndarray = dataclass_field(default_factory=lambda: np.zeros(3))
 
 
 def _require_mapping(node, path):
@@ -194,7 +192,6 @@ def _grid(node, path) -> tuple[VoxelGrid, Pose]:
         p = GRID_PRESETS[name]
         grid = VoxelGrid.filled(p["origin"], p["counts"], p["resolution"],
                                 False, dtype=bool, frame=FRAME_VOXEL)
-        rot = DRIVING_AXES if not pose_keys else None
         if pose_keys:
             pose = _pose(pose_keys, path)
         else:
@@ -250,5 +247,4 @@ def parse_scene_spec(text: str) -> SceneSpec:
         grid_to_world = Pose(DRIVING_AXES, np.zeros(3))
     else:
         grid, grid_to_world = _grid(grid_node, "spec.grid")
-    return SceneSpec(scene=scene, views=views, grid=grid,
-                     grid_to_world=grid_to_world, background=background)
+    return SceneSpec(scene=scene, views=views, grid=grid, grid_to_world=grid_to_world)

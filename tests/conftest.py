@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from occrebench.field import AnalyticScene, Box, HalfSpace, Sphere
 from occrebench.geometry import CameraIntrinsics, CameraView, FrustumSpec, Pose
+from occrebench.rendering import composite, opacity, sample_points_batch
 
 
 def rotation_about(axis: np.ndarray, angle: float) -> np.ndarray:
@@ -28,6 +31,26 @@ def yaw_pose(yaw_deg: float, translation) -> Pose:
     """Camera turned about the world y axis (y points down, so +yaw turns left)."""
     return Pose(rotation_about(np.array([0.0, 1.0, 0.0]), np.deg2rad(yaw_deg)),
                 np.asarray(translation, dtype=np.float64))
+
+
+def render_rays(density_field, color_source, dirs, cfg) -> SimpleNamespace:
+    """Render rays from the camera center along ``dirs`` (R, 3) with the
+    batched forward model, checking each ray's invariants: sample distances
+    strictly increasing, interval lengths positive, transmittance
+    non-increasing.  Arrays are (R, N) or (R, N, 3); ``color`` is (R, 3)
+    and ``residual`` (R,).  Missed samples keep zero color."""
+    dirs = np.asarray(dirs, dtype=np.float64).reshape(-1, 3)
+    t, pts, delta = sample_points_batch(np.zeros_like(dirs), dirs, cfg)
+    sigma = density_field.density_at(pts)
+    alpha = opacity(sigma, delta)
+    colors, hit = color_source.sample_colors(pts)
+    colors = np.where(hit[..., None], colors, 0.0)
+    color, trans, residual = composite(alpha, colors)
+    assert np.all(np.diff(t, axis=-1) > 0)
+    assert np.all(delta > 0)
+    assert np.all(np.diff(trans, axis=-1) <= 0)
+    return SimpleNamespace(t=t, delta=delta, sigma=sigma, alpha=alpha, trans=trans,
+                           colors=colors, miss=~hit, color=color, residual=residual)
 
 
 @pytest.fixture

@@ -11,10 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from occrebench.geometry import (CameraIntrinsics, FrustumSpec, Pose, Ray,
-                                 ccs_to_tcs, pixel_directions, project,
-                                 ray_for_pixel, tcs_to_ccs,
-                                 voxel_to_camera_transform)
+from occrebench.geometry import (CameraIntrinsics, CameraView, FrustumSpec, Pose,
+                                 ccs_to_tcs, in_image, pixel_directions, project,
+                                 tcs_to_ccs, voxel_to_camera_transform)
 
 from conftest import random_pose, rotation_about
 
@@ -37,10 +36,6 @@ class TestTypes:
         with pytest.raises(ValueError):
             Pose(refl, np.zeros(3))
 
-    def test_ray_requires_unit_direction(self):
-        with pytest.raises(ValueError):
-            Ray(np.zeros(3), np.array([0.0, 0.0, 2.0]))
-
     def test_frustum_ordering(self):
         with pytest.raises(ValueError):
             FrustumSpec(5.0, 5.0)
@@ -51,22 +46,22 @@ class TestTypes:
 class TestRayForPixel:
     def test_principal_point_is_optical_axis(self):
         intr = CameraIntrinsics(1.0, 1.0, 0.0, 0.0, 2, 2)
-        ray = ray_for_pixel(intr, 0.0, 0.0)
-        assert np.allclose(ray.direction, [0, 0, 1])
-        assert np.allclose(ray.origin, 0.0)
+        origin, direction = CameraView(intr).world_rays(np.array([0.0, 0.0]))
+        assert np.allclose(direction, [0, 0, 1])
+        assert np.allclose(origin, 0.0)
 
     def test_45_degree_ray(self):
         intr = CameraIntrinsics(1.0, 1.0, 0.0, 0.0, 2, 2)
-        ray = ray_for_pixel(intr, 1.0, 0.0)
-        assert np.allclose(ray.direction, np.array([1, 0, 1]) / np.sqrt(2))
+        direction = pixel_directions(intr, np.array([1.0, 0.0]))
+        assert np.allclose(direction, np.array([1, 0, 1]) / np.sqrt(2))
 
     def test_hand_unprojection(self):
         # (u - cx)/fx = (60 - 50)/100 = 0.1, so d ~ (0.1, 0, 1) normalized.
         intr = CameraIntrinsics(100.0, 100.0, 50.0, 25.0, 101, 51)
-        ray = ray_for_pixel(intr, 60.0, 25.0)
+        direction = pixel_directions(intr, np.array([60.0, 25.0]))
         expected = np.array([0.1, 0.0, 1.0])
         expected /= np.linalg.norm(expected)
-        assert np.allclose(ray.direction, expected, atol=1e-15)
+        assert np.allclose(direction, expected, atol=1e-15)
 
 
 class TestProject:
@@ -92,17 +87,36 @@ class TestProject:
         assert np.all(z > 0)
 
 
+class TestInImage:
+    """simple_intrinsics: a 101 x 51 image, so u in [0, 100], v in [0, 50]."""
+
+    @pytest.mark.parametrize("point, expected", [
+        ([0.0, 0.0, 10.0], True),            # principal point
+        ([0.5, 0.25, 1.0], True),            # u = w-1, v = h-1: edges included
+        ([-0.5, -0.25, 1.0], True),          # u = 0, v = 0
+        ([0.5 + 1e-9, 0.0, 1.0], False),     # just past u = w-1
+        ([-0.5 - 1e-9, 0.0, 1.0], False),    # just before u = 0
+        ([0.0, 0.25 + 1e-9, 1.0], False),    # just past v = h-1
+        ([0.0, 0.0, 0.0], False),            # z = 0: (u, v) not finite
+        ([1.0, 1.0, 0.0], False),            # z = 0: (u, v) infinite
+        ([0.0, 0.0, -10.0], False),          # behind, projects onto the image
+    ])
+    def test_point_cases(self, simple_intrinsics, point, expected):
+        u, v, z = project(simple_intrinsics, np.array(point))
+        if point[2] == 0.0:
+            assert not (np.isfinite(u) and np.isfinite(v))
+        assert in_image(simple_intrinsics, u, v, z) == expected
+
+
 class TestTcs:
     def test_near_anchor_maps_to_origin(self, simple_intrinsics):
         fr = FrustumSpec(3.0, 20.0)
-        ray = ray_for_pixel(simple_intrinsics, 0.0, 0.0)
-        x = ray.direction * fr.near
+        x = pixel_directions(simple_intrinsics, np.array([0.0, 0.0])) * fr.near
         assert np.allclose(ccs_to_tcs(x, simple_intrinsics, fr), [0, 0, 0], atol=1e-12)
 
     def test_far_anchor_maps_to_ones(self, simple_intrinsics):
         fr = FrustumSpec(3.0, 20.0)
-        ray = ray_for_pixel(simple_intrinsics, 100.0, 50.0)
-        x = ray.direction * fr.far
+        x = pixel_directions(simple_intrinsics, np.array([100.0, 50.0])) * fr.far
         assert np.allclose(ccs_to_tcs(x, simple_intrinsics, fr), [1, 1, 1], atol=1e-12)
 
     def test_hand_value_on_axis(self, simple_intrinsics):
@@ -124,9 +138,11 @@ class TestTcs:
         fr = FrustumSpec(3.0, 20.0)
         near_pt = tcs_to_ccs(np.zeros(3), simple_intrinsics, fr)
         assert np.allclose(np.linalg.norm(near_pt), fr.near, atol=1e-12)
-        assert np.allclose(near_pt, ray_for_pixel(simple_intrinsics, 0, 0).direction * fr.near)
+        assert np.allclose(near_pt, pixel_directions(simple_intrinsics,
+                                                     np.array([0.0, 0.0])) * fr.near)
         far_pt = tcs_to_ccs(np.ones(3), simple_intrinsics, fr)
-        assert np.allclose(far_pt, ray_for_pixel(simple_intrinsics, 100, 50).direction * fr.far)
+        assert np.allclose(far_pt, pixel_directions(simple_intrinsics,
+                                                    np.array([100.0, 50.0])) * fr.far)
 
     def test_round_trip_1000_points(self, simple_intrinsics):
         fr = FrustumSpec(3.0, 20.0)
@@ -138,9 +154,9 @@ class TestTcs:
 
     def test_monotone_in_radial_distance(self, simple_intrinsics):
         fr = FrustumSpec(3.0, 20.0)
-        ray = ray_for_pixel(simple_intrinsics, 30.0, 40.0)
+        direction = pixel_directions(simple_intrinsics, np.array([30.0, 40.0]))
         ts = np.linspace(3.0, 20.0, 50)
-        z = ccs_to_tcs(ts[:, None] * ray.direction, simple_intrinsics, fr)[:, 2]
+        z = ccs_to_tcs(ts[:, None] * direction, simple_intrinsics, fr)[:, 2]
         assert np.all(np.diff(z) > 0)
 
     def test_in_frustum_points_map_into_cube(self, simple_intrinsics):

@@ -1,0 +1,101 @@
+"""The OGRD voxel-grid file format: frozen vectors, error classes, and the
+atomic writer."""
+
+from __future__ import annotations
+
+import os
+import struct
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from occrebench.gridio import (BadMagicError, GridFormatError, HeaderFieldError,
+                               TruncatedFileError, UnsupportedVersionError,
+                               atomic_write_bytes, grid_from_bytes, grid_to_bytes,
+                               read_voxel_grid, write_voxel_grid)
+from occrebench.grids import VoxelGrid
+
+DATA = Path(__file__).with_name("data")
+
+
+def bool_grid() -> VoxelGrid:
+    return VoxelGrid(origin=[-1.0, 0.5, 2.0], counts=(2, 3, 4), resolution=[0.25, 0.5, 1.0],
+                     values=np.arange(24).reshape(2, 3, 4) % 3 == 0, frame="voxel")
+
+
+def f32_grid() -> VoxelGrid:
+    values = np.linspace(-1.5, 2.0, 12).reshape(3, 2, 2).astype(np.float32)
+    return VoxelGrid(origin=[0.0, -2.0, 3.5], counts=(3, 2, 2), resolution=[0.2, 0.2, 0.4],
+                     values=values.astype(np.float64), frame="camera")
+
+
+def assert_same_grid(a: VoxelGrid, b: VoxelGrid) -> None:
+    assert a.same_geometry(b) and a.frame == b.frame
+    assert a.values.dtype == b.values.dtype
+    assert np.array_equal(a.values, b.values)
+
+
+@pytest.mark.parametrize("name, make, frame_code, dtype_code, item", [
+    ("bool_2x3x4.ogrd", bool_grid, 0, 1, "<u1"),
+    ("f32_3x2x2.ogrd", f32_grid, 1, 0, "<f4"),
+])
+def test_frozen_vector(name, make, frame_code, dtype_code, item):
+    data = (DATA / name).read_bytes()
+    grid = make()
+    assert grid_to_bytes(grid) == data
+    # The header, spelled out field by field.
+    nx, ny, nz = grid.counts
+    header = (b"OGRD" + struct.pack("<H", 1) + bytes([frame_code, dtype_code])
+              + struct.pack("<3I", nx, ny, nz)
+              + struct.pack("<3d", *grid.origin) + struct.pack("<3d", *grid.resolution))
+    assert data[:68] == header
+    # The payload, x fastest.
+    payload = np.frombuffer(data, dtype=item, offset=68)
+    for i in range(nx):
+        for j in range(ny):
+            for k in range(nz):
+                assert payload[(k * ny + j) * nx + i] == grid.values[i, j, k]
+    assert_same_grid(read_voxel_grid(DATA / name), grid)
+
+
+def test_write_read_round_trip(tmp_path):
+    for grid in (bool_grid(), f32_grid()):
+        path = tmp_path / "grid.ogrd"
+        write_voxel_grid(path, grid)
+        assert_same_grid(read_voxel_grid(path), grid)
+
+
+def patched(data: bytes, offset: int, new: bytes) -> bytes:
+    return data[:offset] + new + data[offset + len(new):]
+
+
+@pytest.mark.parametrize("mutate, error", [
+    (lambda d: patched(d, 0, b"OGRX"), BadMagicError),
+    (lambda d: patched(d, 4, struct.pack("<H", 2)), UnsupportedVersionError),
+    (lambda d: d[:67], TruncatedFileError),
+    (lambda d: d[:-1], TruncatedFileError),
+    (lambda d: d + b"\x00", TruncatedFileError),
+    (lambda d: patched(d, 6, bytes([2])), HeaderFieldError),
+    (lambda d: patched(d, 7, bytes([2])), HeaderFieldError),
+])
+def test_malformed_files_rejected(mutate, error):
+    data = grid_to_bytes(bool_grid())
+    with pytest.raises(error):
+        grid_from_bytes(mutate(data))
+    assert issubclass(error, GridFormatError) and issubclass(error, ValueError)
+
+
+def test_atomic_write_failure_leaves_no_temp_file(tmp_path):
+    path = tmp_path / "out.ogrd"
+    with pytest.raises(TypeError):
+        atomic_write_bytes(path, "text, not bytes")
+    assert os.listdir(tmp_path) == []
+
+
+def test_atomic_write_replaces_whole_file(tmp_path):
+    path = tmp_path / "out.bin"
+    atomic_write_bytes(path, b"first version, longer")
+    atomic_write_bytes(path, b"second")
+    assert path.read_bytes() == b"second"
+    assert os.listdir(tmp_path) == ["out.bin"]

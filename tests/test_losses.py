@@ -11,14 +11,15 @@ import numpy as np
 import pytest
 
 from occrebench.field import AnalyticScene, Box
-from occrebench.geometry import CameraIntrinsics, ray_for_pixel
+from occrebench.geometry import CameraIntrinsics, pixel_directions
 from occrebench.losses import (LossConfig, grad_chain_alpha_to_sigma,
                                grad_polarization_wrt_sigma,
                                grad_reconstruction_wrt_alpha,
-                               grad_reconstruction_wrt_alpha_quadratic,
                                occlusion_gradient_probe, polarization_loss,
                                reconstruction_loss, total_loss)
-from occrebench.rendering import SamplingConfig, composite, opacity
+from occrebench.rendering import SamplingConfig, composite, opacity, transmittance
+
+from conftest import render_rays
 
 
 def random_profile(rng, n=8, rays=1, smooth=True):
@@ -34,6 +35,29 @@ def random_profile(rng, n=8, rays=1, smooth=True):
     colors = rng.uniform(0.0, 1.0, (rays, n, 3))
     c_gt = rng.uniform(0.0, 1.0, (rays, 3))
     return alpha, colors, sigma, delta, c_gt
+
+
+def grad_reconstruction_wrt_alpha_quadratic(alpha: np.ndarray, colors: np.ndarray,
+                                            c_hat: np.ndarray, c_gt: np.ndarray,
+                                            miss: np.ndarray | None = None) -> np.ndarray:
+    """Direct O(N^2) evaluation of dL_r/dalpha, term by term: the oracle for
+    the O(N) suffix recursion in ``grad_reconstruction_wrt_alpha``."""
+    a = np.asarray(alpha, dtype=np.float64)
+    c = np.asarray(colors, dtype=np.float64)
+    s = np.sign(np.asarray(c_hat, dtype=np.float64) - np.asarray(c_gt, dtype=np.float64))
+    trans = transmittance(a)
+    n = a.shape[-1]
+    grad = np.zeros(a.shape)
+    for i in range(n):
+        acc = trans[..., i, None] * c[..., i, :]
+        gap = np.ones(a.shape[:-1])
+        for j in range(i + 1, n):
+            acc = acc - trans[..., i, None] * (a[..., j] * gap)[..., None] * c[..., j, :]
+            gap = gap * (1.0 - a[..., j])
+        grad[..., i] = np.sum(s * acc, axis=-1)
+    if miss is not None:
+        grad = np.where(miss, 0.0, grad)
+    return grad
 
 
 def fd_grad(fn, x, h=1e-6):
@@ -334,14 +358,21 @@ class TestOcclusionProbe:
             Box([-5, -5, 12.0], [5, 5, 12.5], 50.0, [0.1, 0.1, 0.8]),
         ))
 
-    def axis_ray(self):
-        return ray_for_pixel(CameraIntrinsics(100, 100, 50, 25, 101, 51), 50, 25)
+    def axis_dirs(self):
+        return pixel_directions(CameraIntrinsics(100, 100, 50, 25, 101, 51),
+                                np.array([[50.0, 25.0]]))
+
+    def probe(self, scene, cfg):
+        """The probe's table for the optical-axis ray, shape (N, 2)."""
+        table = occlusion_gradient_probe(scene, scene, np.zeros((1, 3)), self.axis_dirs(),
+                                         cfg, c_gt=np.array([1.0, 1.0, 1.0]))
+        assert table.shape == (1, cfg.num_samples, 2)
+        return table[0]
 
     def test_saturated_occluder_exact_zero_downstream(self):
         scene = self.scene_with_occluder(2000.0)  # sigma*delta underflows exp
         cfg = SamplingConfig(128, 3.0, 20.0)
-        table = occlusion_gradient_probe(scene, scene, self.axis_ray(), cfg,
-                                         c_gt=np.array([1.0, 1.0, 1.0]))
+        table = self.probe(scene, cfg)
         behind = table[:, 0] > 6.6
         assert np.all(table[behind, 1] == 0.0)
 
@@ -351,8 +382,7 @@ class TestOcclusionProbe:
         medium = Box([-50, -50, 2.0], [50, 50, 21.0], 0.05, [0.3, 0.5, 0.7])
         scene = AnalyticScene((medium,))
         cfg = SamplingConfig(64, 3.0, 20.0)
-        table = occlusion_gradient_probe(scene, scene, self.axis_ray(), cfg,
-                                         c_gt=np.array([1.0, 1.0, 1.0]))
+        table = self.probe(scene, cfg)
         assert np.all(table[:, 1] > 0.0)
 
     def test_low_transmittance_occluder_ratio_bound(self):
@@ -362,11 +392,10 @@ class TestOcclusionProbe:
         0.5 m thickness; the gradient mass surviving behind it is bounded
         by that transmittance (0.02 allows discretization slack).
         """
-        from occrebench.rendering import render_ray
         sigma_occ = -np.log(0.01) / 0.5
         scene = self.scene_with_occluder(sigma_occ)
         cfg = SamplingConfig(256, 3.0, 20.0)
-        prof = render_ray(scene, scene, self.axis_ray(), cfg)
+        prof = render_rays(scene, scene, self.axis_dirs(), cfg)
         g = np.abs(grad_reconstruction_wrt_alpha(prof.alpha, prof.colors,
                                                  prof.color, np.ones(3)))
         in_front = prof.t < 6.0

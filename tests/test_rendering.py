@@ -7,14 +7,23 @@ import pytest
 
 from occrebench.field import AnalyticScene, Box
 from occrebench.geometry import CameraIntrinsics, CameraView, FrustumSpec, Pose, \
-    ccs_to_tcs, ray_for_pixel
+    ccs_to_tcs, pixel_directions
 from occrebench.rendering import (PatchBatch, SamplingConfig, SourceViewSampler,
                                   bilinear_sample, composite, interval_lengths,
-                                  opacity, render_ray, sample_color_from_view,
+                                  opacity, sample_color_from_view,
                                   sample_patch_rays, sample_points_batch,
-                                  sample_ray_points, transmittance)
+                                  transmittance)
 
-from conftest import yaw_pose
+from conftest import render_rays, yaw_pose
+
+# The optical axis of a camera: the ray through its principal point.
+AXIS = pixel_directions(CameraIntrinsics(1, 1, 0, 0, 2, 2), np.array([[0.0, 0.0]]))
+
+
+def axis_samples(cfg):
+    """(t, points, delta) along the optical axis: shapes (N,), (N, 3), (N,)."""
+    t, pts, delta = sample_points_batch(np.zeros((1, 3)), AXIS, cfg)
+    return t[0], pts[0], delta[0]
 
 
 class TestSampling:
@@ -30,26 +39,21 @@ class TestSampling:
             SamplingConfig(4, 1.0, 2.0, mode="jazz")
 
     def test_eval_first_sample_at_near(self):
-        ray = ray_for_pixel(CameraIntrinsics(1, 1, 0, 0, 2, 2), 0, 0)
-        t, _, _ = sample_ray_points(ray, self.cfg(n=16, near=3.0, far=20.0))
+        t, _, _ = axis_samples(self.cfg(n=16, near=3.0, far=20.0))
         assert t[0] == 3.0
 
     def test_eval_hand_value_n2(self):
         # s_1 = 1/2: 1/t = 0.5/1 + 0.5/2 = 0.75 -> t = 4/3.
-        ray = ray_for_pixel(CameraIntrinsics(1, 1, 0, 0, 2, 2), 0, 0)
-        t, _, _ = sample_ray_points(ray, self.cfg(n=2))
+        t, _, _ = axis_samples(self.cfg(n=2))
         assert np.allclose(t, [1.0, 4.0 / 3.0], atol=1e-15)
 
     def test_eval_inverse_depth_linear(self):
-        t, _, _ = sample_ray_points(
-            ray_for_pixel(CameraIntrinsics(1, 1, 0, 0, 2, 2), 0, 0),
-            self.cfg(n=32, near=3.0, far=20.0))
+        t, _, _ = axis_samples(self.cfg(n=32, near=3.0, far=20.0))
         inv = 1.0 / t
         assert np.allclose(np.diff(inv, 2), 0.0, atol=1e-15)
 
     def test_interval_lengths_cover_exactly(self):
-        cfg = self.cfg(n=16, near=3.0, far=20.0)
-        t, _, d = sample_ray_points(ray_for_pixel(CameraIntrinsics(1, 1, 0, 0, 2, 2), 0, 0), cfg)
+        t, _, d = axis_samples(self.cfg(n=16, near=3.0, far=20.0))
         assert np.all(d > 0)
         assert np.isclose(np.sum(d), 17.0, atol=1e-12)
         assert np.allclose(d[:-1], np.diff(t))
@@ -58,34 +62,20 @@ class TestSampling:
         """Substituting inverse-depth samples into the cube transform gives z = i/N."""
         fr = FrustumSpec(3.0, 20.0)
         cfg = SamplingConfig(64, fr.near, fr.far)
-        for uv in [(0.0, 0.0), (50.0, 25.0), (87.0, 13.0)]:
-            ray = ray_for_pixel(simple_intrinsics, *uv)
-            _, pts, _ = sample_ray_points(ray, cfg)
-            z = ccs_to_tcs(pts, simple_intrinsics, fr)[:, 2]
-            assert np.max(np.abs(z - np.arange(64) / 64.0)) < 1e-12
+        dirs = pixel_directions(simple_intrinsics,
+                                np.array([[0.0, 0.0], [50.0, 25.0], [87.0, 13.0]]))
+        _, pts, _ = sample_points_batch(np.zeros_like(dirs), dirs, cfg)
+        z = ccs_to_tcs(pts, simple_intrinsics, fr)[..., 2]
+        assert np.max(np.abs(z - np.arange(64) / 64.0)) < 1e-12
 
     def test_train_mode_jitters_within_strata(self):
         cfg = self.cfg(n=64, mode="train", near=3.0, far=20.0, seed=5)
-        ray = ray_for_pixel(CameraIntrinsics(1, 1, 0, 0, 2, 2), 0, 0)
-        t1, _, d1 = sample_ray_points(ray, cfg)
-        t2, _, _ = sample_ray_points(ray, cfg)
+        t1, _, d1 = axis_samples(cfg)
+        t2, _, _ = axis_samples(cfg)
         assert np.array_equal(t1, t2)  # deterministic from cfg.seed
         assert np.all(np.diff(t1) > 0) and np.all(d1 > 0)
-        t_eval, _, _ = sample_ray_points(ray, self.cfg(n=64, near=3.0, far=20.0))
+        t_eval, _, _ = axis_samples(self.cfg(n=64, near=3.0, far=20.0))
         assert not np.array_equal(t1, t_eval)
-
-    def test_batch_matches_single_in_eval(self):
-        cfg = self.cfg(n=16, near=3.0, far=20.0)
-        intr = CameraIntrinsics(10, 10, 5, 5, 11, 11)
-        rays = [ray_for_pixel(intr, u, v) for u, v in [(0, 0), (5, 5), (10, 3)]]
-        origins = np.stack([r.origin for r in rays])
-        dirs = np.stack([r.direction for r in rays])
-        tb, pb, db = sample_points_batch(origins, dirs, cfg)
-        for i, ray in enumerate(rays):
-            t, p, d = sample_ray_points(ray, cfg)
-            assert np.array_equal(tb[i], t)
-            assert np.array_equal(pb[i], p)
-            assert np.array_equal(db[i], d)
 
 
 class TestOpacity:
@@ -165,15 +155,12 @@ class TestComposite:
 
 
 class TestRenderRay:
-    def axis_ray(self):
-        return ray_for_pixel(CameraIntrinsics(100, 100, 50, 25, 101, 51), 50, 25)
-
     def test_empty_scene(self):
         scene = AnalyticScene(())
         cfg = SamplingConfig(32, 3.0, 20.0)
-        prof = render_ray(scene, scene, self.axis_ray(), cfg)
+        prof = render_rays(scene, scene, AXIS, cfg)
         assert np.all(prof.color == 0.0)
-        assert prof.residual == 1.0
+        assert prof.residual[0] == 1.0
         assert not prof.miss.any()
 
     def test_slab_transmittance_approaches_closed_form(self):
@@ -182,23 +169,23 @@ class TestRenderRay:
         errs = []
         for n in (64, 256, 1024):
             cfg = SamplingConfig(n, 3.0, 20.0)
-            prof = render_ray(scene, scene, self.axis_ray(), cfg)
-            errs.append(abs(prof.residual - exact))
+            prof = render_rays(scene, scene, AXIS, cfg)
+            errs.append(abs(prof.residual[0] - exact))
         assert errs[-1] < errs[0]
         assert errs[-1] < 1e-2
 
     def test_constant_density_transmittance_within_1pct(self):
         scene = AnalyticScene((Box([-50, -50, 1], [50, 50, 30], 0.1, [1, 1, 1]),))
         cfg = SamplingConfig(256, 3.0, 20.0)
-        prof = render_ray(scene, scene, self.axis_ray(), cfg)
-        assert abs(prof.residual - np.exp(-1.7)) < 0.01 * np.exp(-1.7)
+        prof = render_rays(scene, scene, AXIS, cfg)
+        assert abs(prof.residual[0] - np.exp(-1.7)) < 0.01 * np.exp(-1.7)
 
     def test_profile_invariants(self, box_scene):
         cfg = SamplingConfig(64, 3.0, 20.0)
-        prof = render_ray(box_scene, box_scene, self.axis_ray(), cfg)
+        prof = render_rays(box_scene, box_scene, AXIS, cfg)
         assert np.all(prof.alpha >= 0) and np.all(prof.alpha < 1)
-        assert prof.trans[0] == 1.0
-        assert np.all(np.diff(prof.trans) <= 0)
+        assert prof.trans[0, 0] == 1.0
+        assert np.all(np.diff(prof.trans, axis=-1) <= 0)
         assert np.sum(prof.alpha * prof.trans) <= 1.0 + 1e-12
 
     def test_convergence_rate_halves_with_n(self, sphere_scene):
@@ -212,20 +199,19 @@ class TestRenderRay:
         intr = CameraIntrinsics(60, 60, 19.5, 14.5, 40, 30)
         rng = np.random.default_rng(12)
         center = sphere_scene.primitives[0].center
-        rays = []
-        while len(rays) < 64:
-            u, v = rng.uniform([5, 5], [34, 24])
-            ray = ray_for_pixel(intr, u, v)
-            impact = np.linalg.norm(np.cross(ray.direction, -center))
+        dirs = []
+        while len(dirs) < 64:
+            d = pixel_directions(intr, rng.uniform([5, 5], [34, 24]))
+            impact = np.linalg.norm(np.cross(d, -center))
             if impact < 0.75 * sphere_scene.primitives[0].radius:
-                rays.append(ray)
-        exact = np.array([sphere_scene.transmittance(r.origin, r.direction, 3.0, 12.0)
-                          for r in rays])
+                dirs.append(d)
+        dirs = np.stack(dirs)
+        exact = np.array([sphere_scene.transmittance(np.zeros(3), d, 3.0, 12.0)
+                          for d in dirs])
         mean_err = {}
         for n in (32, 64, 128, 256):
             cfg = SamplingConfig(n, 3.0, 12.0)
-            res = np.array([render_ray(sphere_scene, sphere_scene, r, cfg).residual
-                            for r in rays])
+            res = render_rays(sphere_scene, sphere_scene, dirs, cfg).residual
             mean_err[n] = np.mean(np.abs(res - exact))
             assert np.max(np.abs(res - exact)) < 0.01
         for n in (32, 64, 128):
@@ -239,8 +225,7 @@ class TestMagnitudeVariation:
         delta_B, delta_C = rho * delta_B need densities with
         sigma_B / sigma_C = rho exactly; fitted numerically here."""
         cfg = SamplingConfig(32, 3.0, 20.0)
-        t, _, delta = sample_ray_points(
-            ray_for_pixel(CameraIntrinsics(1, 1, 0, 0, 2, 2), 0, 0), cfg)
+        t, _, delta = axis_samples(cfg)
         i_near, i_far = 2, 29
         target = 0.55
 
