@@ -64,9 +64,6 @@ class OpacityMap:
     def num_samples(self) -> int:
         return self.values.shape[2]
 
-    def sample(self, points_tcs: np.ndarray) -> np.ndarray:
-        return grid_sample_opacity(self, points_tcs)
-
 
 def build_opacity_map(density_field, view: CameraView,
                       cfg: SamplingConfig) -> OpacityMap:
@@ -223,9 +220,9 @@ class MetricsReport:
     O_* metrics range over the frustum with occupied as the positive class;
     IE_* metrics range over the invisible part of the frustum with EMPTY as
     the positive class.  IoU/Pre/Rec repeat the frustum-restricted occupied
-    counts in the form supervised benchmarks use (Pre/Rec coincide with
-    O_Pre/O_Rec by construction).  Metrics with an empty denominator are
-    None and listed in ``undefined``.
+    counts in the form supervised benchmarks use; Pre/Rec are O_Pre/O_Rec
+    under those names, derived rather than stored.  Metrics with an empty
+    denominator are None and listed in ``undefined``.
     """
 
     o_acc: float | None
@@ -235,12 +232,18 @@ class MetricsReport:
     ie_pre: float | None
     ie_rec: float | None
     iou: float | None
-    precision: float | None
-    recall: float | None
     counts: dict
 
     METRIC_NAMES = ("o_acc", "o_pre", "o_rec", "ie_acc", "ie_pre", "ie_rec",
                     "iou", "precision", "recall")
+
+    @property
+    def precision(self) -> float | None:
+        return self.o_pre
+
+    @property
+    def recall(self) -> float | None:
+        return self.o_rec
 
     @property
     def undefined(self) -> tuple:
@@ -295,8 +298,6 @@ def compute_metrics(pred: VoxelGrid, gt: VoxelGrid, frustum: VoxelGrid,
         ie_pre=_ratio(e_tp, e_tp + e_fp),
         ie_rec=_ratio(e_tp, e_tp + e_fn),
         iou=_ratio(tp, tp + fp + fn),
-        precision=_ratio(tp, tp + fp),
-        recall=_ratio(tp, tp + fn),
         counts=counts,
     )
 

@@ -71,29 +71,3 @@ def standard_occluder(iterations: int = 350, seed: int = 0) -> OccluderFixture:
                       num_samples=48, lr_decay_start=int(iterations * 0.6))
     return OccluderFixture(scene=scene, views=views, base_field=base_field,
                            eval_setup=eval_setup, train_config=cfg)
-
-
-def two_view_wall(iterations: int = 400, seed: int = 0) -> OccluderFixture:
-    """Minimal convergence fixture: one opaque textured wall, two views."""
-    scene = AnalyticScene((
-        Box([-4.0, -2.0, 6.0], [0.0, 2.0, 7.0], density=60.0,
-            albedo=[0.9, 0.2, 0.2]),
-        Box([0.0, -2.0, 6.0], [4.0, 2.0, 7.0], density=60.0,
-            albedo=[0.15, 0.7, 0.9]),
-    ), background=np.zeros(3))
-    intr = CameraIntrinsics(fx=31.5, fy=31.5, cx=31.5, cy=23.5, width=64, height=48)
-    fr = FrustumSpec(2.5, 12.0)
-    views = [
-        CameraView(intr, Pose.identity(), fr),
-        yawed_view(intr, fr, [1.2, 0.0, -0.3], -8.0),
-    ]
-    base_field = VoxelDensityField.uniform(
-        origin=[-4.0, -2.0, 2.5], resolution=0.4, shape=(21, 11, 13), sigma0=0.05)
-    grid = VoxelGrid.filled([-3.0, -1.5, 4.0], (20, 10, 12), 0.3, False,
-                            dtype=bool, frame="camera")
-    eval_setup = EvalSetup(grid=grid, grid_to_world=Pose.identity(),
-                           view_index=0, num_samples=128)
-    cfg = TrainConfig(iterations=iterations, seed=seed, near=fr.near, far=fr.far,
-                      num_samples=48, lr_decay_start=int(iterations * 0.6))
-    return OccluderFixture(scene=scene, views=views, base_field=base_field,
-                           eval_setup=eval_setup, train_config=cfg)

@@ -57,6 +57,10 @@ class HeaderFieldError(GridFormatError):
     pass
 
 
+class PayloadValueError(GridFormatError):
+    pass
+
+
 def _payload_bytes(grid: VoxelGrid) -> tuple[int, bytes]:
     if grid.values.dtype == bool:
         code = DTYPE_BOOL
@@ -90,6 +94,13 @@ def grid_from_bytes(data: bytes) -> VoxelGrid:
         raise HeaderFieldError(f"unknown frame tag {frame_code}")
     if dtype_code not in (DTYPE_F32, DTYPE_BOOL):
         raise HeaderFieldError(f"unknown dtype code {dtype_code}")
+    if min(nx, ny, nz) < 1:
+        raise HeaderFieldError(f"counts {(nx, ny, nz)}: each must be >= 1")
+    if not np.all(np.isfinite([ox, oy, oz])):
+        raise HeaderFieldError(f"origin {(ox, oy, oz)}: must be finite")
+    if not all(0.0 < r < np.inf for r in (rx, ry, rz)):
+        raise HeaderFieldError(
+            f"resolution {(rx, ry, rz)}: must be finite and positive")
     n = nx * ny * nz
     itemsize = 4 if dtype_code == DTYPE_F32 else 1
     expected = HEADER.size + n * itemsize
@@ -99,6 +110,9 @@ def grid_from_bytes(data: bytes) -> VoxelGrid:
             f"implies {expected}")
     raw = np.frombuffer(data, offset=HEADER.size,
                         dtype="<f4" if dtype_code == DTYPE_F32 else np.uint8)
+    if dtype_code == DTYPE_BOOL and raw.max() > 1:
+        raise PayloadValueError(
+            f"payload: boolean byte {int(raw.max())} outside {{0, 1}}")
     values = raw.reshape(nz, ny, nx).transpose(2, 1, 0)
     if dtype_code == DTYPE_BOOL:
         values = values.astype(bool)

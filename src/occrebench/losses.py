@@ -19,7 +19,12 @@ Chain to raw density: dalpha/dsigma = delta * exp(-sigma * delta).
 Polarization: L_p = sum_i M_i |dc_i| exp(-|dsigma_i|) over adjacent sample
 pairs, with M_i = max(alpha_i, alpha_{i+1}) a detached weight.  Gradients
 flow only through the exponential; the loss falls as adjacent densities
-polarize wherever adjacent sampled colors disagree.
+polarize wherever adjacent sampled colors disagree.  One pass over the
+pairs yields both L_p and its gradient.
+
+``total_loss`` returns the weighted batch loss together with the batch
+means of L_r and L_p it is made of, so a caller reads every term from the
+one forward pass instead of recomputing or back-solving it.
 """
 
 from __future__ import annotations
@@ -45,14 +50,19 @@ class LossConfig:
 
 
 @dataclass
-class RayGradients:
-    """Per-ray loss gradients, separated by term.
+class LossTerms:
+    """One ray batch's loss terms and their gradients, separated by term.
 
-    ``total_wrt_sigma`` is the gradient of the batch-mean weighted loss
+    ``total`` is the batch mean of lambda_r L_r + lambda_p L_p; ``recon``
+    and ``polar`` are the unweighted batch means of L_r and L_p, measured
+    whatever the weights.  ``total_wrt_sigma`` is the gradient of ``total``
     (lambda factors and the 1/R mean included); the per-term arrays are raw
     per-ray gradients.  Entries at miss-flagged samples are zero.
     """
 
+    total: float
+    recon: float
+    polar: float
     recon_wrt_alpha: np.ndarray
     recon_wrt_sigma: np.ndarray
     polar_wrt_sigma: np.ndarray
@@ -92,8 +102,22 @@ def grad_chain_alpha_to_sigma(grad_alpha: np.ndarray, sigma: np.ndarray,
     return np.asarray(grad_alpha, dtype=np.float64) * delta * np.exp(-sigma * delta)
 
 
-def _pair_terms(alpha, signal, sigma, pair_valid):
+def polarization_loss_and_grad(alpha: np.ndarray, signal: np.ndarray,
+                               sigma: np.ndarray,
+                               pair_valid: np.ndarray | None = None):
+    """L_p over adjacent sample pairs, (..., N) -> (...), and dL_p/dsigma,
+    (..., N), from one pass over the pairs.
+
+    ``signal`` is (..., N, C) (RGB by default) or (..., N) for a scalar
+    channel such as a pseudo-depth map.  ``pair_valid`` excludes pairs with
+    a miss-flagged member.  The gradient holds the pair mask detached: pair
+    i contributes +/- M_i |dc_i| exp(-|dsigma_i|) sign(dsigma_i) to its two
+    endpoints, signed so that growing |dsigma| lowers the loss; at
+    dsigma = 0 the subgradient 0 is returned.
+    """
     a = np.asarray(alpha, dtype=np.float64)
+    if a.shape[-1] < 2:
+        raise ValueError("polarization needs at least two samples per ray")
     sig = np.asarray(sigma, dtype=np.float64)
     s = np.asarray(signal, dtype=np.float64)
     if s.ndim == a.ndim:          # scalar signal channel
@@ -104,51 +128,25 @@ def _pair_terms(alpha, signal, sigma, pair_valid):
     terms = mask * dcolor * np.exp(-np.abs(dsigma))
     if pair_valid is not None:
         terms = np.where(pair_valid, terms, 0.0)
-    return terms, dsigma
-
-
-def polarization_loss(alpha: np.ndarray, signal: np.ndarray, sigma: np.ndarray,
-                      pair_valid: np.ndarray | None = None) -> np.ndarray:
-    """L_p over adjacent sample pairs; shapes (..., N) -> (...).
-
-    ``signal`` is (..., N, C) (RGB by default) or (..., N) for a scalar
-    channel such as a pseudo-depth map.  ``pair_valid`` excludes pairs with
-    a miss-flagged member.
-    """
-    if np.asarray(alpha).shape[-1] < 2:
-        raise ValueError("polarization needs at least two samples per ray")
-    terms, _ = _pair_terms(alpha, signal, sigma, pair_valid)
-    return np.sum(terms, axis=-1)
-
-
-def grad_polarization_wrt_sigma(alpha: np.ndarray, signal: np.ndarray,
-                                sigma: np.ndarray,
-                                pair_valid: np.ndarray | None = None) -> np.ndarray:
-    """dL_p/dsigma with the pair mask detached.
-
-    Pair i contributes +/- M_i |dc_i| exp(-|dsigma_i|) sign(dsigma_i) to its
-    two endpoints, signed so that growing |dsigma| lowers the loss; at
-    dsigma = 0 the subgradient 0 is returned.
-    """
-    terms, dsigma = _pair_terms(alpha, signal, sigma, pair_valid)
     pull = terms * np.sign(dsigma)
-    grad = np.zeros(np.asarray(sigma, dtype=np.float64).shape)
+    grad = np.zeros(sig.shape)
     grad[..., :-1] += pull
     grad[..., 1:] -= pull
-    return grad
+    return np.sum(terms, axis=-1), grad
 
 
 def total_loss(alpha: np.ndarray, colors: np.ndarray, sigma: np.ndarray,
                delta: np.ndarray, c_gt: np.ndarray, cfg: LossConfig,
                miss: np.ndarray | None = None,
-               signal: np.ndarray | None = None):
-    """Mean weighted loss over a ray batch, with its parameter-side gradients.
+               signal: np.ndarray | None = None) -> LossTerms:
+    """Mean weighted loss over a ray batch, its terms and its gradients.
 
     ``alpha``/``sigma``/``delta`` are (R, N), ``colors`` (R, N, 3) with
-    miss-flagged entries zeroed, ``c_gt`` (R, 3).  Returns the scalar
-    mean(lambda_r L_r + lambda_p L_p) and :class:`RayGradients` whose
-    ``total_wrt_sigma`` is the exact gradient of that scalar.  The
-    polarization signal defaults to the sampled colors.
+    miss-flagged entries zero, ``c_gt`` (R, 3).  Returns :class:`LossTerms`:
+    the scalar mean(lambda_r L_r + lambda_p L_p), the batch means of L_r
+    and L_p it is made of, and the gradients, whose ``total_wrt_sigma`` is
+    the exact gradient of that scalar.  The polarization signal defaults to
+    the sampled colors.
     """
     alpha = np.asarray(alpha, dtype=np.float64)
     n_rays = int(np.prod(alpha.shape[:-1]))
@@ -158,17 +156,18 @@ def total_loss(alpha: np.ndarray, colors: np.ndarray, sigma: np.ndarray,
     loss_r = reconstruction_loss(c_hat, c_gt)
     pair_valid = None if miss is None else (~miss[..., :-1] & ~miss[..., 1:])
     sig_channel = colors if signal is None else signal
-    loss_p = polarization_loss(alpha, sig_channel, sigma, pair_valid)
+    loss_p, g_sigma_p = polarization_loss_and_grad(alpha, sig_channel, sigma,
+                                                   pair_valid)
 
     g_alpha = grad_reconstruction_wrt_alpha(alpha, colors, c_hat, c_gt, miss)
     g_sigma_r = grad_chain_alpha_to_sigma(g_alpha, sigma, delta)
-    g_sigma_p = grad_polarization_wrt_sigma(alpha, sig_channel, sigma, pair_valid)
 
-    loss = float(np.mean(cfg.lambda_r * loss_r + cfg.lambda_p * loss_p))
-    total = (cfg.lambda_r * g_sigma_r + cfg.lambda_p * g_sigma_p) / n_rays
-    grads = RayGradients(recon_wrt_alpha=g_alpha, recon_wrt_sigma=g_sigma_r,
-                         polar_wrt_sigma=g_sigma_p, total_wrt_sigma=total)
-    return loss, grads
+    return LossTerms(
+        total=float(np.mean(cfg.lambda_r * loss_r + cfg.lambda_p * loss_p)),
+        recon=float(np.mean(loss_r)), polar=float(np.mean(loss_p)),
+        recon_wrt_alpha=g_alpha, recon_wrt_sigma=g_sigma_r,
+        polar_wrt_sigma=g_sigma_p,
+        total_wrt_sigma=(cfg.lambda_r * g_sigma_r + cfg.lambda_p * g_sigma_p) / n_rays)
 
 
 def occlusion_gradient_probe(density_field, color_source, origins: np.ndarray,
@@ -177,18 +176,15 @@ def occlusion_gradient_probe(density_field, color_source, origins: np.ndarray,
     """Table of (sample distance, |dL_r/dsigma|) per sample of each ray.
 
     Renders the rays ``origins``/``dirs`` (R, 3) with the batched forward
-    model, evaluates the analytic reconstruction gradient against ``c_gt``
-    ((R, 3) or one color for all rays), and returns an (R, N, 2) table of
-    its magnitude per depth - the direct measurement of how supervision
-    dies behind occluders.  Samples the color source misses get zero
-    gradient.
+    model, takes the reconstruction gradient against ``c_gt`` ((R, 3) or
+    one color for all rays) from :func:`total_loss`, and returns an
+    (R, N, 2) table of its magnitude per depth - the direct measurement of
+    how supervision dies behind occluders.  Samples the color source misses
+    get zero gradient.
     """
     t, pts, delta = sample_points_batch(origins, dirs, cfg)
     sigma = np.asarray(density_field.density_at(pts), dtype=np.float64)
-    alpha = opacity(sigma, delta)
     colors, hit = color_source.sample_colors(pts)
-    colors = np.where(hit[..., None], colors, 0.0)
-    c_hat, _, _ = composite(alpha, colors)
-    g_alpha = grad_reconstruction_wrt_alpha(alpha, colors, c_hat, c_gt, ~hit)
-    g_sigma = grad_chain_alpha_to_sigma(g_alpha, sigma, delta)
-    return np.stack([t, np.abs(g_sigma)], axis=-1)
+    terms = total_loss(opacity(sigma, delta), colors, sigma, delta, c_gt,
+                       LossConfig(lambda_p=0.0), miss=~hit)
+    return np.stack([t, np.abs(terms.recon_wrt_sigma)], axis=-1)

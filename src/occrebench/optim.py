@@ -23,7 +23,8 @@ from .geometry import Pose
 from .grids import VoxelGrid
 from .losses import LossConfig, total_loss
 from .rendering import (MODE_EVAL, MODE_TRAIN, SamplingConfig, SourceViewSampler,
-                        composite, opacity, sample_patch_rays, sample_points_batch)
+                        opacity, sample_patch_rays, sample_points_batch)
+from .rendering import composite  # noqa: F401 - not called here; bench/tracing.py wraps it
 
 
 @dataclass(frozen=True)
@@ -136,13 +137,16 @@ def train(field: VoxelDensityField, scene: AnalyticScene, views,
     Per iteration: round-robin target view, 64x8x8 patch rays by default,
     train-mode inverse-depth sampling, colors from all other views with
     per-view miss masks, loss gradients chained through softplus to the
-    node parameters, one Adam step.
+    node parameters, one Adam step.  The three loss traces (total, L_r and
+    L_p, each averaged over the source views) are read from what
+    :func:`total_loss` measured, so L_p is reported even when lambda_p = 0.
     """
     check_view_overlap(views)
     images = [render_reference_image(scene, v) for v in views]
     samplers = [SourceViewSampler(img, v) for img, v in zip(images, views)]
     adam = AdamOptimizer(field.theta.shape, cfg.beta1, cfg.beta2, cfg.eps)
     loss_cfg = cfg.loss_config()
+    scfg = SamplingConfig(cfg.num_samples, cfg.near, cfg.far, MODE_TRAIN)
     trace_total = np.zeros(cfg.iterations)
     trace_recon = np.zeros(cfg.iterations)
     trace_polar = np.zeros(cfg.iterations)
@@ -151,9 +155,7 @@ def train(field: VoxelDensityField, scene: AnalyticScene, views,
         rng = iteration_rng(cfg.seed, it)
         target_idx = it % len(views)
         target = views[target_idx]
-        scfg = SamplingConfig(cfg.num_samples, cfg.near, cfg.far, MODE_TRAIN)
-        batch = sample_patch_rays(target, rng, cfg.patch_count, cfg.patch_size,
-                                  view_index=target_idx)
+        batch = sample_patch_rays(target, rng, cfg.patch_count, cfg.patch_size)
         pix = batch.pixels.astype(np.int64)
         c_gt = images[target_idx][pix[:, 1], pix[:, 0]]
         origins, dirs = target.world_rays(batch.pixels)
@@ -162,24 +164,20 @@ def train(field: VoxelDensityField, scene: AnalyticScene, views,
         alpha = opacity(sigma, delta)
 
         grad_sigma = np.zeros_like(sigma)
-        loss_sum = recon_sum = 0.0
+        total_sum = recon_sum = polar_sum = 0.0
         sources = [s for j, s in enumerate(samplers) if j != target_idx]
         for sampler in sources:
             colors, hit = sampler.sample_colors(pts)
-            colors = np.where(hit[..., None], colors, 0.0)
-            loss, grads = total_loss(alpha, colors, sigma, delta, c_gt, loss_cfg,
-                                     miss=~hit)
-            grad_sigma += grads.total_wrt_sigma
-            loss_sum += loss
-            c_hat, _, _ = composite(alpha, colors)
-            recon_sum += float(np.mean(np.sum(np.abs(c_hat - c_gt), axis=-1)))
+            terms = total_loss(alpha, colors, sigma, delta, c_gt, loss_cfg, miss=~hit)
+            grad_sigma += terms.total_wrt_sigma
+            total_sum += terms.total
+            recon_sum += terms.recon
+            polar_sum += terms.polar
         n_src = len(sources)
         grad_sigma /= n_src
-        trace_total[it] = loss_sum / n_src
+        trace_total[it] = total_sum / n_src
         trace_recon[it] = recon_sum / n_src
-        if cfg.lambda_p > 0:
-            trace_polar[it] = (trace_total[it]
-                               - cfg.lambda_r * trace_recon[it]) / cfg.lambda_p
+        trace_polar[it] = polar_sum / n_src
 
         grad_theta = field.accumulate_param_grad(pts.reshape(-1, 3),
                                                  grad_sigma.reshape(-1))

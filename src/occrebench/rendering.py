@@ -165,17 +165,20 @@ def sample_color_from_view(image: np.ndarray, intr: CameraIntrinsics,
     return colors, hit
 
 
-@dataclass(frozen=True)
 class SourceViewSampler:
-    """ColorSource over a rendered source image; accepts world-frame points."""
+    """ColorSource over a rendered source image; accepts world-frame points.
 
-    image: np.ndarray
-    view: CameraView
+    The view's pose is inverted once, here, not on every lookup.
+    """
+
+    def __init__(self, image: np.ndarray, view: CameraView):
+        self.image = image
+        self.view = view
+        self.world_to_cam = view.pose.inverse()
 
     def sample_colors(self, points_world: np.ndarray):
-        world_to_cam = self.view.pose.inverse()
         return sample_color_from_view(self.image, self.view.intrinsics,
-                                      points_world, world_to_cam)
+                                      points_world, self.world_to_cam)
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +189,6 @@ class SourceViewSampler:
 class PatchBatch:
     """Pixel coordinates of square training patches on one view."""
 
-    view_index: int
     corners: np.ndarray   # (K, 2) int, top-left (u, v) of each patch
     pixels: np.ndarray    # (K * s * s, 2) float, pixel centers
 
@@ -196,7 +198,7 @@ class PatchBatch:
 
 
 def sample_patch_rays(view: CameraView, rng, patch_count: int = 64,
-                      patch_size: int = 8, view_index: int = 0) -> PatchBatch:
+                      patch_size: int = 8) -> PatchBatch:
     """Draw ``patch_count`` random square patches fully inside the image.
 
     With the defaults this yields 64 * 8 * 8 = 4096 pixels per batch.
@@ -212,4 +214,4 @@ def sample_patch_rays(view: CameraView, rng, patch_count: int = 64,
     du, dv = np.meshgrid(np.arange(patch_size), np.arange(patch_size), indexing="xy")
     offsets = np.stack([du, dv], axis=-1).reshape(-1, 2)
     pixels = (corners[:, None, :] + offsets[None, :, :]).reshape(-1, 2).astype(np.float64)
-    return PatchBatch(view_index=view_index, corners=corners, pixels=pixels)
+    return PatchBatch(corners=corners, pixels=pixels)

@@ -1,5 +1,4 @@
-"""Machine-readable result emission: metrics as JSON and CSV, plus the
-gradient-check and magnitude-demo tables.
+"""Machine-readable result emission: metrics as JSON and CSV.
 
 JSON and CSV carry identical values: undefined metrics are JSON null and
 empty CSV cells.  Float formatting goes through repr, so identical inputs
@@ -12,10 +11,7 @@ import hashlib
 import io
 import json
 
-import numpy as np
-
 from .benchmark import MetricsReport
-from .gridio import atomic_write_bytes
 
 METRIC_COLUMNS = list(MetricsReport.METRIC_NAMES)
 COUNT_COLUMNS = ["frustum_tp", "frustum_fp", "frustum_fn", "frustum_tn",
@@ -62,23 +58,3 @@ def metrics_csv(rows, label: str = "label") -> str:
     for name, report in rows:
         out.write(metrics_to_csv_row(report, str(name)) + "\n")
     return out.getvalue()
-
-
-def table_csv(header, rows) -> str:
-    """Generic numeric table; floats through repr for byte stability."""
-    out = io.StringIO()
-    out.write(",".join(header) + "\n")
-    for row in rows:
-        cells = [repr(float(c)) if isinstance(c, (float, np.floating))
-                 else str(c) for c in row]
-        out.write(",".join(cells) + "\n")
-    return out.getvalue()
-
-
-def write_ppm(path, image: np.ndarray) -> None:
-    """8-bit binary PPM dump of a float image in [0, 1], shape (h, w, 3)."""
-    img = np.clip(np.asarray(image, dtype=np.float64), 0.0, 1.0)
-    data = np.round(img * 255.0).astype(np.uint8)
-    h, w = data.shape[:2]
-    header = f"P6\n{w} {h}\n255\n".encode()
-    atomic_write_bytes(path, header + data.tobytes())

@@ -44,7 +44,6 @@ def render_rays(density_field, color_source, dirs, cfg) -> SimpleNamespace:
     sigma = density_field.density_at(pts)
     alpha = opacity(sigma, delta)
     colors, hit = color_source.sample_colors(pts)
-    colors = np.where(hit[..., None], colors, 0.0)
     color, trans, residual = composite(alpha, colors)
     assert np.all(np.diff(t, axis=-1) > 0)
     assert np.all(delta > 0)

@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from occrebench.gridio import (BadMagicError, GridFormatError, HeaderFieldError,
+from occrebench.gridio import (HEADER, BadMagicError, GridFormatError,
+                               HeaderFieldError, PayloadValueError,
                                TruncatedFileError, UnsupportedVersionError,
                                atomic_write_bytes, grid_from_bytes, grid_to_bytes,
                                read_voxel_grid, write_voxel_grid)
@@ -84,6 +85,43 @@ def test_malformed_files_rejected(mutate, error):
     with pytest.raises(error):
         grid_from_bytes(mutate(data))
     assert issubclass(error, GridFormatError) and issubclass(error, ValueError)
+
+
+def one_byte_file(counts=(1, 1, 1), origin=(0.0, 0.0, 0.0),
+                  resolution=(1.0, 1.0, 1.0), payload=b"\x01") -> bytes:
+    """A voxel-frame boolean file with the given header values."""
+    return HEADER.pack(b"OGRD", 1, 0, 1, *counts, *origin, *resolution) + payload
+
+
+def assert_rejected(data: bytes, error, field: str) -> None:
+    with pytest.raises(error, match=field):
+        grid_from_bytes(data)
+    assert issubclass(error, GridFormatError)
+
+
+@pytest.mark.parametrize("data, field", [
+    (one_byte_file(counts=(0, 1, 1), payload=b""), "counts"),
+    (one_byte_file(resolution=(1.0, -0.5, 1.0)), "resolution"),
+    (one_byte_file(resolution=(1.0, 1.0, 0.0)), "resolution"),
+])
+def test_header_values_the_grid_rejects_name_their_field(data, field):
+    """Values VoxelGrid refuses fail as a format error, not a bare ValueError."""
+    assert_rejected(data, HeaderFieldError, field)
+
+
+@pytest.mark.parametrize("data, field", [
+    (one_byte_file(origin=(0.0, np.nan, 0.0)), "origin"),
+    (one_byte_file(origin=(np.inf, 0.0, 0.0)), "origin"),
+    (one_byte_file(resolution=(np.nan, 1.0, 1.0)), "resolution"),
+    (one_byte_file(resolution=(1.0, 1.0, np.inf)), "resolution"),
+])
+def test_non_finite_header_values_rejected(data, field):
+    assert_rejected(data, HeaderFieldError, field)
+
+
+@pytest.mark.parametrize("byte", [2, 7, 255])
+def test_boolean_payload_byte_outside_0_1_rejected(byte):
+    assert_rejected(one_byte_file(payload=bytes([byte])), PayloadValueError, "payload")
 
 
 def test_atomic_write_failure_leaves_no_temp_file(tmp_path):

@@ -13,9 +13,8 @@ import pytest
 from occrebench.field import AnalyticScene, Box
 from occrebench.geometry import CameraIntrinsics, pixel_directions
 from occrebench.losses import (LossConfig, grad_chain_alpha_to_sigma,
-                               grad_polarization_wrt_sigma,
                                grad_reconstruction_wrt_alpha,
-                               occlusion_gradient_probe, polarization_loss,
+                               occlusion_gradient_probe, polarization_loss_and_grad,
                                reconstruction_loss, total_loss)
 from occrebench.rendering import SamplingConfig, composite, opacity, transmittance
 
@@ -58,6 +57,14 @@ def grad_reconstruction_wrt_alpha_quadratic(alpha: np.ndarray, colors: np.ndarra
     if miss is not None:
         grad = np.where(miss, 0.0, grad)
     return grad
+
+
+def polarization_loss(alpha, signal, sigma, pair_valid=None):
+    return polarization_loss_and_grad(alpha, signal, sigma, pair_valid)[0]
+
+
+def grad_polarization_wrt_sigma(alpha, signal, sigma, pair_valid=None):
+    return polarization_loss_and_grad(alpha, signal, sigma, pair_valid)[1]
 
 
 def fd_grad(fn, x, h=1e-6):
@@ -266,35 +273,34 @@ class TestTotalLoss:
         rng = np.random.default_rng(17)
         alpha, colors, sigma, delta, c_gt = random_profile(rng, rays=16)
         cfg = LossConfig(lambda_r=1.0, lambda_p=0.0)
-        loss, grads = total_loss(alpha, colors, sigma, delta, c_gt, cfg)
+        terms = total_loss(alpha, colors, sigma, delta, c_gt, cfg)
         c_hat, _, _ = composite(alpha, colors)
-        assert np.isclose(loss, np.mean(reconstruction_loss(c_hat, c_gt)))
-        assert np.all(grads.polar_wrt_sigma * 0.0 == 0.0)
+        assert np.isclose(terms.total, np.mean(reconstruction_loss(c_hat, c_gt)))
+        assert np.all(terms.polar_wrt_sigma * 0.0 == 0.0)
 
     def test_lambda_r_zero_constant_colors_zero_loss(self):
         rng = np.random.default_rng(19)
         alpha, colors, sigma, delta, c_gt = random_profile(rng, rays=4)
         colors[:] = 0.25
         cfg = LossConfig(lambda_r=0.0, lambda_p=1e-3)
-        loss, _ = total_loss(alpha, colors, sigma, delta, c_gt, cfg)
-        assert loss == 0.0
+        assert total_loss(alpha, colors, sigma, delta, c_gt, cfg).total == 0.0
 
     def test_default_weights_combine_by_hand(self):
         rng = np.random.default_rng(23)
         alpha, colors, sigma, delta, c_gt = random_profile(rng, rays=8)
         cfg = LossConfig()  # lambda_r = 1, lambda_p = 1e-3
-        loss, _ = total_loss(alpha, colors, sigma, delta, c_gt, cfg)
+        terms = total_loss(alpha, colors, sigma, delta, c_gt, cfg)
         c_hat, _, _ = composite(alpha, colors)
         lr = reconstruction_loss(c_hat, c_gt)
         lp = polarization_loss(alpha, colors, sigma)
-        assert np.isclose(loss, np.mean(1.0 * lr + 1e-3 * lp), atol=1e-15)
+        assert np.isclose(terms.total, np.mean(1.0 * lr + 1e-3 * lp), atol=1e-15)
 
     def test_total_gradient_composes_terms(self):
         # total = (lambda_r * recon + lambda_p * polar) / n_rays, exactly.
         rng = np.random.default_rng(29)
         alpha, colors, sigma, delta, c_gt = random_profile(rng, rays=3)
         cfg = LossConfig()
-        _, grads = total_loss(alpha, colors, sigma, delta, c_gt, cfg)
+        grads = total_loss(alpha, colors, sigma, delta, c_gt, cfg)
         expect = (cfg.lambda_r * grads.recon_wrt_sigma
                   + cfg.lambda_p * grads.polar_wrt_sigma) / 3
         assert np.array_equal(grads.total_wrt_sigma, expect)
@@ -306,7 +312,7 @@ class TestTotalLoss:
         rng = np.random.default_rng(29)
         alpha, colors, sigma, delta, c_gt = random_profile(rng, rays=3)
         cfg = LossConfig()
-        _, grads = total_loss(alpha, colors, sigma, delta, c_gt, cfg)
+        grads = total_loss(alpha, colors, sigma, delta, c_gt, cfg)
         mask_alpha = alpha.copy()
 
         def detached_loss(sig_flat):
@@ -332,13 +338,23 @@ class TestTotalLoss:
         miss[:, 4] = True
         colors_m = np.where(miss[..., None], 0.0, colors)
         cfg = LossConfig()
-        _, grads = total_loss(alpha, colors_m, sigma, delta, c_gt, cfg, miss=miss)
+        grads = total_loss(alpha, colors_m, sigma, delta, c_gt, cfg, miss=miss)
         assert np.all(grads.recon_wrt_alpha[:, 4] == 0.0)
         assert np.all(grads.recon_wrt_sigma[:, 4] == 0.0)
         # both pairs touching sample 4 are excluded from polarization
         g_free = grad_polarization_wrt_sigma(alpha, colors_m, sigma)
         assert not np.allclose(grads.polar_wrt_sigma[:, 4], g_free[:, 4])
         assert np.all(grads.polar_wrt_sigma[:, 4] == 0.0)
+
+    def test_terms_are_unweighted_batch_means(self):
+        rng = np.random.default_rng(37)
+        alpha, colors, sigma, delta, c_gt = random_profile(rng, rays=5)
+        c_hat, _, _ = composite(alpha, colors)
+        for cfg in (LossConfig(), LossConfig(lambda_p=0.0), LossConfig(lambda_r=0.0)):
+            terms = total_loss(alpha, colors, sigma, delta, c_gt, cfg)
+            assert terms.recon == np.mean(reconstruction_loss(c_hat, c_gt))
+            assert terms.polar == np.mean(polarization_loss(alpha, colors, sigma))
+            assert terms.polar > 0.0
 
     def test_empty_batch_rejected(self):
         cfg = LossConfig()

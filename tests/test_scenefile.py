@@ -1,0 +1,55 @@
+"""Scene-spec error paths: each failure names where in the spec it is."""
+
+from __future__ import annotations
+
+import pytest
+
+from occrebench.scenefile import SceneSpecError, parse_scene_spec
+
+CAMERA = ("{fx: 31.5, fy: 31.5, cx: 31.5, cy: 23.5, width: 64, height: 48, "
+          "near: 2.5, far: 12.0}")
+
+
+def spec(extra: str = "", camera: str = CAMERA) -> str:
+    return f"cameras:\n  - {camera}\n{extra}"
+
+
+def test_minimal_spec_parses():
+    parsed = parse_scene_spec(spec())
+    assert len(parsed.views) == 1 and parsed.grid.counts == (64, 64, 16)
+
+
+@pytest.mark.parametrize("text, path", [
+    (spec("colour: [1, 0, 0]\n"), "spec.colour"),
+    (spec(camera=CAMERA[:-1] + ", zoom: 2}"), r"spec.cameras\[0\].zoom"),
+    (spec("primitives:\n  - {shape: box, min: [0, 0, 5], max: [1, 1, 6], "
+          "density: 1, albedo: [1, 0, 0], size: 3}\n"), r"spec.primitives\[0\].size"),
+    (spec("grid: {preset: desk, spacing: 1}\n"), "spec.grid.spacing"),
+])
+def test_unknown_key_names_its_path(text, path):
+    with pytest.raises(SceneSpecError, match=path + ": unknown key"):
+        parse_scene_spec(text)
+
+
+@pytest.mark.parametrize("text, path", [
+    ("primitives: []\n", "spec.cameras"),
+    (spec(camera=CAMERA.replace("fx: 31.5, ", "")), r"spec.cameras\[0\].fx"),
+    (spec("primitives:\n  - {shape: sphere, center: [0, 0, 5], density: 1, "
+          "albedo: [1, 0, 0]}\n"), r"spec.primitives\[0\].radius"),
+    (spec("grid: {counts: [2, 2, 2], resolution: [1, 1, 1]}\n"), "spec.grid.origin"),
+])
+def test_missing_required_key(text, path):
+    with pytest.raises(SceneSpecError, match=path + ": required key missing"):
+        parse_scene_spec(text)
+
+
+def test_preset_with_explicit_origin_rejected():
+    with pytest.raises(SceneSpecError,
+                       match="spec.grid.origin: not allowed with a preset"):
+        parse_scene_spec(spec("grid: {preset: desk, origin: [0, 0, 0]}\n"))
+
+
+def test_yaml_syntax_error_reports_line_and_column():
+    # The stray "]" closing the grid mapping is line 3, column 20.
+    with pytest.raises(SceneSpecError, match="syntax error at line 3, column 20"):
+        parse_scene_spec(spec("grid: {preset: desk]\n"))
