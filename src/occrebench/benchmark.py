@@ -12,6 +12,10 @@ Masks: the frustum mask keeps voxels whose centers project inside the image
 with positive depth; the visibility mask marches one ray per pixel at
 voxel-size steps through the ground-truth grid and keeps voxels reached
 before the first occupied sample.  Metrics are exact count ratios.
+
+Both image-sized stages take one depth bin or march step per pass for all
+rays at once, so beyond the (w, h, N) map their memory is O(pixels +
+voxels), independent of the march length and the sample count.
 """
 
 from __future__ import annotations
@@ -67,7 +71,8 @@ class OpacityMap:
 
 def build_opacity_map(density_field, view: CameraView,
                       cfg: SamplingConfig) -> OpacityMap:
-    """One eval-mode ray per pixel; N opacities per ray."""
+    """One eval-mode ray per pixel; N opacities per ray, filled one depth
+    bin at a time (memory beyond the map is O(pixels), independent of N)."""
     if cfg.mode != MODE_EVAL:
         raise ValueError("opacity maps must be built with eval-mode sampling")
     intr = view.intrinsics
@@ -75,9 +80,9 @@ def build_opacity_map(density_field, view: CameraView,
     origins, dirs = view.world_rays(pixels)
     t = sample_distances(cfg)
     delta = interval_lengths(t, cfg.far)
-    pts = origins[:, None, :] + t[None, :, None] * dirs[:, None, :]
-    sigma = np.asarray(density_field.density_at(pts.reshape(-1, 3)))
-    alpha = opacity(sigma.reshape(len(pixels), cfg.num_samples), delta)
+    alpha = np.empty((len(pixels), cfg.num_samples))
+    for i in range(cfg.num_samples):
+        alpha[:, i] = opacity(density_field.density_at(origins + t[i] * dirs), delta[i])
     values = alpha.reshape(intr.width, intr.height, cfg.num_samples)
     return OpacityMap(values, intr, FrustumSpec(cfg.near, cfg.far))
 
@@ -121,17 +126,11 @@ def voxelize_occupancy(omap: OpacityMap, grid: VoxelGrid, t_vc: Pose) -> VoxelGr
     return grid.like(occupied.reshape(grid.counts))
 
 
-def conventional_voxelize(density_field, grid: VoxelGrid, t_vc: Pose,
-                          camera_to_field: Pose | None = None) -> VoxelGrid:
-    """Baseline protocol: occupied iff raw density at the center exceeds 0.5.
-
-    ``camera_to_field`` maps the camera frame into the frame the field is
-    defined in (identity when the field lives in the camera frame).
-    """
+def conventional_voxelize(density_field, grid: VoxelGrid, t_vc: Pose) -> VoxelGrid:
+    """Baseline protocol: occupied iff raw density at the camera-frame center exceeds 0.5."""
     centers_cam = t_vc.apply(grid.centers_flat())
     front = centers_cam[:, 2] > 0
-    query = centers_cam if camera_to_field is None else camera_to_field.apply(centers_cam)
-    sigma = np.asarray(density_field.density_at(query))
+    sigma = np.asarray(density_field.density_at(centers_cam))
     occupied = front & (sigma > OCCUPANCY_THRESHOLD)
     return grid.like(occupied.reshape(grid.counts))
 
@@ -161,7 +160,9 @@ def visibility_mask(gt: VoxelGrid, view: CameraView, t_vc: Pose,
     unoccupied voxels; a voxel is visible iff any visible sample lands in
     it.  Voxels never sampled default to invisible, and the result is
     clipped to the frustum mask so m_v = 1 implies m_f = 1 (rays can clip
-    voxels whose centers project just outside the image).
+    voxels whose centers project just outside the image).  All rays advance
+    one step per pass, so memory is O(pixels + voxels), independent of the
+    march length.
 
     With ``return_coverage`` the raw set of voxels receiving at least one
     sample is returned alongside (diagnostic for oracle comparisons).
@@ -180,28 +181,20 @@ def visibility_mask(gt: VoxelGrid, view: CameraView, t_vc: Pose,
     te, tx = bounds.ray_intervals(origin_v, dirs_v)
     start = np.maximum(view.frustum.near, te)
     span = tx - start
-    active = span >= 0
-    num_steps = np.where(active, np.floor(np.maximum(span, 0.0) / step), -1).astype(np.int64) + 1
-    max_steps = int(num_steps.max(initial=0))
+    num_steps = np.where(span >= 0, np.floor(span / step) + 1, 0).astype(np.int64)
 
     visible_flat = np.zeros(gt.num_voxels, dtype=bool)
     covered_flat = np.zeros(gt.num_voxels, dtype=bool)
     occ_flat = gt.values.reshape(-1)
-    if max_steps > 0:
-        k = np.arange(max_steps)
-        t = start[:, None] + k[None, :] * step
-        in_march = k[None, :] < num_steps[:, None]
-        pts = origin_v[None, None, :] + t[..., None] * dirs_v[:, None, :]
+    clear = np.ones(len(dirs_v), dtype=bool)
+    for k in range(num_steps.max(initial=0)):
+        pts = origin_v + (start + k * step)[:, None] * dirs_v
         idx, in_grid = gt.point_to_index(pts)
-        valid = in_march & in_grid
-        flat_idx = (idx[..., 0] * gt.counts[1] + idx[..., 1]) * gt.counts[2] + idx[..., 2]
-        occupied = np.where(valid, occ_flat[flat_idx], False)
-        clear = np.logical_and.accumulate(~occupied, axis=-1)
-        vis_samples = valid & clear
-        visible_flat = np.bincount(flat_idx[vis_samples].reshape(-1),
-                                   minlength=gt.num_voxels) > 0
-        covered_flat = np.bincount(flat_idx[valid].reshape(-1),
-                                   minlength=gt.num_voxels) > 0
+        flat = (idx[:, 0] * gt.counts[1] + idx[:, 1]) * gt.counts[2] + idx[:, 2]
+        valid = (k < num_steps) & in_grid
+        clear &= ~(valid & occ_flat[flat])
+        visible_flat[flat[valid & clear]] = True
+        covered_flat[flat[valid]] = True
     visible_flat &= frustum_mask(gt, t_vc, intr).values.reshape(-1)
     visible = gt.like(visible_flat.reshape(gt.counts))
     if return_coverage:

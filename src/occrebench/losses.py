@@ -137,16 +137,15 @@ def polarization_loss_and_grad(alpha: np.ndarray, signal: np.ndarray,
 
 def total_loss(alpha: np.ndarray, colors: np.ndarray, sigma: np.ndarray,
                delta: np.ndarray, c_gt: np.ndarray, cfg: LossConfig,
-               miss: np.ndarray | None = None,
-               signal: np.ndarray | None = None) -> LossTerms:
+               miss: np.ndarray | None = None) -> LossTerms:
     """Mean weighted loss over a ray batch, its terms and its gradients.
 
     ``alpha``/``sigma``/``delta`` are (R, N), ``colors`` (R, N, 3) with
     miss-flagged entries zero, ``c_gt`` (R, 3).  Returns :class:`LossTerms`:
     the scalar mean(lambda_r L_r + lambda_p L_p), the batch means of L_r
     and L_p it is made of, and the gradients, whose ``total_wrt_sigma`` is
-    the exact gradient of that scalar.  The polarization signal defaults to
-    the sampled colors.
+    the exact gradient of that scalar.  The polarization signal is the
+    sampled colors.
     """
     alpha = np.asarray(alpha, dtype=np.float64)
     n_rays = int(np.prod(alpha.shape[:-1]))
@@ -155,9 +154,7 @@ def total_loss(alpha: np.ndarray, colors: np.ndarray, sigma: np.ndarray,
     c_hat, _, _ = composite(alpha, colors)
     loss_r = reconstruction_loss(c_hat, c_gt)
     pair_valid = None if miss is None else (~miss[..., :-1] & ~miss[..., 1:])
-    sig_channel = colors if signal is None else signal
-    loss_p, g_sigma_p = polarization_loss_and_grad(alpha, sig_channel, sigma,
-                                                   pair_valid)
+    loss_p, g_sigma_p = polarization_loss_and_grad(alpha, colors, sigma, pair_valid)
 
     g_alpha = grad_reconstruction_wrt_alpha(alpha, colors, c_hat, c_gt, miss)
     g_sigma_r = grad_chain_alpha_to_sigma(g_alpha, sigma, delta)

@@ -19,7 +19,7 @@ from .benchmark import (build_opacity_map, compute_metrics, frustum_mask,
                         view_overlap_ratio, visibility_mask, voxelize_occupancy)
 from .field import (AnalyticScene, VoxelDensityField, ground_truth_occupancy,
                     render_reference_image)
-from .geometry import Pose
+from .geometry import Pose, pixel_directions
 from .grids import VoxelGrid
 from .losses import LossConfig, total_loss
 from .rendering import (MODE_EVAL, MODE_TRAIN, SamplingConfig, SourceViewSampler,
@@ -48,11 +48,14 @@ class TrainConfig:
     def __post_init__(self):
         if self.iterations < 0:
             raise ValueError("iterations must be >= 0")
-        if min(self.learning_rate, self.lr_decay_factor, self.beta1, self.beta2,
-               self.eps) <= 0:
-            raise ValueError("rates must be positive")
+        for name in ("learning_rate", "lr_decay_factor", "eps"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
+        for name in ("beta1", "beta2"):  # Adam's bias correction divides by 1 - beta**t
+            if not 0 < getattr(self, name) < 1:
+                raise ValueError(f"{name} must lie in (0, 1)")
         if not (0.0 < self.near < self.far):
-            raise ValueError("requires 0 < near < far")
+            raise ValueError("near and far must satisfy 0 < near < far")
 
     def loss_config(self) -> LossConfig:
         return LossConfig(self.lambda_r, self.lambda_p)
@@ -99,7 +102,6 @@ def frustum_probe_grid(view, counts=(12, 12, 12)) -> VoxelGrid:
     corners_uv = np.array([[0.0, 0.0], [intr.width - 1.0, 0.0],
                            [0.0, intr.height - 1.0],
                            [intr.width - 1.0, intr.height - 1.0]])
-    from .geometry import pixel_directions
     dirs = pixel_directions(intr, corners_uv)
     pts = np.concatenate([dirs * view.frustum.near, dirs * view.frustum.far])
     lo = pts.min(axis=0)
@@ -108,7 +110,7 @@ def frustum_probe_grid(view, counts=(12, 12, 12)) -> VoxelGrid:
     return VoxelGrid.filled(lo, counts, res, False, dtype=bool, frame="camera")
 
 
-def check_view_overlap(views, grid_by_view=None) -> list[float]:
+def check_view_overlap(views) -> list[float]:
     """Overlap ratio of each view's frustum against the remaining views.
 
     Raises if any ratio is zero: with no shared coverage the photometric
@@ -119,8 +121,7 @@ def check_view_overlap(views, grid_by_view=None) -> list[float]:
     ratios = []
     for i, target in enumerate(views):
         sources = [v for j, v in enumerate(views) if j != i]
-        grid = grid_by_view[i] if grid_by_view else frustum_probe_grid(target)
-        ratio = view_overlap_ratio(target, sources, grid,
+        ratio = view_overlap_ratio(target, sources, frustum_probe_grid(target),
                                    grid_to_world=target.pose)
         ratios.append(ratio)
         if ratio == 0.0:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,11 +13,12 @@ from occrebench.benchmark import (MetricsReport, OpacityMap, build_opacity_map,
                                   view_overlap_ratio, visibility_mask,
                                   voxelize_occupancy)
 from occrebench.field import (AnalyticScene, Box, IntervalScaledField,
-                              ground_truth_occupancy)
+                              VoxelDensityField, ground_truth_occupancy)
 from occrebench.geometry import CameraIntrinsics, CameraView, FrustumSpec, Pose, \
-    pixel_directions, project
+    all_pixel_coords, pixel_directions, project
 from occrebench.grids import VoxelGrid
-from occrebench.rendering import SamplingConfig
+from occrebench.rendering import SamplingConfig, interval_lengths, opacity, \
+    sample_distances
 
 from conftest import yaw_pose
 
@@ -28,6 +31,25 @@ def default_view(w=48, h=36, fov_scale=1.0, near=3.0, far=20.0):
     fx = 36.0 * fov_scale
     return CameraView(CameraIntrinsics(fx, fx, (w - 1) / 2, (h - 1) / 2, w, h),
                       Pose.identity(), FrustumSpec(near, far))
+
+
+def traced_peak(fn) -> int:
+    """Bytes ``fn()`` holds at its tracemalloc peak above what was held
+    before the call."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def random_voxel_field(seed=0):
+    """Trilinear field over the default view's near frustum, random theta."""
+    rng = np.random.default_rng(seed)
+    return VoxelDensityField([-6.0, -5.0, 2.0], 0.5, rng.normal(0.0, 3.0, (25, 21, 37)))
 
 
 class TestOpacityMap:
@@ -65,6 +87,27 @@ class TestOpacityMap:
         inside = (z >= 8.0) & (z <= 9.0)
         expected = np.where(inside, 1.0 - np.exp(-80.0 * d), 0.0)
         assert np.allclose(omap.values[u, v], expected, atol=1e-12)
+
+    def test_matches_all_samples_at_once_bit_for_bit(self):
+        """The per-bin build equals one density lookup over every
+        (ray, sample) point, the formula it replaced."""
+        field, view, cfg = random_voxel_field(), default_view(), eval_cfg(48)
+        origins, dirs = view.world_rays(all_pixel_coords(view.intrinsics).reshape(-1, 2))
+        t = sample_distances(cfg)
+        pts = origins[:, None] + t[None, :, None] * dirs[:, None]
+        sigma = field.density_at(pts.reshape(-1, 3)).reshape(len(origins), len(t))
+        expected = opacity(sigma, interval_lengths(t, cfg.far)).reshape(48, 36, 48)
+        got = build_opacity_map(field, view, cfg).values
+        assert 0.0 < np.mean(got > 0.5) < 1.0
+        assert np.array_equal(got, expected)
+
+    def test_peak_memory_is_the_map_plus_per_ray_state(self):
+        field, view = random_voxel_field(), default_view()
+        rays = view.intrinsics.width * view.intrinsics.height
+        for n in (8, 64):
+            map_bytes = rays * n * 8
+            peak = traced_peak(lambda: build_opacity_map(field, view, eval_cfg(n)))
+            assert peak < map_bytes + 512 * rays
 
     def test_map_rejects_out_of_range_alpha(self):
         view = default_view(w=4, h=4)
@@ -333,6 +376,18 @@ class TestVisibilityMask:
             mv = visibility_mask(gt, view, Pose.identity())
             expect, _ = BruteForceVisibility.run(gt, view, Pose.identity(), 0.25)
             assert np.array_equal(mv.values, expect)
+
+    def test_peak_memory_independent_of_march_length(self):
+        """A 512-voxel-deep grid gives the central rays ~370 steps; the march
+        holds per-ray and per-voxel state only."""
+        rng = np.random.default_rng(2)
+        gt = VoxelGrid([-2.0, -2.0, 2.0], (16, 16, 512), 0.25,
+                       rng.random((16, 16, 512)) < 0.002)
+        view = self.view()
+        rays = view.intrinsics.width * view.intrinsics.height
+        peak = traced_peak(lambda: visibility_mask(gt, view, Pose.identity(),
+                                                   return_coverage=True))
+        assert peak < 128 * (gt.num_voxels + rays)
 
     def test_visibility_within_frustum(self):
         rng = np.random.default_rng(8)

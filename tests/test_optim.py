@@ -87,3 +87,15 @@ def test_lambda_p_zero_arm_reports_measured_polarization(occluder, monkeypatch):
     assert np.all(result.loss_polar > 0.0)
     assert np.allclose(result.loss_polar, expected, rtol=1e-12, atol=0.0)
     assert np.array_equal(result.loss_total, result.loss_recon)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("learning_rate", 0.0), ("lr_decay_factor", -1.0), ("eps", 0.0), ("eps", np.nan),
+    ("beta1", 0.0), ("beta1", 1.0), ("beta1", 1.5), ("beta2", 1.0), ("beta2", -0.1),
+    ("near", 30.0),
+])
+def test_train_config_names_the_rejected_field(name, value):
+    """beta = 1 would divide by zero in Adam's bias correction (theta NaN
+    after one step); beta > 1 makes the moment averages diverge."""
+    with pytest.raises(ValueError, match=name):
+        optim.TrainConfig(**{name: value})
