@@ -15,7 +15,11 @@ before the first occupied sample.  Metrics are exact count ratios.
 
 Both image-sized stages take one depth bin or march step per pass for all
 rays at once, so beyond the (w, h, N) map their memory is O(pixels +
-voxels), independent of the march length and the sample count.
+voxels), independent of the march length and the sample count.  The stages
+that visit every voxel center (both voxelizations and the frustum mask,
+hence the visibility mask's clip) take one block of whole x-slices at a
+time (``grids.BLOCK_VOXELS`` voxels at most), so beyond the boolean grid
+they write their memory is O(block), not O(voxels).
 """
 
 from __future__ import annotations
@@ -117,22 +121,24 @@ def voxelize_occupancy(omap: OpacityMap, grid: VoxelGrid, t_vc: Pose) -> VoxelGr
     normalized cube; centers behind the camera are unoccupied (whether they
     count at all is the frustum mask's business).
     """
-    centers_cam = t_vc.apply(grid.centers_flat())
-    front = centers_cam[:, 2] > 0
-    occupied = np.zeros(len(centers_cam), dtype=bool)
-    if np.any(front):
-        tcs = ccs_to_tcs(centers_cam[front], omap.intrinsics, omap.frustum)
-        occupied[front] = grid_sample_opacity(omap, tcs) > OCCUPANCY_THRESHOLD
-    return grid.like(occupied.reshape(grid.counts))
+    def occupied(centers_cam):
+        front = centers_cam[:, 2] > 0
+        occ = np.zeros(len(centers_cam), dtype=bool)
+        if np.any(front):
+            tcs = ccs_to_tcs(centers_cam[front], omap.intrinsics, omap.frustum)
+            occ[front] = grid_sample_opacity(omap, tcs) > OCCUPANCY_THRESHOLD
+        return occ
+
+    return grid.map_centers(occupied, t_vc)
 
 
 def conventional_voxelize(density_field, grid: VoxelGrid, t_vc: Pose) -> VoxelGrid:
     """Baseline protocol: occupied iff raw density at the camera-frame center exceeds 0.5."""
-    centers_cam = t_vc.apply(grid.centers_flat())
-    front = centers_cam[:, 2] > 0
-    sigma = np.asarray(density_field.density_at(centers_cam))
-    occupied = front & (sigma > OCCUPANCY_THRESHOLD)
-    return grid.like(occupied.reshape(grid.counts))
+    def occupied(centers_cam):
+        sigma = np.asarray(density_field.density_at(centers_cam))
+        return (centers_cam[:, 2] > 0) & (sigma > OCCUPANCY_THRESHOLD)
+
+    return grid.map_centers(occupied, t_vc)
 
 
 # ---------------------------------------------------------------------------
@@ -145,9 +151,8 @@ def frustum_mask(grid: VoxelGrid, t_vc: Pose, intr: CameraIntrinsics) -> VoxelGr
     The positive-depth requirement is an addition over the pure image-bounds
     test: projection of behind-camera points is geometrically meaningless.
     """
-    centers_cam = t_vc.apply(grid.centers_flat())
-    ok = in_image(intr, *project(intr, centers_cam))
-    return grid.like(ok.reshape(grid.counts))
+    return grid.map_centers(lambda centers_cam: in_image(intr, *project(intr, centers_cam)),
+                            t_vc)
 
 
 def visibility_mask(gt: VoxelGrid, view: CameraView, t_vc: Pose,
@@ -155,14 +160,15 @@ def visibility_mask(gt: VoxelGrid, view: CameraView, t_vc: Pose,
     """Ray-traced visibility against ground-truth occupancy.
 
     One ray per image pixel, marched from the near bound (or the grid entry
-    point, whichever is farther) to the grid exit at voxel-size steps.  A
-    sample is visible iff it and all preceding samples on its ray fall in
-    unoccupied voxels; a voxel is visible iff any visible sample lands in
-    it.  Voxels never sampled default to invisible, and the result is
-    clipped to the frustum mask so m_v = 1 implies m_f = 1 (rays can clip
+    point, whichever is farther) to the grid exit at voxel-size steps
+    (``step``, default the smallest voxel edge, must be finite and
+    positive).  A sample is visible iff it and all preceding samples on its
+    ray fall in unoccupied voxels; a voxel is visible iff any visible sample
+    lands in it.  Voxels never sampled default to invisible, and the result
+    is clipped to the frustum mask so m_v = 1 implies m_f = 1 (rays can clip
     voxels whose centers project just outside the image).  All rays advance
-    one step per pass, so memory is O(pixels + voxels), independent of the
-    march length.
+    one step per pass, so memory is O(pixels) plus a few boolean voxel
+    grids, independent of the march length.
 
     With ``return_coverage`` the raw set of voxels receiving at least one
     sample is returned alongside (diagnostic for oracle comparisons).
@@ -171,6 +177,8 @@ def visibility_mask(gt: VoxelGrid, view: CameraView, t_vc: Pose,
         raise ValueError("visibility mask needs a boolean ground-truth grid")
     if step is None:
         step = float(np.min(gt.resolution))
+    elif not 0.0 < step < np.inf:
+        raise ValueError(f"step {step}: must be finite and positive")
     intr = view.intrinsics
     cam_to_voxel = t_vc.inverse()
     origin_v = cam_to_voxel.translation

@@ -241,14 +241,19 @@ class AnalyticScene:
 
 def ground_truth_occupancy(scene: AnalyticScene, grid: VoxelGrid,
                            grid_to_world: Pose | None = None) -> VoxelGrid:
-    """Boolean grid: a voxel is occupied iff its center lies in any primitive."""
-    centers = grid.centers_flat()
-    if grid_to_world is not None:
-        centers = grid_to_world.apply(centers)
-    occupied = np.zeros(len(centers), dtype=bool)
-    for prim in scene.primitives:
-        occupied |= prim.contains(centers)
-    return grid.like(occupied.reshape(grid.counts))
+    """Boolean grid: a voxel is occupied iff its center lies in any primitive.
+
+    Centers are taken one block of x-slices at a time
+    (:meth:`VoxelGrid.center_blocks`), so memory beyond the output grid is
+    O(block).
+    """
+    def occupied(centers):
+        occ = np.zeros(len(centers), dtype=bool)
+        for prim in scene.primitives:
+            occ |= prim.contains(centers)
+        return occ
+
+    return grid.map_centers(occupied, grid_to_world)
 
 
 def render_reference_image(scene: AnalyticScene, view: CameraView) -> np.ndarray:
@@ -331,8 +336,11 @@ class VoxelDensityField:
         self.theta = np.asarray(self.theta, dtype=np.float64)
         if self.theta.ndim != 3 or any(n < 2 for n in self.theta.shape):
             raise ValueError("theta must be 3-D with at least 2 nodes per axis")
-        if np.any(self.resolution <= 0):
-            raise ValueError("node resolution must be positive")
+        if not np.all(np.isfinite(self.origin)):
+            raise ValueError(f"node origin {self.origin}: must be finite")
+        if not np.all((self.resolution > 0) & (self.resolution < np.inf)):
+            raise ValueError(
+                f"node resolution {self.resolution}: must be finite and positive")
 
     @classmethod
     def uniform(cls, origin, resolution, shape, sigma0: float = 0.05) -> "VoxelDensityField":

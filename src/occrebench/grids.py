@@ -20,6 +20,10 @@ import numpy as np
 FRAME_VOXEL = "voxel"
 FRAME_CAMERA = "camera"
 
+# Voxels per block of :meth:`VoxelGrid.center_blocks` (whole x-slices; a
+# block holds at least one slice whatever its size).
+BLOCK_VOXELS = 2 ** 16
+
 
 @dataclass
 class VoxelGrid:
@@ -38,8 +42,11 @@ class VoxelGrid:
         self.resolution = res.reshape(3)
         if any(c < 1 for c in self.counts):
             raise ValueError("voxel counts must be >= 1")
-        if np.any(self.resolution <= 0):
-            raise ValueError("voxel resolution must be positive")
+        if not np.all(np.isfinite(self.origin)):
+            raise ValueError(f"voxel origin {self.origin}: must be finite")
+        if not np.all((self.resolution > 0) & (self.resolution < np.inf)):
+            raise ValueError(
+                f"voxel resolution {self.resolution}: must be finite and positive")
         if self.frame not in (FRAME_VOXEL, FRAME_CAMERA):
             raise ValueError(f"unknown frame tag {self.frame!r}")
         self.values = np.asarray(self.values)
@@ -66,16 +73,59 @@ class VoxelGrid:
     def max_corner(self) -> np.ndarray:
         return self.origin + np.asarray(self.counts) * self.resolution
 
+    def _center_axes(self) -> list:
+        return [self.origin[a] + (np.arange(self.counts[a]) + 0.5) * self.resolution[a]
+                for a in range(3)]
+
     def centers(self) -> np.ndarray:
         """Voxel centers, shape (nx, ny, nz, 3), in grid-frame coordinates."""
-        axes = [self.origin[a] + (np.arange(self.counts[a]) + 0.5) * self.resolution[a]
-                for a in range(3)]
-        xx, yy, zz = np.meshgrid(*axes, indexing="ij")
-        return np.stack([xx, yy, zz], axis=-1)
+        return np.stack(np.meshgrid(*self._center_axes(), indexing="ij"), axis=-1)
 
     def centers_flat(self) -> np.ndarray:
         """Voxel centers flattened to (n, 3), x index varying slowest."""
         return self.centers().reshape(-1, 3)
+
+    def center_blocks(self, pose=None):
+        """Voxel centers in blocks of whole x-slices, x index slowest.
+
+        Yields (x-index slice, (voxels in the block, 3) centers).  The
+        centers are taken to ``pose``'s frame here (a ``geometry.Pose``; the
+        grid frame if None), so that only the transformed block is held while
+        the caller works on it, and are bit-equal to the matching rows of
+        ``pose.apply(centers_flat())``.  A block holds as many whole slices
+        as fit in ``BLOCK_VOXELS``, and at least one.  No block is a single
+        voxel unless the grid is: ``Pose.apply`` may round a one-row product
+        differently from the same row among others, so a one-voxel tail is
+        folded into the block before it.
+        """
+        nx, ny, nz = self.counts
+        per_block = max(1, BLOCK_VOXELS // (ny * nz))
+        starts = list(range(0, nx, per_block))
+        if ny * nz == 1 and len(starts) > 1 and nx - starts[-1] == 1:
+            starts.pop()
+        ax, ay, az = self._center_axes()
+        for i0, i1 in zip(starts, starts[1:] + [nx]):
+            xyz = np.stack(np.meshgrid(ax[i0:i1], ay, az, indexing="ij"), axis=-1).reshape(-1, 3)
+            if pose is not None:
+                xyz = pose.apply(xyz)
+            yield slice(i0, i1), xyz
+
+    def map_centers(self, fn, pose=None) -> "VoxelGrid":
+        """Boolean grid of ``fn(centers)`` over :meth:`center_blocks`.
+
+        ``fn`` maps (m, 3) centers in ``pose``'s frame to m booleans; the
+        result is written one block at a time, so memory beyond the output
+        is O(block).  The output is allocated once the first block is done,
+        so a grid that fits in one block peaks no higher than one all-at-once
+        pass.
+        """
+        out = None
+        for xs, centers in self.center_blocks(pose):
+            block = fn(centers).reshape(-1, *self.counts[1:])
+            if out is None:
+                out = np.empty(self.counts, dtype=bool)
+            out[xs] = block
+        return self.like(out)
 
     def point_to_index(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Map points (..., 3) to integer voxel indices and an in-bounds mask.

@@ -352,6 +352,12 @@ class TestVisibilityMask:
         # voxels in front of it on the axis are visible
         assert mv.values[8, 8, :4].all()
 
+    @pytest.mark.parametrize("step", [0.0, -0.1, np.nan, np.inf])
+    def test_rejects_step_not_finite_and_positive(self, step):
+        gt = self.grid(np.zeros((16, 16, 16), dtype=bool))
+        with pytest.raises(ValueError, match="step"):
+            visibility_mask(gt, self.view(), Pose.identity(), step=step)
+
     def test_requires_boolean_grid(self):
         gt = VoxelGrid([-2, -2, 2], (4, 4, 4), 1.0, np.zeros((4, 4, 4)))
         with pytest.raises(ValueError):

@@ -308,3 +308,18 @@ class TestIntervalScaledField:
             sigma = f.density_at(x)
             alpha = 1 - np.exp(-sigma * f.local_interval(np.array(z)))
             assert np.isclose(alpha, 0.55, atol=1e-12)
+
+
+@pytest.mark.parametrize("origin, resolution, field", [
+    ([np.nan, 0.0, 0.0], 1.0, "origin"),
+    ([0.0, -np.inf, 0.0], 1.0, "origin"),
+    ([0.0, 0.0, 0.0], np.nan, "resolution"),
+    ([0.0, 0.0, 0.0], [1.0, np.inf, 1.0], "resolution"),
+    ([0.0, 0.0, 0.0], [1.0, 1.0, 0.0], "resolution"),
+    ([0.0, 0.0, 0.0], -1.0, "resolution"),
+])
+def test_grid_and_field_name_the_rejected_geometry(origin, resolution, field):
+    with pytest.raises(ValueError, match=field):
+        VoxelGrid(origin, (2, 2, 2), resolution, np.zeros((2, 2, 2), dtype=bool))
+    with pytest.raises(ValueError, match=field):
+        VoxelDensityField(origin, resolution, np.zeros((2, 2, 2)))
