@@ -11,7 +11,9 @@ at voxel centers - is kept for comparison.
 Masks: the frustum mask keeps voxels whose centers project inside the image
 with positive depth; the visibility mask marches one ray per pixel at
 voxel-size steps through the ground-truth grid and keeps voxels reached
-before the first occupied sample.  Metrics are exact count ratios.
+before the first occupied sample.  A ray retires at its first occupied
+sample, so the march does O(samples up to each ray's first occupied voxel)
+work, not O(rays x the longest march).  Metrics are exact count ratios.
 
 Both image-sized stages take one depth bin or march step per pass for all
 rays at once, so beyond the (w, h, N) map their memory is O(pixels +
@@ -63,8 +65,8 @@ class OpacityMap:
         if v.shape[0] != self.intrinsics.width or v.shape[1] != self.intrinsics.height:
             raise ValueError("opacity map does not match the intrinsics' image size")
         # 1.0 is allowed as the saturated rounding of 1 - exp(-x); see
-        # rendering.composite.
-        if np.any(v < 0) or np.any(v > 1):
+        # rendering.composite.  NaN fails both comparisons.
+        if not (np.all(v >= 0) and np.all(v <= 1)):
             raise ValueError("opacities must lie in [0, 1]")
         self.values = v
 
@@ -166,12 +168,17 @@ def visibility_mask(gt: VoxelGrid, view: CameraView, t_vc: Pose,
     ray fall in unoccupied voxels; a voxel is visible iff any visible sample
     lands in it.  Voxels never sampled default to invisible, and the result
     is clipped to the frustum mask so m_v = 1 implies m_f = 1 (rays can clip
-    voxels whose centers project just outside the image).  All rays advance
-    one step per pass, so memory is O(pixels) plus a few boolean voxel
-    grids, independent of the march length.
+    voxels whose centers project just outside the image).  All live rays
+    advance one step per pass, so memory is O(pixels) plus a few boolean
+    voxel grids, independent of the march length.  A ray leaves the pass
+    set once its march ends or its first occupied sample is taken, since
+    nothing after that changes the mask: the work is O(samples up to each
+    ray's first occupied voxel).
 
     With ``return_coverage`` the raw set of voxels receiving at least one
-    sample is returned alongside (diagnostic for oracle comparisons).
+    sample is returned alongside (diagnostic for oracle comparisons); rays
+    then march to their end, and the work is O(samples inside the grid
+    interval of each ray).
     """
     if gt.values.dtype != bool:
         raise ValueError("visibility mask needs a boolean ground-truth grid")
@@ -192,17 +199,27 @@ def visibility_mask(gt: VoxelGrid, view: CameraView, t_vc: Pose,
     num_steps = np.where(span >= 0, np.floor(span / step) + 1, 0).astype(np.int64)
 
     visible_flat = np.zeros(gt.num_voxels, dtype=bool)
-    covered_flat = np.zeros(gt.num_voxels, dtype=bool)
+    covered_flat = np.zeros(gt.num_voxels, dtype=bool) if return_coverage else None
     occ_flat = gt.values.reshape(-1)
+    # Per-ray state of the rays still marching, compacted as rays retire.
+    live = num_steps > 0
+    start, dirs_v, num_steps = start[live], dirs_v[live], num_steps[live]
     clear = np.ones(len(dirs_v), dtype=bool)
-    for k in range(num_steps.max(initial=0)):
+    k = 0
+    while len(dirs_v):
         pts = origin_v + (start + k * step)[:, None] * dirs_v
-        idx, in_grid = gt.point_to_index(pts)
+        idx, valid = gt.point_to_index(pts)
         flat = (idx[:, 0] * gt.counts[1] + idx[:, 1]) * gt.counts[2] + idx[:, 2]
-        valid = (k < num_steps) & in_grid
         clear &= ~(valid & occ_flat[flat])
         visible_flat[flat[valid & clear]] = True
-        covered_flat[flat[valid]] = True
+        if return_coverage:
+            covered_flat[flat[valid]] = True
+        k += 1
+        # A blocked ray can change nothing but the coverage.
+        keep = k < num_steps if return_coverage else (k < num_steps) & clear
+        if not keep.all():
+            start, dirs_v, num_steps, clear = (start[keep], dirs_v[keep],
+                                               num_steps[keep], clear[keep])
     visible_flat &= frustum_mask(gt, t_vc, intr).values.reshape(-1)
     visible = gt.like(visible_flat.reshape(gt.counts))
     if return_coverage:

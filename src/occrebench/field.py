@@ -65,7 +65,11 @@ class Box:
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
         p = np.asarray(pts, dtype=np.float64)
-        return np.all((p >= self.min_corner) & (p <= self.max_corner), axis=-1)
+        lo, hi = self.min_corner, self.max_corner
+        inside = (p[..., 0] >= lo[0]) & (p[..., 0] <= hi[0])
+        for a in (1, 2):  # per column; see VoxelGrid.point_to_index
+            inside &= (p[..., a] >= lo[a]) & (p[..., a] <= hi[a])
+        return inside
 
     def ray_intervals(self, origin: np.ndarray, dirs: np.ndarray):
         """Slab test for directions (..., 3): (t_enter, t_exit) arrays.
@@ -364,7 +368,9 @@ class VoxelDensityField:
         """Cell index, fractional offset, and inside-hull mask for (..., 3)."""
         rel = (np.asarray(pts, dtype=np.float64) - self.origin) / self.resolution
         n = np.asarray(self.shape)
-        inside = np.all((rel >= 0.0) & (rel <= n - 1), axis=-1)
+        inside = (rel[..., 0] >= 0.0) & (rel[..., 0] <= n[0] - 1)
+        for a in (1, 2):  # per column; see VoxelGrid.point_to_index
+            inside &= (rel[..., a] >= 0.0) & (rel[..., a] <= n[a] - 1)
         cell = np.clip(np.floor(rel).astype(np.int64), 0, n - 2)
         frac = rel - cell
         return cell, frac, inside

@@ -91,10 +91,11 @@ def opacity(sigma, delta):
     """alpha = 1 - exp(-sigma * delta); requires sigma >= 0 and delta > 0."""
     sigma = np.asarray(sigma, dtype=np.float64)
     delta = np.asarray(delta, dtype=np.float64)
-    if np.any(sigma < 0):
-        raise ValueError("density must be nonnegative")
-    if np.any(delta <= 0):
-        raise ValueError("interval lengths must be positive")
+    # Written so that NaN fails too: NaN < 0 is false.
+    if not np.all(sigma >= 0):
+        raise ValueError("density must be nonnegative and not NaN")
+    if not np.all(delta > 0):
+        raise ValueError("interval lengths must be positive and not NaN")
     return -np.expm1(-sigma * delta)
 
 
@@ -118,8 +119,9 @@ def composite(alphas: np.ndarray, colors: np.ndarray):
         raise ValueError(f"colors shape {c.shape} does not match alphas {a.shape}")
     # Opacities are < 1 mathematically; exactly 1.0 is accepted as the
     # float64 rounding of 1 - exp(-x) once exp underflows the mantissa,
-    # and composites as full absorption (zero transmittance behind).
-    if np.any(a < 0) or np.any(a > 1):
+    # and composites as full absorption (zero transmittance behind).  NaN
+    # fails both comparisons, so it is rejected too.
+    if not (np.all(a >= 0) and np.all(a <= 1)):
         raise ValueError("alphas must lie in [0, 1]")
     trans = transmittance(a)
     weights = a * trans

@@ -31,7 +31,7 @@ def workloads():
     return module
 
 
-@pytest.mark.parametrize("name", ["train_occluder", "eval_occluder"])
+@pytest.mark.parametrize("name", ["train_occluder", "eval_occluder", "eval_kitti360"])
 def test_default_seed_matches_reference(workloads, name, tmp_path):
     wl = workloads.WORKLOADS[name]
     state = wl.setup(workloads.DEFAULT_SEED, str(tmp_path))

@@ -20,7 +20,7 @@ from occrebench.grids import VoxelGrid
 from occrebench.rendering import SamplingConfig, interval_lengths, opacity, \
     sample_distances
 
-from conftest import yaw_pose
+from conftest import rotation_about, yaw_pose
 
 
 def eval_cfg(n=64, near=3.0, far=20.0):
@@ -115,6 +115,22 @@ class TestOpacityMap:
             OpacityMap(np.full((4, 4, 2), 1.5), view.intrinsics, view.frustum)
         with pytest.raises(ValueError):
             OpacityMap(np.full((4, 4, 2), -0.1), view.intrinsics, view.frustum)
+        values = np.full((4, 4, 2), 0.5)
+        values[1, 2, 1] = np.nan
+        with pytest.raises(ValueError):
+            OpacityMap(values, view.intrinsics, view.frustum)
+
+    def test_nan_density_fails_the_build(self):
+        """A NaN density used to become a NaN opacity, which the map took and
+        voxelization read as unoccupied."""
+        class NanAtOnePoint:
+            def density_at(self, pts):
+                sigma = np.zeros(len(pts))
+                sigma[len(pts) // 2] = np.nan
+                return sigma
+
+        with pytest.raises(ValueError, match="density"):
+            build_opacity_map(NanAtOnePoint(), default_view(w=8, h=6), eval_cfg(4))
 
 
 class TestGridSample:
@@ -402,6 +418,146 @@ class TestVisibilityMask:
         mv = visibility_mask(gt, view, Pose.identity())
         mf = frustum_mask(gt, Pose.identity(), view.intrinsics)
         assert not (mv.values & ~mf.values).any()
+
+
+def full_march(gt, view, t_vc, step=None):
+    """The march before rays retired, kept as the oracle: every ray takes
+    every step of the longest march, masked by its own step count.
+
+    Returns (visible, covered, steps per ray, steps per ray up to and
+    including its first occupied sample, or all of them if it has none).
+    """
+    if step is None:
+        step = float(np.min(gt.resolution))
+    intr = view.intrinsics
+    cam_to_voxel = t_vc.inverse()
+    origin_v = cam_to_voxel.translation
+    dirs_v = cam_to_voxel.rotate(pixel_directions(intr, all_pixel_coords(intr).reshape(-1, 2)))
+    te, tx = Box(gt.origin, gt.max_corner, 0.0, (0, 0, 0)).ray_intervals(origin_v, dirs_v)
+    start = np.maximum(view.frustum.near, te)
+    span = tx - start
+    num_steps = np.where(span >= 0, np.floor(span / step) + 1, 0).astype(np.int64)
+    used = num_steps.copy()
+    visible_flat = np.zeros(gt.num_voxels, dtype=bool)
+    covered_flat = np.zeros(gt.num_voxels, dtype=bool)
+    occ_flat = gt.values.reshape(-1)
+    clear = np.ones(len(dirs_v), dtype=bool)
+    for k in range(num_steps.max(initial=0)):
+        pts = origin_v + (start + k * step)[:, None] * dirs_v
+        idx, in_grid = gt.point_to_index(pts)
+        flat = (idx[:, 0] * gt.counts[1] + idx[:, 1]) * gt.counts[2] + idx[:, 2]
+        valid = (k < num_steps) & in_grid
+        blocked = clear & valid & occ_flat[flat]
+        used[blocked] = k + 1
+        clear &= ~blocked
+        visible_flat[flat[valid & clear]] = True
+        covered_flat[flat[valid]] = True
+    visible_flat &= frustum_mask(gt, t_vc, intr).values.reshape(-1)
+    return (visible_flat.reshape(gt.counts), covered_flat.reshape(gt.counts),
+            num_steps, used)
+
+
+def assert_mixed(mask):
+    assert mask.any() and not mask.all()
+
+
+class TestRayRetirement:
+    """Rays leave the march at their end or their first occupied sample; the
+    outputs must be those of the full march bit for bit."""
+
+    # A wide view (half-angles 52 and 44 degrees) so that tilted grids leave
+    # some rays missing the grid altogether.
+    VIEW = CameraView(CameraIntrinsics(12.0, 12.0, 15.5, 11.5, 32, 24),
+                      Pose.identity(), FrustumSpec(0.5, 100.0))
+
+    @staticmethod
+    def random_pose(rng, max_translation):
+        return Pose(rotation_about(rng.normal(size=3), rng.uniform(0.1, 0.5)),
+                    rng.uniform(-max_translation, max_translation, 3))
+
+    def check(self, gt, t_vc, step):
+        expect_mv, expect_cov, num_steps, used = full_march(gt, self.VIEW, t_vc, step)
+        mv, cov = visibility_mask(gt, self.VIEW, t_vc, step=step, return_coverage=True)
+        assert np.array_equal(mv.values, expect_mv)
+        assert np.array_equal(cov.values, expect_cov)
+        assert np.array_equal(visibility_mask(gt, self.VIEW, t_vc, step=step).values,
+                              expect_mv)
+        return expect_mv, expect_cov, num_steps, used
+
+    @pytest.mark.parametrize("step", [None, 0.07])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_grid_in_front(self, seed, step):
+        rng = np.random.default_rng(seed)
+        gt = VoxelGrid([-2.0, -2.0, 2.0], (16, 16, 16), 0.25,
+                       rng.random((16, 16, 16)) < rng.uniform(0.05, 0.4))
+        mv, cov, num_steps, used = self.check(gt, self.random_pose(rng, 1.5), step)
+        assert_mixed(mv)
+        assert_mixed(cov)
+        assert (num_steps == 0).any()            # rays that miss the grid
+        assert (used == 1).any()                 # ... that start in an occupied voxel
+        assert (used < num_steps).any()          # ... that retire early
+
+    @pytest.mark.parametrize("step", [None, 0.07])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_grid_around_the_camera(self, seed, step):
+        """Every ray starts inside the grid, at the near bound."""
+        rng = np.random.default_rng(100 + seed)
+        gt = VoxelGrid([-2.0, -2.0, -2.0], (16, 16, 16), 0.25,
+                       rng.random((16, 16, 16)) < 0.1)
+        mv, cov, num_steps, used = self.check(gt, self.random_pose(rng, 0.5), step)
+        assert_mixed(mv)
+        assert_mixed(cov)
+        assert (num_steps > 0).all()
+        assert (used == 1).any() and (used == num_steps).any()
+
+    @pytest.mark.parametrize("step", [None, 0.07])
+    def test_empty_grid_no_ray_retires_early(self, step):
+        gt = VoxelGrid([-2.0, -2.0, 2.0], (16, 16, 16), 0.25,
+                       np.zeros((16, 16, 16), dtype=bool))
+        mv, cov, num_steps, used = self.check(
+            gt, self.random_pose(np.random.default_rng(7), 1.5), step)
+        assert np.array_equal(used, num_steps)
+        assert_mixed(mv)
+        assert_mixed(cov)
+
+    @pytest.mark.parametrize("step", [None, 0.07])
+    def test_full_grid_every_ray_retires_at_once(self, step):
+        gt = VoxelGrid([-2.0, -2.0, 2.0], (16, 16, 16), 0.25,
+                       np.ones((16, 16, 16), dtype=bool))
+        mv, cov, num_steps, used = self.check(
+            gt, self.random_pose(np.random.default_rng(8), 1.5), step)
+        assert not mv.any()
+        assert_mixed(cov)
+        # A ray whose entry sample rounds to just outside the grid is blocked
+        # at its second; both kinds occur here.
+        assert np.array_equal(np.unique(used[num_steps > 0]), [1, 2])
+        assert np.all(used[num_steps == 0] == 0)
+
+    @pytest.mark.parametrize("step", [None, 0.07])
+    def test_work_is_the_samples_up_to_the_first_occupied_one(self, monkeypatch, step):
+        """Count the sample rows the march looks up on a half wall: without
+        coverage, each ray's steps up to and including its first occupied
+        sample; with it, each ray's steps."""
+        occ = np.zeros((16, 16, 16), dtype=bool)
+        occ[:8, :, 6] = True
+        gt = VoxelGrid([-2.0, -2.0, 2.0], (16, 16, 16), 0.25, occ)
+        view, pose = TestVisibilityMask().view(), Pose.identity()
+        _, _, num_steps, used = full_march(gt, view, pose, step)
+        assert used.sum() < num_steps.sum() < len(num_steps) * num_steps.max()
+
+        rows = []
+        lookup = VoxelGrid.point_to_index
+
+        def counting(grid, points):
+            rows.append(len(points))
+            return lookup(grid, points)
+
+        monkeypatch.setattr(VoxelGrid, "point_to_index", counting)
+        visibility_mask(gt, view, pose, step=step)
+        assert sum(rows) == used.sum()
+        rows.clear()
+        visibility_mask(gt, view, pose, step=step, return_coverage=True)
+        assert sum(rows) == num_steps.sum()
 
 
 class TestMetrics:

@@ -102,6 +102,14 @@ class TestOpacity:
         with pytest.raises(ValueError):
             opacity(1.0, 0.0)
 
+    def test_nan_density_and_interval_rejected(self):
+        """NaN < 0 is false, so a sign test alone lets NaN through as a NaN
+        opacity."""
+        with pytest.raises(ValueError, match="density"):
+            opacity(np.array([0.5, np.nan]), 1.0)
+        with pytest.raises(ValueError, match="interval"):
+            opacity(0.5, np.array([1.0, np.nan]))
+
 
 class TestComposite:
     def test_opaque_first_sample(self):
@@ -146,6 +154,8 @@ class TestComposite:
             composite(np.array([1.0 + 1e-9]), np.zeros((1, 3)))
         with pytest.raises(ValueError):
             composite(np.array([-0.1]), np.zeros((1, 3)))
+        with pytest.raises(ValueError, match="alphas"):
+            composite(np.array([0.5, np.nan]), np.zeros((2, 3)))
 
     def test_saturated_alpha_composites_as_full_absorption(self):
         c_hat, trans, residual = composite(
