@@ -100,15 +100,20 @@ def grid_sample_opacity(omap: OpacityMap, points_tcs: np.ndarray) -> np.ndarray:
     clamped to the node range, which implements border padding.
     """
     pts = np.asarray(points_tcs, dtype=np.float64)
-    w, h, n = omap.values.shape
-    scale = np.array([w - 1.0, h - 1.0, float(n)])
-    idx = np.clip(pts * scale, 0.0, [w - 1.0, h - 1.0, n - 1.0])
-    lo = np.clip(np.floor(idx).astype(np.int64), 0, [w - 2, h - 2, n - 2])
-    f = idx - lo
+    w, h, n = counts = omap.values.shape
+    scale = (w - 1.0, h - 1.0, float(n))
+    base = 0
+    frac = np.empty((3,) + pts.shape[:-1])
+    for a in range(3):
+        idx = np.clip(pts[..., a] * scale[a], 0.0, counts[a] - 1.0)
+        lo = np.clip(np.floor(idx).astype(np.int64), 0, counts[a] - 2)
+        np.subtract(idx, lo, out=frac[a, ...])
+        base = base * counts[a] + lo
     values = omap.values.reshape(-1)
     out = np.zeros(pts.shape[:-1])
-    for flat, wgt in trilinear_corners(lo, f, omap.values.shape):
-        out += wgt * values[flat]
+    for flat, wgt in trilinear_corners(base, frac, counts):
+        wgt *= values[flat]
+        out += wgt
     return out
 
 

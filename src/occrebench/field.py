@@ -291,26 +291,29 @@ def render_reference_image(scene: AnalyticScene, view: CameraView) -> np.ndarray
     return image.reshape(intr.height, intr.width, 3)
 
 
-def trilinear_corners(cell: np.ndarray, frac: np.ndarray, counts):
+def trilinear_corners(base: np.ndarray, frac, counts):
     """The eight corners of trilinear interpolation, one at a time.
 
-    ``cell`` (..., 3) holds the lower node index of each query's cell and
-    ``frac`` (..., 3) its offset within the cell in [0, 1].  Yields (flat
-    index into a C-ordered node array of shape ``counts``, weight) per
-    corner (dx, dy, dz) in lexicographic order; the weight is
-    (wx * wy) * wz, where each factor is frac or 1 - frac.  Each corner is
-    computed afresh and no (..., 8) array is built, so a caller holds one
-    corner's arrays at a time, never all eight.
+    ``base`` (...) holds the flat index, into a C-ordered node array of
+    shape ``counts``, of each query's lower cell corner, and ``frac``
+    (3, ...) the query's offset within its cell along each axis, in
+    [0, 1].  Yields (flat index, weight) per corner (dx, dy, dz) in
+    lexicographic order; the weight is (wx * wy) * wz, where each factor
+    is frac or 1 - frac.  wx * wy is taken once per (dx, dy) and each
+    corner's index is one addition to ``base``.  A 1 - frac factor is
+    made only while its half of the corners needs it, and no (..., 8)
+    array is built, so a caller holds one corner's arrays at a time and
+    at most two per-query weight arrays besides.  Each yielded array is
+    new, so the caller may work in it in place.
     """
     ny, nz = counts[1], counts[2]
+    fx, fy, fz = frac
     for dx in (0, 1):
+        wx = fx if dx else 1 - fx
         for dy in (0, 1):
+            wxy = wx * (fy if dy else 1 - fy)
             for dz in (0, 1):
-                w = ((frac[..., 0] if dx else 1 - frac[..., 0])
-                     * (frac[..., 1] if dy else 1 - frac[..., 1])
-                     * (frac[..., 2] if dz else 1 - frac[..., 2]))
-                flat = ((cell[..., 0] + dx) * ny + (cell[..., 1] + dy)) * nz + (cell[..., 2] + dz)
-                yield flat, w
+                yield base + ((dx * ny + dy) * nz + dz), wxy * (fz if dz else 1 - fz)
 
 
 # ---------------------------------------------------------------------------
@@ -364,24 +367,40 @@ class VoxelDensityField:
         return VoxelDensityField(self.origin.copy(), self.resolution.copy(),
                                  self.theta.copy())
 
-    def _locate(self, pts: np.ndarray):
-        """Cell index, fractional offset, and inside-hull mask for (..., 3)."""
-        rel = (np.asarray(pts, dtype=np.float64) - self.origin) / self.resolution
-        n = np.asarray(self.shape)
-        inside = (rel[..., 0] >= 0.0) & (rel[..., 0] <= n[0] - 1)
+    def locate(self, pts: np.ndarray) -> "Located":
+        """Where points (..., 3) fall in the node lattice; see :class:`Located`.
+
+        Each coordinate is scaled to node units as its own column.  Points
+        in the hull have coordinates >= 0, so truncation is their floor.
+        """
+        p = np.asarray(pts, dtype=np.float64)
+        n = self.shape
+        rel = [(p[..., a] - self.origin[a]) / self.resolution[a] for a in range(3)]
+        inside = (rel[0] >= 0.0) & (rel[0] <= n[0] - 1)
         for a in (1, 2):  # per column; see VoxelGrid.point_to_index
-            inside &= (rel[..., a] >= 0.0) & (rel[..., a] <= n[a] - 1)
-        cell = np.clip(np.floor(rel).astype(np.int64), 0, n - 2)
-        frac = rel - cell
-        return cell, frac, inside
+            inside &= (rel[a] >= 0.0) & (rel[a] <= n[a] - 1)
+        base = 0
+        frac = np.empty((3, np.count_nonzero(inside)))
+        for a in range(3):
+            r, rel[a] = rel[a][inside], None
+            cell = np.minimum(r.astype(np.int64), n[a] - 2)
+            np.subtract(r, cell, out=frac[a])
+            base = base * n[a] + cell
+        return Located(inside, base, frac)
 
     def density_at(self, pts: np.ndarray) -> np.ndarray:
-        cell, frac, inside = self._locate(pts)
+        return self.density_from(self.locate(pts))
+
+    def density_from(self, loc: "Located") -> np.ndarray:
+        """Density at located points, in their shape; zero outside the hull."""
         sp = softplus(self.theta).reshape(-1)
-        out = np.zeros(inside.shape)
-        for flat, w in trilinear_corners(cell, frac, self.shape):
-            out += w * sp[flat]
-        return np.where(inside, out, 0.0)
+        inner = np.zeros(len(loc.base))
+        for flat, w in trilinear_corners(loc.base, loc.frac, self.shape):
+            w *= sp[flat]
+            inner += w
+        out = np.zeros(loc.inside.shape)
+        out[loc.inside] = inner
+        return out
 
     def density_gradient_wrt_params(self, point: np.ndarray):
         """Sparse d(sigma)/d(theta) at one point: (node indices (k,3), values (k,)).
@@ -391,10 +410,10 @@ class VoxelDensityField:
         dropped, so a query exactly on a node returns a single entry.
         Outside the hull the gradient is empty.
         """
-        p = np.asarray(point, dtype=np.float64).reshape(3)
-        cell, frac, inside = self._locate(p)
-        if not inside:
+        loc = self.locate(np.asarray(point, dtype=np.float64).reshape(1, 3))
+        if not loc.inside[0]:
             return np.zeros((0, 3), dtype=np.int64), np.zeros(0)
+        cell, frac = np.unravel_index(loc.base[0], self.shape), loc.frac[:, 0]
         indices, values = [], []
         for dx in (0, 1):
             for dy in (0, 1):
@@ -410,19 +429,41 @@ class VoxelDensityField:
         return np.asarray(indices, dtype=np.int64), np.asarray(values)
 
     def accumulate_param_grad(self, pts: np.ndarray, dloss_dsigma: np.ndarray) -> np.ndarray:
-        """Scatter dL/dsigma at many points into a dL/dtheta array.
-
-        Points outside the hull contribute nothing.  Bincount-based so the
-        reduction order is fixed and runs are reproducible.
-        """
+        """Scatter dL/dsigma at many points into a dL/dtheta array."""
         pts = np.asarray(pts, dtype=np.float64).reshape(-1, 3)
-        coeff = np.asarray(dloss_dsigma, dtype=np.float64).reshape(-1)
-        cell, frac, inside = self._locate(pts)
-        coeff = np.where(inside, coeff, 0.0)
+        return self.param_grad_from(self.locate(pts), dloss_dsigma)
+
+    def param_grad_from(self, loc: "Located", dloss_dsigma: np.ndarray) -> np.ndarray:
+        """Scatter dL/dsigma at located points into a dL/dtheta array.
+
+        Points outside the hull contribute nothing.  Bincount-based, in the
+        points' C order, so the reduction order is fixed and runs are
+        reproducible.
+        """
+        coeff = np.asarray(dloss_dsigma, dtype=np.float64).reshape(loc.inside.shape)[loc.inside]
         grad_flat = np.zeros(self.theta.size)
-        for flat, w in trilinear_corners(cell, frac, self.shape):
-            grad_flat += np.bincount(flat, weights=coeff * w, minlength=self.theta.size)
+        for flat, w in trilinear_corners(loc.base, loc.frac, self.shape):
+            w *= coeff
+            grad_flat += np.bincount(flat, weights=w, minlength=self.theta.size)
         return (grad_flat * sigmoid(self.theta).reshape(-1)).reshape(self.shape)
+
+
+@dataclass(frozen=True)
+class Located:
+    """Points placed in a field's node lattice by :meth:`VoxelDensityField.locate`.
+
+    ``inside`` has the points' shape and marks those in the node hull (its
+    max faces included).  For those M points, in their C order, ``base``
+    (M,) is the flat node index of each one's lower cell corner and
+    ``frac`` (3, M) its offset within the cell along each axis: the inputs
+    of :func:`trilinear_corners`.  Locating once lets the density gather
+    and the gradient scatter of a training step share the work, and
+    neither walks the corners of points outside the hull.
+    """
+
+    inside: np.ndarray
+    base: np.ndarray
+    frac: np.ndarray
 
 
 @dataclass(frozen=True)

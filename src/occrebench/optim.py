@@ -21,10 +21,17 @@ from .field import (AnalyticScene, VoxelDensityField, ground_truth_occupancy,
                     render_reference_image)
 from .geometry import Pose, pixel_directions
 from .grids import VoxelGrid
-from .losses import LossConfig, total_loss
+from .losses import LossConfig, ray_terms, view_loss
+from .losses import total_loss  # noqa: F401 - not called here; bench/tracing.py wraps it
 from .rendering import (MODE_EVAL, MODE_TRAIN, SamplingConfig, SourceViewSampler,
                         opacity, sample_patch_rays, sample_points_batch)
 from .rendering import composite  # noqa: F401 - not called here; bench/tracing.py wraps it
+
+# Rays per block of the loss pass in ``train``: per-view temporaries are
+# O(RAY_BLOCK * num_samples), whatever the batch size.  Of 256 to 2048,
+# 512 and 1024 ran the 4096-ray occluder batch fastest; the smaller holds
+# less.
+RAY_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -56,6 +63,10 @@ class TrainConfig:
                 raise ValueError(f"{name} must lie in (0, 1)")
         if not (0.0 < self.near < self.far):
             raise ValueError("near and far must satisfy 0 < near < far")
+        for name, least in (("patch_count", 1), ("patch_size", 1), ("num_samples", 2)):
+            if not getattr(self, name) >= least:
+                raise ValueError(f"{name} must be >= {least}")
+        self.loss_config()   # rejects a negative or non-finite loss weight, by name
 
     def loss_config(self) -> LossConfig:
         return LossConfig(self.lambda_r, self.lambda_p)
@@ -139,8 +150,19 @@ def train(field: VoxelDensityField, scene: AnalyticScene, views,
     train-mode inverse-depth sampling, colors from all other views with
     per-view miss masks, loss gradients chained through softplus to the
     node parameters, one Adam step.  The three loss traces (total, L_r and
-    L_p, each averaged over the source views) are read from what
-    :func:`total_loss` measured, so L_p is reported even when lambda_p = 0.
+    L_p, each averaged over the source views) are read from what the loss
+    measured, so L_p is reported even when lambda_p = 0.
+
+    Once per sample: the lattice location (shared by the density gather
+    and the gradient scatter), sigma and alpha.  Once per ray, in blocks of
+    ``RAY_BLOCK`` rays: the view-independent loss factors
+    (:func:`ray_terms`).  Once per source view per block: the colour lookup
+    and :func:`view_loss`.  Per-ray L_r and L_p and the full dL/dsigma are
+    kept, and the batch means and the scatter are taken at the end in the
+    order a whole-batch pass takes them, so results do not depend on the
+    block size.  Memory beyond the per-sample arrays (points, delta,
+    sigma, alpha, dL/dsigma and the located points) is O(block), and none
+    of an iteration's arrays outlive it.
     """
     check_view_overlap(views)
     images = [render_reference_image(scene, v) for v in views]
@@ -153,35 +175,12 @@ def train(field: VoxelDensityField, scene: AnalyticScene, views,
     trace_polar = np.zeros(cfg.iterations)
 
     for it in range(cfg.iterations):
-        rng = iteration_rng(cfg.seed, it)
         target_idx = it % len(views)
-        target = views[target_idx]
-        batch = sample_patch_rays(target, rng, cfg.patch_count, cfg.patch_size)
-        pix = batch.pixels.astype(np.int64)
-        c_gt = images[target_idx][pix[:, 1], pix[:, 0]]
-        origins, dirs = target.world_rays(batch.pixels)
-        _, pts, delta = sample_points_batch(origins, dirs, scfg, rng)
-        sigma = field.density_at(pts.reshape(-1, 3)).reshape(delta.shape)
-        alpha = opacity(sigma, delta)
-
-        grad_sigma = np.zeros_like(sigma)
-        total_sum = recon_sum = polar_sum = 0.0
         sources = [s for j, s in enumerate(samplers) if j != target_idx]
-        for sampler in sources:
-            colors, hit = sampler.sample_colors(pts)
-            terms = total_loss(alpha, colors, sigma, delta, c_gt, loss_cfg, miss=~hit)
-            grad_sigma += terms.total_wrt_sigma
-            total_sum += terms.total
-            recon_sum += terms.recon
-            polar_sum += terms.polar
-        n_src = len(sources)
-        grad_sigma /= n_src
-        trace_total[it] = total_sum / n_src
-        trace_recon[it] = recon_sum / n_src
-        trace_polar[it] = polar_sum / n_src
-
-        grad_theta = field.accumulate_param_grad(pts.reshape(-1, 3),
-                                                 grad_sigma.reshape(-1))
+        grad_theta, traces = _batch_gradient(
+            field, views[target_idx], images[target_idx], sources,
+            iteration_rng(cfg.seed, it), cfg, scfg, loss_cfg)
+        trace_total[it], trace_recon[it], trace_polar[it] = traces
         lr = cfg.learning_rate
         if it >= cfg.lr_decay_start:
             lr /= cfg.lr_decay_factor
@@ -189,6 +188,41 @@ def train(field: VoxelDensityField, scene: AnalyticScene, views,
 
     return TrainResult(field=field, loss_total=trace_total,
                        loss_recon=trace_recon, loss_polar=trace_polar)
+
+
+def _batch_gradient(field, target, image, sources, rng, cfg, scfg, loss_cfg):
+    """dL/dtheta for one iteration's ray batch on ``target``, and the
+    source-view means of its loss total, L_r and L_p; see :func:`train`."""
+    batch = sample_patch_rays(target, rng, cfg.patch_count, cfg.patch_size)
+    pix = batch.pixels.astype(np.int64)
+    c_gt = image[pix[:, 1], pix[:, 0]]
+    origins, dirs = target.world_rays(batch.pixels)
+    pts, delta = sample_points_batch(origins, dirs, scfg, rng)[1:]
+    located = field.locate(pts)
+    sigma = field.density_from(located)
+    alpha = opacity(sigma, delta)
+
+    n_rays, n_src = len(pts), len(sources)
+    recon = np.zeros((n_src, n_rays))
+    polar = np.zeros((n_src, n_rays))
+    grad_sigma = np.zeros_like(sigma)
+    for start in range(0, n_rays, RAY_BLOCK):
+        blk = slice(start, start + RAY_BLOCK)
+        rays = ray_terms(alpha[blk].T, sigma[blk].T, delta[blk].T)
+        # time-major and flat: one (N * B, 3) pose transform per view
+        pts_blk = pts[blk].transpose(1, 0, 2).reshape(-1, 3)
+        grad_blk = grad_sigma[blk].T
+        for v, sampler in enumerate(sources):
+            colors, hit = sampler.sample_colors(pts_blk)
+            terms = view_loss(rays, colors.reshape(rays.alpha.shape + (3,)),
+                              hit.reshape(rays.alpha.shape), c_gt[blk])
+            recon[v, blk] = terms.recon
+            polar[v, blk] = terms.polar
+            grad_blk += loss_cfg.combine(terms.recon_wrt_sigma, terms.polar_wrt_sigma) / n_rays
+    grad_sigma /= n_src
+    means = [sum(float(np.mean(row)) for row in per_ray) / n_src
+             for per_ray in (loss_cfg.combine(recon, polar), recon, polar)]
+    return field.param_grad_from(located, grad_sigma), means
 
 
 # ---------------------------------------------------------------------------

@@ -135,18 +135,30 @@ def composite(alphas: np.ndarray, colors: np.ndarray):
 # ---------------------------------------------------------------------------
 
 def bilinear_sample(image: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Bilinearly interpolate image (h, w, c) at pixel coords in [0, w-1] x [0, h-1]."""
+    """Bilinearly interpolate image (h, w, c) at pixel coords in [0, w-1] x [0, h-1].
+
+    Returns (..., c) values stored channel by channel.  Each channel is
+    gathered by flat pixel index from its own contiguous (h * w) plane; the
+    right and lower taps are the same index into the plane shifted by 1
+    and by w, and the four tap weights are computed once for all channels.
+    """
     h, w = image.shape[:2]
+    planes = np.moveaxis(image, -1, 0).reshape(image.shape[-1], h * w)
     u = np.clip(np.asarray(u, dtype=np.float64), 0, w - 1)
     v = np.clip(np.asarray(v, dtype=np.float64), 0, h - 1)
     u0 = np.clip(np.floor(u).astype(np.int64), 0, w - 2)
     v0 = np.clip(np.floor(v).astype(np.int64), 0, h - 2)
-    fu = (u - u0)[..., None]
-    fv = (v - v0)[..., None]
-    return ((1 - fu) * (1 - fv) * image[v0, u0]
-            + fu * (1 - fv) * image[v0, u0 + 1]
-            + (1 - fu) * fv * image[v0 + 1, u0]
-            + fu * fv * image[v0 + 1, u0 + 1])
+    fu, fv = u - u0, v - v0
+    gu, gv = 1 - fu, 1 - fv
+    weights = (gu * gv, fu * gv, gu * fv, fu * fv)
+    tap = v0 * w + u0
+    out = np.empty((len(planes),) + u.shape)
+    for c, plane in enumerate(planes):
+        col = out[c, ...]
+        np.multiply(weights[0], plane.take(tap), out=col)
+        for weight, shift in zip(weights[1:], (1, w, w + 1)):
+            col += weight * plane[shift:].take(tap)
+    return np.moveaxis(out, 0, -1)
 
 
 def sample_color_from_view(image: np.ndarray, intr: CameraIntrinsics,
@@ -156,14 +168,18 @@ def sample_color_from_view(image: np.ndarray, intr: CameraIntrinsics,
     Points are mapped by ``cam_to_source``, projected, and bilinearly
     sampled.  Points behind the source camera or projecting outside the
     image come back with hit=False and zero color; the caller decides how
-    misses weigh into losses.
+    misses weigh into losses.  Every point is interpolated (a miss at a
+    clamped position) and misses are zeroed in place, so no hit subset is
+    gathered and scattered back.  Work and memory are O(points): the
+    trainer calls it once per source view per block of rays, on the
+    block's points only.
     """
     pts = cam_to_source.apply(points_cam)
     u, v, z = project(intr, pts)
     hit = in_image(intr, u, v, z)
-    colors = np.zeros(pts.shape)
-    if np.any(hit):
-        colors[hit] = bilinear_sample(image, u[hit], v[hit])
+    with np.errstate(invalid="ignore"):   # NaN (u, v) at z == 0 cast to int64
+        colors = bilinear_sample(image, u, v)
+    np.copyto(colors, 0.0, where=~hit[..., None])
     return colors, hit
 
 

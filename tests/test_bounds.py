@@ -80,10 +80,10 @@ def test_locate_matches_the_reduction(seed):
         for p in shapes(pts):
             rel = (p - fld.origin) / fld.resolution
             expect = np.all((rel >= 0.0) & (rel <= n - 1), axis=-1)
-            got = fld._locate(p)[2]
+            got = fld.locate(p).inside
             assert np.shape(got) == np.shape(expect)
             assert np.array_equal(got, expect)
-        inside = fld._locate(pts)[2]
+        inside = fld.locate(pts).inside
     assert inside.any() and not inside.all()
     # the hull is closed: both its faces are inside
-    assert fld._locate(fld.origin)[2] and fld._locate(fld.max_corner)[2]
+    assert fld.locate(fld.origin).inside and fld.locate(fld.max_corner).inside

@@ -363,8 +363,12 @@ class TestTotalLoss:
                        np.zeros((0, 4)), np.zeros((0, 3)), cfg)
 
     def test_negative_weights_rejected(self):
-        with pytest.raises(ValueError):
-            LossConfig(lambda_r=-1.0)
+        """Negative, NaN and infinite weights are refused by name; NaN
+        passed a `< 0` test and made every loss NaN."""
+        for name, value in (("lambda_r", -1.0), ("lambda_p", -1e-3), ("lambda_r", np.nan),
+                            ("lambda_p", np.nan), ("lambda_p", np.inf)):
+            with pytest.raises(ValueError, match=name):
+                LossConfig(**{name: value})
 
 
 class TestOcclusionProbe:

@@ -16,8 +16,18 @@ from occrebench.field import VoxelDensityField, sigmoid, softplus
 from occrebench.geometry import CameraIntrinsics, FrustumSpec
 
 
+def reference_locate(fld: VoxelDensityField, pts):
+    """Cell index, fractional offset and inside-hull mask of every point,
+    inside the hull or not."""
+    rel = (np.asarray(pts, dtype=np.float64) - fld.origin) / fld.resolution
+    n = np.asarray(fld.shape)
+    inside = np.all((rel >= 0.0) & (rel <= n - 1), axis=-1)
+    cell = np.clip(np.floor(rel).astype(np.int64), 0, n - 2)
+    return cell, rel - cell, inside
+
+
 def reference_density_at(fld: VoxelDensityField, pts):
-    cell, frac, inside = fld._locate(pts)
+    cell, frac, inside = reference_locate(fld, pts)
     sp = softplus(fld.theta)
     out = np.zeros(inside.shape)
     for dx in (0, 1):
@@ -33,7 +43,7 @@ def reference_density_at(fld: VoxelDensityField, pts):
 def reference_accumulate(fld: VoxelDensityField, pts, dloss_dsigma):
     pts = np.asarray(pts, dtype=np.float64).reshape(-1, 3)
     coeff = np.asarray(dloss_dsigma, dtype=np.float64).reshape(-1)
-    cell, frac, inside = fld._locate(pts)
+    cell, frac, inside = reference_locate(fld, pts)
     coeff = np.where(inside, coeff, 0.0)
     sig = sigmoid(fld.theta)
     nx, ny, nz = fld.shape
