@@ -22,6 +22,12 @@ that visit every voxel center (both voxelizations and the frustum mask,
 hence the visibility mask's clip) take one block of whole x-slices at a
 time (``grids.BLOCK_VOXELS`` voxels at most), so beyond the boolean grid
 they write their memory is O(block), not O(voxels).
+
+Both stages that look density up (the map build, one call per depth bin,
+and the conventional voxelization, one per center block) take softplus of
+a ``VoxelDensityField``'s parameters once per call and reuse it for every
+batch (``node_density``/``density_from``); any other density source is
+asked through ``density_at``.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import Box, trilinear_corners
+from .field import Box, VoxelDensityField, trilinear_corners
 from .geometry import CameraIntrinsics, CameraView, FrustumSpec, Pose, ccs_to_tcs, \
     all_pixel_coords, in_image, pixel_directions, project
 from .grids import VoxelGrid
@@ -38,6 +44,18 @@ from .rendering import MODE_EVAL, SamplingConfig, interval_lengths, opacity, \
     sample_distances
 
 OCCUPANCY_THRESHOLD = 0.5
+
+
+def _density_lookup(density_field):
+    """``points -> sigma`` for one stage's batches of points.
+
+    A ``VoxelDensityField``'s node densities are taken here, once, so the
+    lookup must not outlive the stage: training updates ``theta`` in place.
+    """
+    if isinstance(density_field, VoxelDensityField):
+        nodes = density_field.node_density()
+        return lambda pts: density_field.density_from(density_field.locate(pts), nodes)
+    return density_field.density_at
 
 
 # ---------------------------------------------------------------------------
@@ -86,9 +104,10 @@ def build_opacity_map(density_field, view: CameraView,
     origins, dirs = view.world_rays(pixels)
     t = sample_distances(cfg)
     delta = interval_lengths(t, cfg.far)
+    density = _density_lookup(density_field)
     alpha = np.empty((len(pixels), cfg.num_samples))
     for i in range(cfg.num_samples):
-        alpha[:, i] = opacity(density_field.density_at(origins + t[i] * dirs), delta[i])
+        alpha[:, i] = opacity(density(origins + t[i] * dirs), delta[i])
     values = alpha.reshape(intr.width, intr.height, cfg.num_samples)
     return OpacityMap(values, intr, FrustumSpec(cfg.near, cfg.far))
 
@@ -141,8 +160,10 @@ def voxelize_occupancy(omap: OpacityMap, grid: VoxelGrid, t_vc: Pose) -> VoxelGr
 
 def conventional_voxelize(density_field, grid: VoxelGrid, t_vc: Pose) -> VoxelGrid:
     """Baseline protocol: occupied iff raw density at the camera-frame center exceeds 0.5."""
+    density = _density_lookup(density_field)
+
     def occupied(centers_cam):
-        sigma = np.asarray(density_field.density_at(centers_cam))
+        sigma = np.asarray(density(centers_cam))
         return (centers_cam[:, 2] > 0) & (sigma > OCCUPANCY_THRESHOLD)
 
     return grid.map_centers(occupied, t_vc)
@@ -212,7 +233,11 @@ def visibility_mask(gt: VoxelGrid, view: CameraView, t_vc: Pose,
     clear = np.ones(len(dirs_v), dtype=bool)
     k = 0
     while len(dirs_v):
-        pts = origin_v + (start + k * step)[:, None] * dirs_v
+        dist = start + k * step
+        pts = np.empty(dirs_v.shape)
+        for a in range(3):   # per column, as origin_v + dist[:, None] * dirs_v
+            np.multiply(dist, dirs_v[:, a], out=pts[:, a])
+            pts[:, a] += origin_v[a]
         idx, valid = gt.point_to_index(pts)
         flat = (idx[:, 0] * gt.counts[1] + idx[:, 1]) * gt.counts[2] + idx[:, 2]
         clear &= ~(valid & occ_flat[flat])

@@ -11,7 +11,12 @@ Two families:
   of softplus(theta), so it is nonnegative with smooth parameter gradients.
 
 Any object with a ``density_at(points) -> sigma`` method is accepted as a
-density field by the rendering and benchmark modules.
+density field by the rendering and benchmark modules.  A caller that looks
+up many batches of points against one ``theta`` (the opacity-map build, the
+conventional voxelization, a training step) takes
+``VoxelDensityField.node_density()`` once and passes it to
+``density_from(locate(points), nodes)`` per batch, so softplus runs once
+per lattice, not once per batch.
 """
 
 from __future__ import annotations
@@ -56,6 +61,8 @@ class Box:
     def __post_init__(self):
         lo = np.asarray(self.min_corner, dtype=np.float64).reshape(3)
         hi = np.asarray(self.max_corner, dtype=np.float64).reshape(3)
+        _check_finite("box min_corner", lo)
+        _check_finite("box max_corner", hi)
         if np.any(lo >= hi):
             raise ValueError("box requires min < max per axis")
         _check_density(self.density)
@@ -100,15 +107,20 @@ class Sphere:
     albedo: np.ndarray
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("sphere radius must be positive")
+        center = np.asarray(self.center, dtype=np.float64).reshape(3)
+        _check_finite("sphere center", center)
+        if not 0 < self.radius < np.inf:   # NaN fails too
+            raise ValueError(f"sphere radius {self.radius}: must be finite and positive")
         _check_density(self.density)
-        object.__setattr__(self, "center", np.asarray(self.center, dtype=np.float64).reshape(3))
+        object.__setattr__(self, "center", center)
         object.__setattr__(self, "albedo", _as_rgb(self.albedo))
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
         p = np.asarray(pts, dtype=np.float64)
-        return np.linalg.norm(p - self.center, axis=-1) <= self.radius
+        # One column at a time; the sum is the (x0 + x1) + x2 fold that
+        # np.linalg.norm takes along a length-3 axis, so results are equal.
+        d = [p[..., a] - self.center[a] for a in range(3)]
+        return np.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2]) <= self.radius
 
     def ray_intervals(self, origin: np.ndarray, dirs: np.ndarray):
         oc = np.asarray(origin, dtype=np.float64) - self.center
@@ -140,6 +152,7 @@ class HalfSpace:
     def __post_init__(self):
         if self.axis not in (0, 1, 2) or self.side not in (-1, 1):
             raise ValueError("half-space needs axis in {0,1,2} and side in {-1,+1}")
+        _check_finite("half-space offset", self.offset)
         _check_density(self.density)
         object.__setattr__(self, "albedo", _as_rgb(self.albedo))
 
@@ -164,14 +177,19 @@ class HalfSpace:
 
 def _as_rgb(c) -> np.ndarray:
     rgb = np.asarray(c, dtype=np.float64).reshape(3)
-    if np.any(rgb < 0) or np.any(rgb > 1):
-        raise ValueError("albedo components must lie in [0, 1]")
+    if not np.all((rgb >= 0) & (rgb <= 1)):   # NaN fails too
+        raise ValueError(f"albedo {rgb}: components must lie in [0, 1]")
     return rgb
 
 
 def _check_density(density: float) -> None:
-    if density < 0:
-        raise ValueError("primitive density must be nonnegative")
+    if not 0 <= density < np.inf:   # NaN fails too
+        raise ValueError(f"primitive density {density}: must be finite and nonnegative")
+
+
+def _check_finite(name: str, value) -> None:
+    if not np.all(np.isfinite(value)):
+        raise ValueError(f"{name} {value}: must be finite")
 
 
 # ---------------------------------------------------------------------------
@@ -389,14 +407,21 @@ class VoxelDensityField:
         return Located(inside, base, frac)
 
     def density_at(self, pts: np.ndarray) -> np.ndarray:
-        return self.density_from(self.locate(pts))
+        return self.density_from(self.locate(pts), self.node_density())
 
-    def density_from(self, loc: "Located") -> np.ndarray:
-        """Density at located points, in their shape; zero outside the hull."""
-        sp = softplus(self.theta).reshape(-1)
+    def node_density(self) -> np.ndarray:
+        """softplus(theta) per node, flat in C order: the ``nodes`` of
+        :meth:`density_from`, valid until ``theta`` changes."""
+        return softplus(self.theta).reshape(-1)
+
+    def density_from(self, loc: "Located", nodes: np.ndarray) -> np.ndarray:
+        """Density at located points, in their shape; zero outside the hull.
+
+        ``nodes`` is :meth:`node_density` of the current ``theta``.
+        """
         inner = np.zeros(len(loc.base))
         for flat, w in trilinear_corners(loc.base, loc.frac, self.shape):
-            w *= sp[flat]
+            w *= nodes[flat]
             inner += w
         out = np.zeros(loc.inside.shape)
         out[loc.inside] = inner

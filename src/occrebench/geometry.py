@@ -79,8 +79,10 @@ class Pose:
 
     def apply(self, points: np.ndarray) -> np.ndarray:
         """Transform points of shape (..., 3)."""
-        pts = np.asarray(points, dtype=np.float64)
-        return pts @ self.rotation.T + self.translation
+        out = np.asarray(points, dtype=np.float64) @ self.rotation.T
+        for a in range(3):   # per column: adding over rows of 3 is slower
+            out[..., a] += self.translation[a]
+        return out
 
     def rotate(self, vectors: np.ndarray) -> np.ndarray:
         """Rotate direction vectors (no translation)."""
@@ -194,10 +196,12 @@ def ccs_to_tcs(points_cam: np.ndarray, intr: CameraIntrinsics,
     Requires strictly positive depth and nonzero norm.
     """
     pts = np.asarray(points_cam, dtype=np.float64)
-    norm = np.linalg.norm(pts, axis=-1)
+    x, y, z = (pts[..., a] for a in range(3))
+    # the (x0 + x1) + x2 fold of np.linalg.norm along a length-3 axis
+    norm = np.sqrt(x * x + y * y + z * z)
     if np.any(norm == 0.0):
         raise ValueError("ccs_to_tcs: zero-norm input point")
-    if np.any(pts[..., 2] <= 0.0):
+    if np.any(z <= 0.0):
         raise ValueError("ccs_to_tcs: point has nonpositive depth (outside frustum)")
     u, v, _ = project(intr, pts)
     inv_span = 1.0 / fr.near - 1.0 / fr.far

@@ -135,15 +135,14 @@ class VoxelGrid:
         gather without fancy handling.
         """
         pts = np.asarray(points, dtype=np.float64)
-        rel = (pts - self.origin) / self.resolution
-        idx = np.floor(rel).astype(np.int64)
-        counts = np.asarray(self.counts)
-        # One column at a time: reducing (..., 3) booleans along the last
-        # axis is several times slower than three elementwise ANDs.
-        inside = (idx[..., 0] >= 0) & (idx[..., 0] < counts[0])
-        for a in (1, 2):
-            inside &= (idx[..., a] >= 0) & (idx[..., a] < counts[a])
-        idx = np.clip(idx, 0, counts - 1)
+        # One column at a time: working across (..., 3) arrays, and reducing
+        # their booleans along the last axis, is several times slower.
+        idx = np.empty(pts.shape, dtype=np.int64)
+        inside = True
+        for a in range(3):
+            col = np.floor((pts[..., a] - self.origin[a]) / self.resolution[a]).astype(np.int64)
+            inside = inside & (col >= 0) & (col < self.counts[a])
+            np.clip(col, 0, self.counts[a] - 1, out=idx[..., a])
         return idx, inside
 
     def same_geometry(self, other: "VoxelGrid", tol: float = 0.0) -> bool:

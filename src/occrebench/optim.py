@@ -199,7 +199,7 @@ def _batch_gradient(field, target, image, sources, rng, cfg, scfg, loss_cfg):
     origins, dirs = target.world_rays(batch.pixels)
     pts, delta = sample_points_batch(origins, dirs, scfg, rng)[1:]
     located = field.locate(pts)
-    sigma = field.density_from(located)
+    sigma = field.density_from(located, field.node_density())
     alpha = opacity(sigma, delta)
 
     n_rays, n_src = len(pts), len(sources)

@@ -83,7 +83,10 @@ def sample_points_batch(origins: np.ndarray, dirs: np.ndarray,
     jitter = _draw_jitter(cfg, (len(dirs), cfg.num_samples), rng)
     t = sample_distances(cfg, jitter) if jitter is not None else \
         np.broadcast_to(sample_distances(cfg), (len(dirs), cfg.num_samples)).copy()
-    pts = origins[:, None, :] + t[..., None] * dirs[:, None, :]
+    pts = np.empty(t.shape + (3,))
+    for a in range(3):   # per column, as origins[:, None] + t[..., None] * dirs[:, None]
+        np.multiply(t, dirs[:, a, None], out=pts[..., a])
+        pts[..., a] += origins[:, a, None]
     return t, pts, interval_lengths(t, cfg.far)
 
 

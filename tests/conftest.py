@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from occrebench import field
 from occrebench.field import AnalyticScene, Box, HalfSpace, Sphere
 from occrebench.geometry import CameraIntrinsics, CameraView, FrustumSpec, Pose
 from occrebench.rendering import composite, opacity, sample_points_batch
@@ -50,6 +51,20 @@ def render_rays(density_field, color_source, dirs, cfg) -> SimpleNamespace:
     assert np.all(np.diff(trans, axis=-1) <= 0)
     return SimpleNamespace(t=t, delta=delta, sigma=sigma, alpha=alpha, trans=trans,
                            colors=colors, miss=~hit, color=color, residual=residual)
+
+
+@pytest.fixture
+def softplus_calls(monkeypatch) -> list:
+    """The shape of the argument of every ``field.softplus`` call made while
+    the test runs."""
+    calls, real = [], field.softplus
+
+    def counting(x):
+        calls.append(np.shape(x))
+        return real(x)
+
+    monkeypatch.setattr(field, "softplus", counting)
+    return calls
 
 
 @pytest.fixture

@@ -101,6 +101,12 @@ class TestOpacityMap:
         assert 0.0 < np.mean(got > 0.5) < 1.0
         assert np.array_equal(got, expected)
 
+    def test_softplus_once_per_map(self, softplus_calls):
+        """Eight depth bins, one softplus of the whole lattice."""
+        field = random_voxel_field()
+        build_opacity_map(field, default_view(), eval_cfg(8))
+        assert softplus_calls == [field.shape]
+
     def test_peak_memory_is_the_map_plus_per_ray_state(self):
         field, view = random_voxel_field(), default_view()
         rays = view.intrinsics.width * view.intrinsics.height

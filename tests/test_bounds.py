@@ -1,14 +1,22 @@
-"""The in-bounds tests compare one column at a time; they must give the
-booleans of the length-3 reductions they replaced, kept here as oracles, on
-points on the faces and with NaN and infinite coordinates."""
+"""The in-bounds tests and the geometry kernels work one column at a time;
+they must give the results of the length-3-axis forms they replaced, kept
+here as oracles, bit for bit, on points on the faces and with NaN and
+infinite coordinates.  Poses are random non-axis rotations: an axis
+permutation's products are exact, so agreement on it proves nothing about
+rounding."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from occrebench.field import Box, VoxelDensityField
+from occrebench.field import Box, Sphere, VoxelDensityField
+from occrebench.geometry import CameraIntrinsics, FrustumSpec, ccs_to_tcs, project
 from occrebench.grids import VoxelGrid
+from occrebench.rendering import MODE_EVAL, MODE_TRAIN, SamplingConfig, \
+    sample_points_batch
+
+from conftest import random_pose
 
 LO = np.array([-1.5, 0.25, 2.0])
 HI = np.array([2.5, 1.75, 6.0])
@@ -87,3 +95,62 @@ def test_locate_matches_the_reduction(seed):
     assert inside.any() and not inside.all()
     # the hull is closed: both its faces are inside
     assert fld.locate(fld.origin).inside and fld.locate(fld.max_corner).inside
+
+
+def same(got, expect) -> bool:
+    """Equal shapes and values, NaN matching NaN."""
+    return np.shape(got) == np.shape(expect) and np.array_equal(got, expect, equal_nan=True)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_pose_apply_matches_the_broadcast(seed):
+    pose = random_pose(np.random.default_rng(seed))
+    assert not np.any(np.isin(pose.rotation, (-1.0, 0.0, 1.0)))
+    pts = probe_points(seed, LO, HI)
+    with np.errstate(invalid="ignore"):   # inf * 0 in the product
+        for p in shapes(pts):
+            assert same(pose.apply(p), p @ pose.rotation.T + pose.translation)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_sphere_contains_matches_the_norm(seed):
+    rng = np.random.default_rng(seed)
+    sphere = Sphere(rng.uniform(-2.0, 2.0, 3), rng.uniform(0.5, 3.0), 1.0, (0, 0, 0))
+    r = sphere.radius
+    pts = probe_points(seed, sphere.center - r, sphere.center + r)
+    # every other point on the sphere up to rounding, where the fold decides
+    u = rng.normal(size=(len(pts) // 2, 3))
+    pts[::2] = sphere.center + r * (u / np.linalg.norm(u, axis=-1, keepdims=True))
+    for p in shapes(pts):
+        assert same(sphere.contains(p), np.linalg.norm(p - sphere.center, axis=-1) <= r)
+    inside = sphere.contains(pts)
+    assert inside.any() and not inside.all()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_ccs_to_tcs_matches_the_norm(seed):
+    intr = CameraIntrinsics(31.5, 29.0, 31.5, 23.5, 64, 48)
+    fr = FrustumSpec(2.5, 12.0)
+    pts = probe_points(seed, LO, HI, n=6000)
+    with np.errstate(invalid="ignore"):
+        pts = pts[~(pts[:, 2] <= 0.0)][:4000]   # keeps NaN depths, as ccs_to_tcs does
+        for p in shapes(pts):
+            u, v, _ = project(intr, p)
+            zt = ((1.0 / fr.near - 1.0 / np.linalg.norm(p, axis=-1))
+                  / (1.0 / fr.near - 1.0 / fr.far))
+            expect = np.stack([u / (intr.width - 1.0), v / (intr.height - 1.0), zt], axis=-1)
+            assert same(ccs_to_tcs(p, intr, fr), expect)
+
+
+@pytest.mark.parametrize("mode", [MODE_EVAL, MODE_TRAIN])
+@pytest.mark.parametrize("seed", range(3))
+def test_sample_points_batch_matches_the_broadcast(seed, mode):
+    rng = np.random.default_rng(seed)
+    pose = random_pose(rng)
+    origins = probe_points(seed, LO, HI)[:500]
+    dirs = pose.rotate(rng.normal(size=(500, 3)))
+    dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
+    cfg = SamplingConfig(24, 2.5, 12.0, mode, seed)
+    t, pts, _ = sample_points_batch(origins, dirs, cfg)
+    with np.errstate(invalid="ignore"):   # inf - inf
+        assert same(pts, origins[:, None, :] + t[..., None] * dirs[:, None, :])

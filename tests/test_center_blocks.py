@@ -188,6 +188,16 @@ class TestStagesMatchAllAtOnce:
         assert got.any()
 
 
+def test_conventional_voxelize_takes_softplus_once(softplus_calls):
+    """Three center blocks, one softplus of the whole lattice."""
+    rng = np.random.default_rng(0)
+    grid = centered_grid(SHORT_TAIL, [12.0, 6.0, 6.0])
+    assert len(list(grid.center_blocks())) == 3
+    fld = density_field(rng)
+    conventional_voxelize(fld, grid, grid_to_camera(rng))
+    assert softplus_calls == [fld.shape]
+
+
 # ---------------------------------------------------------------------------
 # Memory does not grow with the block count
 # ---------------------------------------------------------------------------

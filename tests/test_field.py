@@ -26,6 +26,26 @@ class TestPrimitives:
         with pytest.raises(ValueError):
             Box([0, 0, 0], [1, 1, 1], 1.0, [2, 0, 0])
 
+    @pytest.mark.parametrize("make, field", [
+        (lambda: Box([0, 0, 0], [1, 1, 1], np.nan, [1, 1, 1]), "density"),
+        (lambda: Box([0, 0, 0], [1, 1, 1], np.inf, [1, 1, 1]), "density"),
+        (lambda: Sphere([0, 0, 0], 1.0, np.nan, [1, 1, 1]), "density"),
+        (lambda: HalfSpace(1, 0.0, 1, np.inf, [1, 1, 1]), "density"),
+        (lambda: Box([0, 0, 0], [1, 1, 1], 1.0, [1, np.nan, 1]), "albedo"),
+        (lambda: Box([0, np.nan, 0], [1, 1, 1], 1.0, [1, 1, 1]), "min_corner"),
+        (lambda: Box([0, 0, 0], [1, 1, np.nan], 1.0, [1, 1, 1]), "max_corner"),
+        (lambda: Box([-np.inf, 0, 0], [1, 1, 1], 1.0, [1, 1, 1]), "min_corner"),
+        (lambda: Sphere([0, 0, np.nan], 1.0, 1.0, [1, 1, 1]), "center"),
+        (lambda: Sphere([0, 0, 0], np.nan, 1.0, [1, 1, 1]), "radius"),
+        (lambda: Sphere([0, 0, 0], np.inf, 1.0, [1, 1, 1]), "radius"),
+        (lambda: HalfSpace(1, np.nan, 1, 1.0, [1, 1, 1]), "offset"),
+    ])
+    def test_nan_and_infinite_inputs_rejected(self, make, field):
+        """They used to be accepted: a NaN density gave sigma = NaN, and a NaN
+        corner, center, radius or offset a primitive containing nothing."""
+        with pytest.raises(ValueError, match=field):
+            make()
+
     def test_box_ray_intervals_hand_case(self):
         box = Box([-1, -1, 4], [1, 1, 6], 1.0, [1, 0, 0])
         te, tx = box.ray_intervals(np.zeros(3), np.array([[0.0, 0.0, 1.0]]))

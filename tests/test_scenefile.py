@@ -53,3 +53,15 @@ def test_yaml_syntax_error_reports_line_and_column():
     # The stray "]" closing the grid mapping is line 3, column 20.
     with pytest.raises(SceneSpecError, match="syntax error at line 3, column 20"):
         parse_scene_spec(spec("grid: {preset: desk]\n"))
+
+
+def test_nan_primitive_names_its_path():
+    with pytest.raises(SceneSpecError, match=r"spec.primitives\[0\]: sphere radius nan"):
+        parse_scene_spec(spec("primitives:\n  - {shape: sphere, center: [0, 0, 5], "
+                              "radius: .nan, density: .nan, albedo: [1, 0, 0]}\n"))
+    with pytest.raises(SceneSpecError, match=r"spec.primitives\[1\]: primitive density inf"):
+        parse_scene_spec(spec("primitives:\n"
+                              "  - {shape: sphere, center: [0, 0, 5], radius: 1, "
+                              "density: 1, albedo: [1, 0, 0]}\n"
+                              "  - {shape: ground, offset: 1.5, density: .inf, "
+                              "albedo: [1, 0, 0]}\n"))
