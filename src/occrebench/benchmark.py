@@ -17,7 +17,10 @@ work, not O(rays x the longest march).  Metrics are exact count ratios.
 
 Both image-sized stages take one depth bin or march step per pass for all
 rays at once, so beyond the (w, h, N) map their memory is O(pixels +
-voxels), independent of the march length and the sample count.  The stages
+voxels), independent of the march length and the sample count.  Arrays
+are stored in the order they are read: the opacity map depth bin by depth
+bin (a bin is written at once, and a block of voxels reads a few bins of
+every pixel), voxel centers one coordinate at a time.  The stages
 that visit every voxel center (both voxelizations and the frustum mask,
 hence the visibility mask's clip) take one block of whole x-slices at a
 time (``grids.BLOCK_VOXELS`` voxels at most), so beyond the boolean grid
@@ -70,6 +73,9 @@ class OpacityMap:
     (u, v); the node coordinates in the cube are (u/(w-1), v/(h-1), i/N).
     Note the depth nodes span [0, (N-1)/N]; sampling beyond the last node
     clamps to it (border padding).
+    ``values`` is a (w, h, N) view of a C-ordered (N, w, h) buffer, one
+    image per depth bin, the order in which it is built and sampled; other
+    layouts are copied into it.
     """
 
     values: np.ndarray
@@ -86,7 +92,7 @@ class OpacityMap:
         # rendering.composite.  NaN fails both comparisons.
         if not (np.all(v >= 0) and np.all(v <= 1)):
             raise ValueError("opacities must lie in [0, 1]")
-        self.values = v
+        self.values = np.ascontiguousarray(v.transpose(2, 0, 1)).transpose(1, 2, 0)
 
     @property
     def num_samples(self) -> int:
@@ -96,7 +102,8 @@ class OpacityMap:
 def build_opacity_map(density_field, view: CameraView,
                       cfg: SamplingConfig) -> OpacityMap:
     """One eval-mode ray per pixel; N opacities per ray, filled one depth
-    bin at a time (memory beyond the map is O(pixels), independent of N)."""
+    bin at a time into the depth-major map (memory beyond the map is
+    O(pixels), independent of N)."""
     if cfg.mode != MODE_EVAL:
         raise ValueError("opacity maps must be built with eval-mode sampling")
     intr = view.intrinsics
@@ -105,10 +112,10 @@ def build_opacity_map(density_field, view: CameraView,
     t = sample_distances(cfg)
     delta = interval_lengths(t, cfg.far)
     density = _density_lookup(density_field)
-    alpha = np.empty((len(pixels), cfg.num_samples))
+    alpha = np.empty((cfg.num_samples, len(pixels)))
     for i in range(cfg.num_samples):
-        alpha[:, i] = opacity(density(origins + t[i] * dirs), delta[i])
-    values = alpha.reshape(intr.width, intr.height, cfg.num_samples)
+        alpha[i] = opacity(density(origins + t[i] * dirs), delta[i])
+    values = alpha.reshape(cfg.num_samples, intr.width, intr.height).transpose(1, 2, 0)
     return OpacityMap(values, intr, FrustumSpec(cfg.near, cfg.far))
 
 
@@ -116,21 +123,23 @@ def grid_sample_opacity(omap: OpacityMap, points_tcs: np.ndarray) -> np.ndarray:
     """Trilinear sample of the opacity map at cube coordinates (..., 3).
 
     Coordinates are scaled to node indices (u*(w-1), v*(h-1), z*N) and
-    clamped to the node range, which implements border padding.
+    clamped to the node range, which implements border padding.  Indices
+    address the depth-major buffer: strides (h, 1, w*h) along (u, v, i).
     """
     pts = np.asarray(points_tcs, dtype=np.float64)
     w, h, n = counts = omap.values.shape
     scale = (w - 1.0, h - 1.0, float(n))
+    strides = (h, 1, w * h)
     base = 0
     frac = np.empty((3,) + pts.shape[:-1])
     for a in range(3):
         idx = np.clip(pts[..., a] * scale[a], 0.0, counts[a] - 1.0)
         lo = np.clip(np.floor(idx).astype(np.int64), 0, counts[a] - 2)
         np.subtract(idx, lo, out=frac[a, ...])
-        base = base * counts[a] + lo
-    values = omap.values.reshape(-1)
+        base = base + lo * strides[a]
+    values = omap.values.transpose(2, 0, 1).reshape(-1)
     out = np.zeros(pts.shape[:-1])
-    for flat, wgt in trilinear_corners(base, frac, counts):
+    for flat, wgt in trilinear_corners(base, frac, strides):
         wgt *= values[flat]
         out += wgt
     return out

@@ -309,14 +309,14 @@ def render_reference_image(scene: AnalyticScene, view: CameraView) -> np.ndarray
     return image.reshape(intr.height, intr.width, 3)
 
 
-def trilinear_corners(base: np.ndarray, frac, counts):
+def trilinear_corners(base: np.ndarray, frac, strides):
     """The eight corners of trilinear interpolation, one at a time.
 
-    ``base`` (...) holds the flat index, into a C-ordered node array of
-    shape ``counts``, of each query's lower cell corner, and ``frac``
-    (3, ...) the query's offset within its cell along each axis, in
-    [0, 1].  Yields (flat index, weight) per corner (dx, dy, dz) in
-    lexicographic order; the weight is (wx * wy) * wz, where each factor
+    ``base`` (...) holds the flat index, into a node array with element
+    ``strides`` along the three axes, of each query's lower cell corner,
+    and ``frac`` (3, ...) the query's offset within its cell along each
+    axis, in [0, 1].  Yields (flat index, weight) per corner (dx, dy, dz)
+    in lexicographic order; the weight is (wx * wy) * wz, where each factor
     is frac or 1 - frac.  wx * wy is taken once per (dx, dy) and each
     corner's index is one addition to ``base``.  A 1 - frac factor is
     made only while its half of the corners needs it, and no (..., 8)
@@ -324,14 +324,14 @@ def trilinear_corners(base: np.ndarray, frac, counts):
     at most two per-query weight arrays besides.  Each yielded array is
     new, so the caller may work in it in place.
     """
-    ny, nz = counts[1], counts[2]
+    sx, sy, sz = strides
     fx, fy, fz = frac
     for dx in (0, 1):
         wx = fx if dx else 1 - fx
         for dy in (0, 1):
             wxy = wx * (fy if dy else 1 - fy)
             for dz in (0, 1):
-                yield base + ((dx * ny + dy) * nz + dz), wxy * (fz if dz else 1 - fz)
+                yield base + (dx * sx + dy * sy + dz * sz), wxy * (fz if dz else 1 - fz)
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +381,11 @@ class VoxelDensityField:
     def max_corner(self) -> np.ndarray:
         return self.origin + (np.asarray(self.shape) - 1) * self.resolution
 
+    @property
+    def node_strides(self) -> tuple:
+        """Element strides of the C-ordered node lattice, per axis."""
+        return (self.shape[1] * self.shape[2], self.shape[2], 1)
+
     def copy(self) -> "VoxelDensityField":
         return VoxelDensityField(self.origin.copy(), self.resolution.copy(),
                                  self.theta.copy())
@@ -420,7 +425,7 @@ class VoxelDensityField:
         ``nodes`` is :meth:`node_density` of the current ``theta``.
         """
         inner = np.zeros(len(loc.base))
-        for flat, w in trilinear_corners(loc.base, loc.frac, self.shape):
+        for flat, w in trilinear_corners(loc.base, loc.frac, self.node_strides):
             w *= nodes[flat]
             inner += w
         out = np.zeros(loc.inside.shape)
@@ -467,7 +472,7 @@ class VoxelDensityField:
         """
         coeff = np.asarray(dloss_dsigma, dtype=np.float64).reshape(loc.inside.shape)[loc.inside]
         grad_flat = np.zeros(self.theta.size)
-        for flat, w in trilinear_corners(loc.base, loc.frac, self.shape):
+        for flat, w in trilinear_corners(loc.base, loc.frac, self.node_strides):
             w *= coeff
             grad_flat += np.bincount(flat, weights=w, minlength=self.theta.size)
         return (grad_flat * sigmoid(self.theta).reshape(-1)).reshape(self.shape)

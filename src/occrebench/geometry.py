@@ -48,8 +48,12 @@ class CameraIntrinsics:
     height: int
 
     def __post_init__(self):
-        if not (self.fx > 0 and self.fy > 0):
-            raise ValueError("focal lengths must be positive")
+        for name in ("fx", "fy"):
+            if not 0 < getattr(self, name) < np.inf:   # NaN fails too
+                raise ValueError(f"{name} {getattr(self, name)}: must be finite and positive")
+        for name in ("cx", "cy"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} {getattr(self, name)}: must be finite")
         if self.width < 2 or self.height < 2:
             raise ValueError("image must be at least 2x2 (TCS divides by w-1, h-1)")
 
@@ -66,6 +70,10 @@ class Pose:
         t = _as_vec3(self.translation)
         if r.shape != (3, 3):
             raise ValueError(f"rotation must be 3x3, got {r.shape}")
+        # NaN would pass the tolerance tests below: comparisons with it are false.
+        for name, v in (("rotation", r), ("translation", t)):
+            if not np.all(np.isfinite(v)):
+                raise ValueError(f"{name} {v.tolist()}: must be finite")
         if np.max(np.abs(r.T @ r - np.eye(3))) > _ORTHO_TOL:
             raise ValueError("rotation is not orthonormal within 1e-9")
         if abs(np.linalg.det(r) - 1.0) > _ORTHO_TOL:
@@ -78,11 +86,13 @@ class Pose:
         return Pose(np.eye(3), np.zeros(3))
 
     def apply(self, points: np.ndarray) -> np.ndarray:
-        """Transform points of shape (..., 3)."""
-        out = np.asarray(points, dtype=np.float64) @ self.rotation.T
-        for a in range(3):   # per column: adding over rows of 3 is slower
-            out[..., a] += self.translation[a]
-        return out
+        """Transform points of shape (..., 3) into a column-major result of
+        that shape: ``out[..., a]`` is contiguous, as its readers walk it.
+        ``R @ points.T`` is faster than ``points @ R.T``, with the same bits."""
+        pts = np.asarray(points, dtype=np.float64)
+        cols = self.rotation @ pts.reshape(-1, 3).T
+        cols += self.translation[:, None]
+        return cols.T.reshape(pts.shape)
 
     def rotate(self, vectors: np.ndarray) -> np.ndarray:
         """Rotate direction vectors (no translation)."""
@@ -97,13 +107,6 @@ class Pose:
         rt = self.rotation.T
         return Pose(rt, -rt @ self.translation)
 
-    def matrix(self) -> np.ndarray:
-        """Homogeneous 4x4 matrix."""
-        m = np.eye(4)
-        m[:3, :3] = self.rotation
-        m[:3, 3] = self.translation
-        return m
-
 
 @dataclass(frozen=True)
 class FrustumSpec:
@@ -115,6 +118,8 @@ class FrustumSpec:
     def __post_init__(self):
         if not (0.0 < self.near < self.far):
             raise ValueError("frustum requires 0 < near < far")
+        if not self.far < np.inf:
+            raise ValueError(f"far {self.far}: must be finite")
 
 
 @dataclass(frozen=True)
@@ -193,49 +198,18 @@ def ccs_to_tcs(points_cam: np.ndarray, intr: CameraIntrinsics,
     z = (1/near - 1/|x_c|) / (1/near - 1/far).
 
     Points on the image with radial distance in [near, far] land in [0,1]^3.
-    Requires strictly positive depth and nonzero norm.
+    Requires strictly positive depth and nonzero norm; a NaN coordinate
+    fails both.
     """
     pts = np.asarray(points_cam, dtype=np.float64)
     x, y, z = (pts[..., a] for a in range(3))
     # the (x0 + x1) + x2 fold of np.linalg.norm along a length-3 axis
     norm = np.sqrt(x * x + y * y + z * z)
-    if np.any(norm == 0.0):
-        raise ValueError("ccs_to_tcs: zero-norm input point")
-    if np.any(z <= 0.0):
-        raise ValueError("ccs_to_tcs: point has nonpositive depth (outside frustum)")
+    if not np.all(norm > 0.0):
+        raise ValueError("ccs_to_tcs: zero-norm or NaN input point")
+    if not np.all(z > 0.0):
+        raise ValueError("ccs_to_tcs: point has nonpositive or NaN depth (outside frustum)")
     u, v, _ = project(intr, pts)
     inv_span = 1.0 / fr.near - 1.0 / fr.far
     zt = (1.0 / fr.near - 1.0 / norm) / inv_span
     return np.stack([u / (intr.width - 1.0), v / (intr.height - 1.0), zt], axis=-1)
-
-
-def tcs_to_ccs(points_tcs: np.ndarray, intr: CameraIntrinsics,
-               fr: FrustumSpec) -> np.ndarray:
-    """Inverse of :func:`ccs_to_tcs` on the open frustum.
-
-    The z coordinate determines the radial distance; x and y recover the
-    pixel, hence the viewing direction.  Inputs implying a nonpositive
-    radial distance are rejected.
-    """
-    pts = np.asarray(points_tcs, dtype=np.float64)
-    u = pts[..., 0] * (intr.width - 1.0)
-    v = pts[..., 1] * (intr.height - 1.0)
-    inv_span = 1.0 / fr.near - 1.0 / fr.far
-    inv_dist = 1.0 / fr.near - pts[..., 2] * inv_span
-    if np.any(inv_dist <= 0.0):
-        raise ValueError("tcs_to_ccs: z implies a nonpositive or infinite radial distance")
-    dist = 1.0 / inv_dist
-    d = np.stack([(u - intr.cx) / intr.fx,
-                  (v - intr.cy) / intr.fy,
-                  np.ones_like(u)], axis=-1)
-    d /= np.linalg.norm(d, axis=-1, keepdims=True)
-    return d * dist[..., None]
-
-
-def voxel_to_camera_transform(t_i: Pose, t_j: Pose, t_lc: Pose, t_vl: Pose) -> Pose:
-    """Compose the voxel-to-camera pose from ego poses and extrinsics.
-
-    T = T_i^-1 @ T_j @ T_lc @ T_vl: ego pose of the annotated frame carried
-    into the query frame, then LiDAR-to-camera, then voxel-to-LiDAR.
-    """
-    return t_i.inverse().compose(t_j).compose(t_lc).compose(t_vl)

@@ -88,15 +88,16 @@ class VoxelGrid:
     def center_blocks(self, pose=None):
         """Voxel centers in blocks of whole x-slices, x index slowest.
 
-        Yields (x-index slice, (voxels in the block, 3) centers).  The
-        centers are taken to ``pose``'s frame here (a ``geometry.Pose``; the
-        grid frame if None), so that only the transformed block is held while
-        the caller works on it, and are bit-equal to the matching rows of
-        ``pose.apply(centers_flat())``.  A block holds as many whole slices
-        as fit in ``BLOCK_VOXELS``, and at least one.  No block is a single
-        voxel unless the grid is: ``Pose.apply`` may round a one-row product
-        differently from the same row among others, so a one-voxel tail is
-        folded into the block before it.
+        Yields (x-index slice, (voxels in the block, 3) centers), column-major
+        (``centers[:, a]`` contiguous) as every per-voxel stage reads them.
+        The centers are taken to ``pose``'s frame here (a ``geometry.Pose``;
+        the grid frame if None), so that only the transformed block is held
+        while the caller works on it, and are bit-equal to the matching rows
+        of ``pose.apply(centers_flat())``.  A block holds as many whole
+        slices as fit in ``BLOCK_VOXELS``, and at least one.  No block is a
+        single voxel unless the grid is: ``Pose.apply`` may round a one-row
+        product differently from the same row among others, so a one-voxel
+        tail is folded into the block before it.
         """
         nx, ny, nz = self.counts
         per_block = max(1, BLOCK_VOXELS // (ny * nz))
@@ -105,9 +106,13 @@ class VoxelGrid:
             starts.pop()
         ax, ay, az = self._center_axes()
         for i0, i1 in zip(starts, starts[1:] + [nx]):
-            xyz = np.stack(np.meshgrid(ax[i0:i1], ay, az, indexing="ij"), axis=-1).reshape(-1, 3)
+            xyz = np.empty((3, i1 - i0, ny, nz))
+            xyz[0] = ax[i0:i1, None, None]
+            xyz[1] = ay[:, None]
+            xyz[2] = az
+            xyz = xyz.reshape(3, -1).T
             if pose is not None:
-                xyz = pose.apply(xyz)
+                xyz = pose.apply(xyz)   # rebinding frees the grid-frame buffer
             yield slice(i0, i1), xyz
 
     def map_centers(self, fn, pose=None) -> "VoxelGrid":

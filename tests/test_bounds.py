@@ -104,12 +104,17 @@ def same(got, expect) -> bool:
 
 @pytest.mark.parametrize("seed", range(3))
 def test_pose_apply_matches_the_broadcast(seed):
+    """Also on F-ordered input and on one, two and 2^16 + 1 points; each
+    output coordinate is one contiguous run."""
     pose = random_pose(np.random.default_rng(seed))
     assert not np.any(np.isin(pose.rotation, (-1.0, 0.0, 1.0)))
     pts = probe_points(seed, LO, HI)
+    wide = np.random.default_rng(100 + seed).uniform(-50.0, 50.0, (2 ** 16 + 1, 3))
     with np.errstate(invalid="ignore"):   # inf * 0 in the product
-        for p in shapes(pts):
-            assert same(pose.apply(p), p @ pose.rotation.T + pose.translation)
+        for p in (*shapes(pts), np.asfortranarray(pts), pts[:1], pts[:2], wide):
+            got = pose.apply(p)
+            assert same(got, p @ pose.rotation.T + pose.translation)
+            assert all(got[..., a].flags.c_contiguous for a in range(3))
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -133,13 +138,20 @@ def test_ccs_to_tcs_matches_the_norm(seed):
     fr = FrustumSpec(2.5, 12.0)
     pts = probe_points(seed, LO, HI, n=6000)
     with np.errstate(invalid="ignore"):
-        pts = pts[~(pts[:, 2] <= 0.0)][:4000]   # keeps NaN depths, as ccs_to_tcs does
-        for p in shapes(pts):
+        pts = pts[~(pts[:, 2] <= 0.0)][:4000]   # keeps NaN rows, which must raise
+        nan_row = np.isnan(pts).any(axis=-1)
+        good = pts[~nan_row]
+        assert nan_row.any() and np.isinf(good).any()
+        for p in (good, good[:len(good) // 66 * 66].reshape(-1, 66, 3),
+                  *pts[:40][~nan_row[:40]]):
             u, v, _ = project(intr, p)
             zt = ((1.0 / fr.near - 1.0 / np.linalg.norm(p, axis=-1))
                   / (1.0 / fr.near - 1.0 / fr.far))
             expect = np.stack([u / (intr.width - 1.0), v / (intr.height - 1.0), zt], axis=-1)
             assert same(ccs_to_tcs(p, intr, fr), expect)
+    for p in (pts, *pts[nan_row]):
+        with pytest.raises(ValueError, match="NaN"):
+            ccs_to_tcs(p, intr, fr)
 
 
 @pytest.mark.parametrize("mode", [MODE_EVAL, MODE_TRAIN])

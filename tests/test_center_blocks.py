@@ -124,6 +124,8 @@ class TestCenterBlocks:
                 assert xs.start == stop and xs.step is None
                 stop = xs.stop
                 assert np.array_equal(centers, flat[xs.start * per_slice:xs.stop * per_slice])
+                # column-major, as the per-voxel stages read them
+                assert all(centers[:, a].flags.c_contiguous for a in range(3))
             assert stop == counts[0]
 
     @pytest.mark.parametrize("counts, sizes", [

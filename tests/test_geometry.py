@@ -12,10 +12,54 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from occrebench.geometry import (CameraIntrinsics, CameraView, FrustumSpec, Pose,
-                                 ccs_to_tcs, in_image, pixel_directions, project,
-                                 tcs_to_ccs, voxel_to_camera_transform)
+                                 ccs_to_tcs, in_image, pixel_directions, project)
 
 from conftest import random_pose, rotation_about
+
+
+# ---------------------------------------------------------------------------
+# Test-side geometry: the inverse cube map, a KITTI pose chain and the 4x4
+# form of a pose, used only to check the package's maps against
+# ---------------------------------------------------------------------------
+
+def tcs_to_ccs(points_tcs: np.ndarray, intr: CameraIntrinsics,
+               fr: FrustumSpec) -> np.ndarray:
+    """Inverse of :func:`ccs_to_tcs` on the open frustum.
+
+    The z coordinate determines the radial distance; x and y recover the
+    pixel, hence the viewing direction.  Inputs implying a nonpositive
+    radial distance are rejected.
+    """
+    pts = np.asarray(points_tcs, dtype=np.float64)
+    u = pts[..., 0] * (intr.width - 1.0)
+    v = pts[..., 1] * (intr.height - 1.0)
+    inv_span = 1.0 / fr.near - 1.0 / fr.far
+    inv_dist = 1.0 / fr.near - pts[..., 2] * inv_span
+    if np.any(inv_dist <= 0.0):
+        raise ValueError("tcs_to_ccs: z implies a nonpositive or infinite radial distance")
+    dist = 1.0 / inv_dist
+    d = np.stack([(u - intr.cx) / intr.fx,
+                  (v - intr.cy) / intr.fy,
+                  np.ones_like(u)], axis=-1)
+    d /= np.linalg.norm(d, axis=-1, keepdims=True)
+    return d * dist[..., None]
+
+
+def voxel_to_camera_transform(t_i: Pose, t_j: Pose, t_lc: Pose, t_vl: Pose) -> Pose:
+    """Compose the voxel-to-camera pose from ego poses and extrinsics.
+
+    T = T_i^-1 @ T_j @ T_lc @ T_vl: ego pose of the annotated frame carried
+    into the query frame, then LiDAR-to-camera, then voxel-to-LiDAR.
+    """
+    return t_i.inverse().compose(t_j).compose(t_lc).compose(t_vl)
+
+
+def matrix(pose: Pose) -> np.ndarray:
+    """Homogeneous 4x4 matrix of a pose."""
+    m = np.eye(4)
+    m[:3, :3] = pose.rotation
+    m[:3, 3] = pose.translation
+    return m
 
 
 class TestTypes:
@@ -41,6 +85,38 @@ class TestTypes:
             FrustumSpec(5.0, 5.0)
         with pytest.raises(ValueError):
             FrustumSpec(-1.0, 5.0)
+
+    @pytest.mark.parametrize("args, name", [
+        ((np.nan, 10.0, 3.0, 3.0, 10, 8), "fx"),
+        ((np.inf, 10.0, 3.0, 3.0, 10, 8), "fx"),
+        ((10.0, np.nan, 3.0, 3.0, 10, 8), "fy"),
+        ((10.0, np.inf, 3.0, 3.0, 10, 8), "fy"),
+        ((10.0, 10.0, np.nan, 3.0, 10, 8), "cx"),
+        ((10.0, 10.0, -np.inf, 3.0, 10, 8), "cx"),
+        ((10.0, 10.0, 3.0, np.nan, 10, 8), "cy"),
+        ((10.0, 10.0, 3.0, np.inf, 10, 8), "cy"),
+    ])
+    def test_intrinsics_reject_non_finite(self, args, name):
+        with pytest.raises(ValueError, match=f"^{name} "):
+            CameraIntrinsics(*args)
+
+    def test_pose_rejects_non_finite(self):
+        with pytest.raises(ValueError, match="^translation "):
+            Pose(np.eye(3), [np.nan, 0.0, 0.0])
+        with pytest.raises(ValueError, match="^translation "):
+            Pose(np.eye(3), [0.0, np.inf, 0.0])
+        rot = rotation_about(np.array([0.2, 1.0, -0.4]), 0.7)
+        rot[1, 2] = np.nan
+        with pytest.raises(ValueError, match="^rotation "):
+            Pose(rot, np.zeros(3))
+
+    def test_frustum_rejects_non_finite(self):
+        with pytest.raises(ValueError, match="^far "):
+            FrustumSpec(1.0, np.inf)
+        with pytest.raises(ValueError):
+            FrustumSpec(np.nan, 5.0)
+        with pytest.raises(ValueError):
+            FrustumSpec(1.0, np.nan)
 
 
 class TestRayForPixel:
@@ -134,6 +210,13 @@ class TestTcs:
         with pytest.raises(ValueError):
             ccs_to_tcs(np.array([0.0, 0.0, -2.0]), simple_intrinsics, fr)
 
+    def test_rejects_nan(self, simple_intrinsics):
+        fr = FrustumSpec(3.0, 20.0)
+        for bad in ([[0.1, 0.2, np.nan]], [[np.nan, 0.2, 5.0]],
+                    [[1.0, 2.0, 5.0], [0.0, np.nan, 4.0]]):
+            with pytest.raises(ValueError, match="NaN"):
+                ccs_to_tcs(np.array(bad), simple_intrinsics, fr)
+
     def test_inverse_anchors(self, simple_intrinsics):
         fr = FrustumSpec(3.0, 20.0)
         near_pt = tcs_to_ccs(np.zeros(3), simple_intrinsics, fr)
@@ -174,8 +257,8 @@ class TestPoses:
         rng = np.random.default_rng(5)
         for _ in range(20):
             a, b = random_pose(rng), random_pose(rng)
-            m = a.compose(b).matrix()
-            assert np.allclose(m, a.matrix() @ b.matrix(), atol=1e-12)
+            m = matrix(a.compose(b))
+            assert np.allclose(m, matrix(a) @ matrix(b), atol=1e-12)
 
     def test_orthonormal_under_composition(self):
         rng = np.random.default_rng(9)
@@ -210,23 +293,23 @@ class TestVoxelToCamera:
     def test_all_identity(self):
         e = Pose.identity()
         out = voxel_to_camera_transform(e, e, e, e)
-        assert np.allclose(out.matrix(), np.eye(4))
+        assert np.allclose(matrix(out), np.eye(4))
 
     def test_shared_ego_pose_cancels(self):
         rng = np.random.default_rng(21)
         t = random_pose(rng)
         t_lc, t_vl = random_pose(rng), random_pose(rng)
         out = voxel_to_camera_transform(t, t, t_lc, t_vl)
-        assert np.allclose(out.matrix(), t_lc.matrix() @ t_vl.matrix(), atol=1e-12)
+        assert np.allclose(matrix(out), matrix(t_lc) @ matrix(t_vl), atol=1e-12)
 
     def test_matches_homogeneous_matrix_oracle(self):
         rng = np.random.default_rng(22)
         for _ in range(10):
             t_i, t_j, t_lc, t_vl = (random_pose(rng) for _ in range(4))
             out = voxel_to_camera_transform(t_i, t_j, t_lc, t_vl)
-            expect = (np.linalg.inv(t_i.matrix()) @ t_j.matrix()
-                      @ t_lc.matrix() @ t_vl.matrix())
-            assert np.allclose(out.matrix(), expect, atol=1e-10)
+            expect = (np.linalg.inv(matrix(t_i)) @ matrix(t_j)
+                      @ matrix(t_lc) @ matrix(t_vl))
+            assert np.allclose(matrix(out), expect, atol=1e-10)
 
     def test_applies_voxel_point_to_camera_frame(self):
         # Pure-translation case checked by hand: x_cam = x + t_j - t_i (+ extrinsics).

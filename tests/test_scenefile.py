@@ -65,3 +65,14 @@ def test_nan_primitive_names_its_path():
                               "density: 1, albedo: [1, 0, 0]}\n"
                               "  - {shape: ground, offset: 1.5, density: .inf, "
                               "albedo: [1, 0, 0]}\n"))
+
+
+@pytest.mark.parametrize("camera, match", [
+    (CAMERA[:-1] + ", position: [.nan, 0, 0]}", r"spec.cameras\[0\]: translation \[nan"),
+    (CAMERA.replace("cx: 31.5", "cx: .nan"), r"spec.cameras\[0\]: cx nan"),
+    (CAMERA.replace("fy: 31.5", "fy: .inf"), r"spec.cameras\[0\]: fy inf"),
+    (CAMERA.replace("far: 12.0", "far: .inf"), r"spec.cameras\[0\].near/far: far inf"),
+], ids=["position", "cx", "fy", "far"])
+def test_non_finite_camera_names_its_path(camera, match):
+    with pytest.raises(SceneSpecError, match=match):
+        parse_scene_spec(spec(camera=camera))

@@ -11,9 +11,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from occrebench.benchmark import OpacityMap, grid_sample_opacity
-from occrebench.field import VoxelDensityField, sigmoid, softplus
-from occrebench.geometry import CameraIntrinsics, FrustumSpec
+from occrebench.benchmark import OpacityMap, build_opacity_map, grid_sample_opacity
+from occrebench.field import AnalyticScene, Sphere, VoxelDensityField, sigmoid, softplus
+from occrebench.geometry import CameraIntrinsics, CameraView, FrustumSpec, Pose
+from occrebench.rendering import MODE_EVAL, SamplingConfig
 
 
 def reference_locate(fld: VoxelDensityField, pts):
@@ -123,12 +124,18 @@ def test_accumulate_param_grad_bit_exact(voxel_field):
                           reference_accumulate(voxel_field, pts, coeff))
 
 
+def depth_major(values: np.ndarray) -> np.ndarray:
+    """(w, h, N) view of a C-ordered (N, w, h) copy of ``values``."""
+    return np.ascontiguousarray(values.transpose(2, 0, 1)).transpose(1, 2, 0)
+
+
 @pytest.mark.parametrize("size", [(2, 2, 2), (7, 5, 9)])
 def test_grid_sample_opacity_bit_exact(size):
+    """On maps given pixel-major (C or F order) and depth-major."""
     rng = np.random.default_rng(12)
     w, h, n = size
     intr = CameraIntrinsics(10.0, 10.0, (w - 1) / 2, (h - 1) / 2, w, h)
-    omap = OpacityMap(rng.uniform(0.0, 1.0, size), intr, FrustumSpec(1.0, 10.0))
+    values = rng.uniform(0.0, 1.0, size)
     inside = rng.uniform(0.0, 1.0, (300, 3))
     beyond = rng.uniform(-0.5, 1.5, (300, 3))      # clamped by border padding
     nodes = np.stack(np.meshgrid(np.arange(w) / (w - 1), np.arange(h) / (h - 1),
@@ -136,4 +143,24 @@ def test_grid_sample_opacity_bit_exact(size):
     edges = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [1.0, 0.0, (n - 1) / n],
                       [1.0 + 1e-12, -1e-12, 2.0]])
     pts = np.concatenate([inside, beyond, nodes, edges])
-    assert np.array_equal(grid_sample_opacity(omap, pts), reference_grid_sample(omap, pts))
+    for layout in (np.ascontiguousarray, np.asfortranarray, depth_major):
+        omap = OpacityMap(layout(values), intr, FrustumSpec(1.0, 10.0))
+        assert np.array_equal(grid_sample_opacity(omap, pts), reference_grid_sample(omap, pts))
+
+
+def test_opacity_map_is_stored_depth_major():
+    """The map is one contiguous (w, h) image per depth bin, as built; a map
+    made from that view keeps its buffer, and one given pixel-major is
+    copied into the same order with the same values."""
+    intr = CameraIntrinsics(6.0, 6.0, 3.5, 2.5, 8, 6)
+    view = CameraView(intr, Pose.identity(), FrustumSpec(1.0, 10.0))
+    scene = AnalyticScene((Sphere([0.3, -0.2, 4.0], 1.5, 2.0, [1, 0, 0]),))
+    omap = build_opacity_map(scene, view, SamplingConfig(8, 1.0, 10.0, MODE_EVAL))
+    assert omap.values.shape == (8, 6, 8)
+    assert omap.values.transpose(2, 0, 1).flags.c_contiguous
+    assert 0 < np.count_nonzero(omap.values) < omap.values.size
+    again = OpacityMap(omap.values, intr, view.frustum)
+    assert np.shares_memory(again.values, omap.values)
+    pixel_major = OpacityMap(np.ascontiguousarray(omap.values), intr, view.frustum)
+    assert pixel_major.values.transpose(2, 0, 1).flags.c_contiguous
+    assert np.array_equal(pixel_major.values, omap.values)
