@@ -306,11 +306,6 @@ class MetricsReport:
     def undefined(self) -> tuple:
         return tuple(n for n in self.METRIC_NAMES if getattr(self, n) is None)
 
-    def as_dict(self) -> dict:
-        out = {n: getattr(self, n) for n in self.METRIC_NAMES}
-        out["counts"] = dict(self.counts)
-        return out
-
 
 def _ratio(num: int, den: int) -> float | None:
     return num / den if den else None

@@ -3,9 +3,8 @@
 Two families:
 
 * ``AnalyticScene`` - a list of constant-density primitives with exact
-  containment, exact ray intersections, and a closed-form transmittance
-  along any ray segment.  Serves as the ground-truth oracle in tests and
-  supplies reference images / ground-truth occupancy.
+  containment and exact ray intersections.  Supplies reference images and
+  ground-truth occupancy, and serves as the scene oracle in tests.
 * ``VoxelDensityField`` - a learnable field; raw parameters live on a
   regular lattice of nodes and the density is the trilinear interpolation
   of softplus(theta), so it is nonnegative with smooth parameter gradients.
@@ -232,34 +231,6 @@ class AnalyticScene:
         p = np.asarray(pts, dtype=np.float64)
         return self.color_at(p), np.ones(p.shape[:-1], dtype=bool)
 
-    def optical_depth(self, origin, direction, t0: float, t1: float) -> float:
-        """Exact integral of density along origin + t*direction over [t0, t1].
-
-        The density is piecewise constant between primitive boundary
-        crossings, so the integral is a finite sum of segment lengths times
-        midpoint densities.
-        """
-        if t1 <= t0:
-            return 0.0
-        origin = np.asarray(origin, dtype=np.float64)
-        direction = np.asarray(direction, dtype=np.float64)
-        cuts = [t0, t1]
-        for prim in self.primitives:
-            te, tx = prim.ray_intervals(origin, direction)
-            if te >= tx:
-                continue
-            for t in (float(te), float(tx)):
-                if t0 < t < t1:
-                    cuts.append(t)
-        ts = np.unique(np.asarray(cuts, dtype=np.float64))
-        mids = origin + 0.5 * (ts[:-1] + ts[1:])[:, None] * direction
-        seg_sigma = self.density_at(mids)
-        return float(np.sum(seg_sigma * np.diff(ts)))
-
-    def transmittance(self, origin, direction, t0: float, t1: float) -> float:
-        """Closed-form exp(-integral of density) over the ray segment."""
-        return float(np.exp(-self.optical_depth(origin, direction, t0, t1)))
-
 
 def ground_truth_occupancy(scene: AnalyticScene, grid: VoxelGrid,
                            grid_to_world: Pose | None = None) -> VoxelGrid:
@@ -432,32 +403,6 @@ class VoxelDensityField:
         out[loc.inside] = inner
         return out
 
-    def density_gradient_wrt_params(self, point: np.ndarray):
-        """Sparse d(sigma)/d(theta) at one point: (node indices (k,3), values (k,)).
-
-        Each surrounding node contributes its trilinear weight times the
-        softplus derivative sigmoid(theta_node); zero-weight corners are
-        dropped, so a query exactly on a node returns a single entry.
-        Outside the hull the gradient is empty.
-        """
-        loc = self.locate(np.asarray(point, dtype=np.float64).reshape(1, 3))
-        if not loc.inside[0]:
-            return np.zeros((0, 3), dtype=np.int64), np.zeros(0)
-        cell, frac = np.unravel_index(loc.base[0], self.shape), loc.frac[:, 0]
-        indices, values = [], []
-        for dx in (0, 1):
-            for dy in (0, 1):
-                for dz in (0, 1):
-                    w = ((frac[0] if dx else 1 - frac[0])
-                         * (frac[1] if dy else 1 - frac[1])
-                         * (frac[2] if dz else 1 - frac[2]))
-                    if w == 0.0:
-                        continue
-                    node = (int(cell[0]) + dx, int(cell[1]) + dy, int(cell[2]) + dz)
-                    indices.append(node)
-                    values.append(w * float(sigmoid(self.theta[node])))
-        return np.asarray(indices, dtype=np.int64), np.asarray(values)
-
     def accumulate_param_grad(self, pts: np.ndarray, dloss_dsigma: np.ndarray) -> np.ndarray:
         """Scatter dL/dsigma at many points into a dL/dtheta array."""
         pts = np.asarray(pts, dtype=np.float64).reshape(-1, 3)
@@ -494,43 +439,3 @@ class Located:
     inside: np.ndarray
     base: np.ndarray
     frac: np.ndarray
-
-
-@dataclass(frozen=True)
-class IntervalScaledField:
-    """Emulates a field trained under inverse-depth sampling.
-
-    Inside ``region`` the raw density is chosen so that one sample interval
-    of the given sampling configuration absorbs a fixed opacity: sigma(x) =
-    -ln(1 - alpha_target) / delta(t), where t is the radial distance from
-    ``ray_origin`` and delta(t) = t^2 (1/near - 1/far) / num_samples is the
-    local interval length of inverse-depth sampling.  Raw density therefore
-    scales with sample count and depth while per-sample opacity stays flat,
-    which is exactly the behavior that breaks fixed raw-density thresholds.
-    """
-
-    region: object
-    ray_origin: np.ndarray
-    near: float
-    far: float
-    num_samples: int
-    alpha_target: float = 0.55
-
-    def __post_init__(self):
-        if not (0.0 < self.alpha_target < 1.0):
-            raise ValueError("alpha_target must lie in (0, 1)")
-        if not (0.0 < self.near < self.far):
-            raise ValueError("requires 0 < near < far")
-        object.__setattr__(self, "ray_origin",
-                           np.asarray(self.ray_origin, dtype=np.float64).reshape(3))
-
-    def local_interval(self, dist: np.ndarray) -> np.ndarray:
-        """Continuous inverse-depth interval length at radial distance dist."""
-        return dist ** 2 * (1.0 / self.near - 1.0 / self.far) / self.num_samples
-
-    def density_at(self, pts: np.ndarray) -> np.ndarray:
-        p = np.asarray(pts, dtype=np.float64)
-        dist = np.linalg.norm(p - self.ray_origin, axis=-1)
-        dist = np.maximum(dist, 1e-12)
-        sigma = -np.log1p(-self.alpha_target) / self.local_interval(dist)
-        return np.where(self.region.contains(p), sigma, 0.0)

@@ -150,7 +150,8 @@ class VoxelGrid:
             np.clip(col, 0, self.counts[a] - 1, out=idx[..., a])
         return idx, inside
 
-    def same_geometry(self, other: "VoxelGrid", tol: float = 0.0) -> bool:
+    def same_geometry(self, other: "VoxelGrid") -> bool:
+        """Equal counts, and origin and resolution equal exactly."""
         return (self.counts == other.counts
-                and np.allclose(self.origin, other.origin, atol=tol, rtol=0)
-                and np.allclose(self.resolution, other.resolution, atol=tol, rtol=0))
+                and np.array_equal(self.origin, other.origin)
+                and np.array_equal(self.resolution, other.resolution))

@@ -17,10 +17,10 @@ collapsed to zero - the occlusion blind spot this package quantifies.
 Chain to raw density: dalpha/dsigma = delta * exp(-sigma * delta).
 
 Polarization: L_p = sum_i M_i |dc_i| exp(-|dsigma_i|) over adjacent sample
-pairs, with M_i = max(alpha_i, alpha_{i+1}) a detached weight.  Gradients
-flow only through the exponential; the loss falls as adjacent densities
-polarize wherever adjacent sampled colors disagree.  One pass over the
-pairs yields both L_p and its gradient.
+pairs, with M_i = max(alpha_i, alpha_{i+1}) a detached weight and c the
+sampled colors.  Gradients flow only through the exponential; the loss
+falls as adjacent densities polarize wherever adjacent sampled colors
+disagree.  One pass over the pairs yields both L_p and its gradient.
 
 Once per ray and once per view.  The trainer evaluates the loss of each
 source view over blocks of rays, in time-major layout (sample axis
@@ -35,9 +35,10 @@ whole-batch, ray-major pass takes it, so results do not depend on the
 block size.
 
 ``total_loss`` is ``ray_terms`` and ``view_loss`` on one whole ray-major
-batch.  It returns the weighted batch loss together with the batch means
-of L_r and L_p it is made of, so a caller reads every term from the one
-forward pass instead of recomputing or back-solving it.
+batch; its ``LossTerms`` hold the weighted batch loss, the batch means of
+L_r and L_p and each term's per-ray gradients, so a caller reads every
+term from one forward pass.  The transmittance kernel is
+``rendering.transmittance``, shared with ``composite``.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rendering import SamplingConfig, opacity, sample_points_batch
+from .rendering import SamplingConfig, opacity, sample_points_batch, transmittance
 from .rendering import composite  # noqa: F401 - not called here; bench/tracing.py wraps it
 
 
@@ -127,14 +128,6 @@ def reconstruction_loss(c_hat: np.ndarray, c_gt: np.ndarray) -> np.ndarray:
                          - np.asarray(c_gt, dtype=np.float64)), axis=-1)
 
 
-def _transmittance(one_minus_alpha: np.ndarray) -> np.ndarray:
-    """Exclusive cumulative product along the leading sample axis: T_0 = 1."""
-    trans = np.empty(one_minus_alpha.shape)
-    trans[0] = 1.0
-    np.cumprod(one_minus_alpha[:-1], axis=0, out=trans[1:])
-    return trans
-
-
 def _pair_factors(alpha: np.ndarray, sigma: np.ndarray):
     """Time-major max(alpha_i, alpha_{i+1}), exp(-|dsigma_i|), sign(dsigma_i)."""
     dsigma = np.diff(sigma, axis=0)
@@ -151,7 +144,7 @@ def ray_terms(alpha: np.ndarray, sigma: np.ndarray, delta: np.ndarray) -> RayTer
     sig = np.ascontiguousarray(sigma, dtype=np.float64)
     dlt = np.ascontiguousarray(delta, dtype=np.float64)
     one_minus_alpha = 1.0 - a
-    trans = _transmittance(one_minus_alpha)
+    trans = transmittance(one_minus_alpha)
     return RayTerms(a, sig, dlt, one_minus_alpha, trans, a * trans,
                     np.exp(-sig * dlt), *_pair_factors(a, sig))
 
@@ -187,21 +180,13 @@ def grad_reconstruction_wrt_alpha(alpha: np.ndarray, colors: np.ndarray,
     sign = np.sign(np.asarray(c_hat, dtype=np.float64) - np.asarray(c_gt, dtype=np.float64))
     hit = None if miss is None else ~np.moveaxis(np.asarray(miss), -1, 0)
     planes = np.moveaxis(np.asarray(colors, dtype=np.float64), (-1, -2), (0, 1))
-    grad = _recon_wrt_alpha(a, one_minus_alpha, _transmittance(one_minus_alpha),
+    grad = _recon_wrt_alpha(a, one_minus_alpha, transmittance(one_minus_alpha),
                             planes, sign, hit)
     return np.moveaxis(grad, 0, -1)
 
 
-def grad_chain_alpha_to_sigma(grad_alpha: np.ndarray, sigma: np.ndarray,
-                              delta: np.ndarray) -> np.ndarray:
-    """Chain through alpha = 1 - exp(-sigma*delta): multiply by delta*exp(-sigma*delta)."""
-    sigma = np.asarray(sigma, dtype=np.float64)
-    delta = np.asarray(delta, dtype=np.float64)
-    return np.asarray(grad_alpha, dtype=np.float64) * delta * np.exp(-sigma * delta)
-
-
 def _abs_steps(planes: np.ndarray) -> np.ndarray:
-    """Channel-summed |s_{i+1} - s_i|, (N-1, ...), of channel planes
+    """Channel-summed |c_{i+1} - c_i|, (N-1, ...), of colour planes
     (C, N, ...), summed in the left fold ``np.sum(axis=-1)`` takes."""
     total = None
     for plane in planes:
@@ -214,12 +199,13 @@ def _abs_steps(planes: np.ndarray) -> np.ndarray:
     return total
 
 
-def _polarization(pair_weight, decay, pull_sign, dsignal, pair_valid):
+def _polarization(pair_weight, decay, pull_sign, dcolor, pair_valid):
     """Time-major L_p (...) and dL_p/dsigma (N, ...) from the pair factors
-    and the pairs' channel-summed signal steps."""
-    terms = pair_weight * dsignal * decay
-    if pair_valid is not None:
-        np.copyto(terms, 0.0, where=~pair_valid)
+    and the pairs' colour steps, zero at pairs that are not ``pair_valid``.
+    Pair i adds +/- M_i |dc_i| exp(-|dsigma_i|) to its two endpoints, signed
+    so that growing |dsigma| lowers the loss (subgradient 0 at dsigma = 0)."""
+    terms = pair_weight * dcolor * decay
+    np.copyto(terms, 0.0, where=~pair_valid)
     pull = terms * pull_sign
     grad = np.zeros((len(terms) + 1,) + terms.shape[1:])
     grad[:-1] += pull
@@ -227,32 +213,6 @@ def _polarization(pair_weight, decay, pull_sign, dsignal, pair_valid):
     # Summed along contiguous rows, so each ray's sum takes the same order
     # whatever the layout and the number of rays.
     return np.sum(np.ascontiguousarray(np.moveaxis(terms, 0, -1)), axis=-1), grad
-
-
-def polarization_loss_and_grad(alpha: np.ndarray, signal: np.ndarray,
-                               sigma: np.ndarray,
-                               pair_valid: np.ndarray | None = None):
-    """L_p over adjacent sample pairs, (..., N) -> (...), and dL_p/dsigma,
-    (..., N), from one pass over the pairs.
-
-    ``signal`` is (..., N, C) (RGB by default) or (..., N) for a scalar
-    channel such as a pseudo-depth map.  ``pair_valid`` excludes pairs with
-    a miss-flagged member.  The gradient holds the pair mask detached: pair
-    i contributes +/- M_i |dc_i| exp(-|dsigma_i|) sign(dsigma_i) to its two
-    endpoints, signed so that growing |dsigma| lowers the loss; at
-    dsigma = 0 the subgradient 0 is returned.
-    """
-    a = np.asarray(alpha, dtype=np.float64)
-    if a.shape[-1] < 2:
-        raise ValueError("polarization needs at least two samples per ray")
-    s = np.asarray(signal, dtype=np.float64)
-    if s.ndim == a.ndim:          # scalar signal channel
-        s = s[..., None]
-    sig = np.moveaxis(np.asarray(sigma, dtype=np.float64), -1, 0)
-    valid = None if pair_valid is None else np.moveaxis(np.asarray(pair_valid), -1, 0)
-    loss, grad = _polarization(*_pair_factors(np.moveaxis(a, -1, 0), sig),
-                               _abs_steps(np.moveaxis(s, (-1, -2), (0, 1))), valid)
-    return loss, np.moveaxis(grad, 0, -1)
 
 
 def view_loss(rays: RayTerms, colors: np.ndarray, hit: np.ndarray,

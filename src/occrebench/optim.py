@@ -33,6 +33,9 @@ from .rendering import composite  # noqa: F401 - not called here; bench/tracing.
 # less.
 RAY_BLOCK = 512
 
+# Voxels per axis of the coarse frustum grid the view-overlap gate samples.
+PROBE_COUNTS = (12, 12, 12)
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -106,7 +109,7 @@ def iteration_rng(seed: int, iteration: int) -> np.random.Generator:
         np.random.SeedSequence(entropy=seed, spawn_key=(iteration,))))
 
 
-def frustum_probe_grid(view, counts=(12, 12, 12)) -> VoxelGrid:
+def frustum_probe_grid(view) -> VoxelGrid:
     """Coarse camera-frame grid spanning the view frustum's bounding box,
     used by the overlap gate."""
     intr = view.intrinsics
@@ -117,8 +120,8 @@ def frustum_probe_grid(view, counts=(12, 12, 12)) -> VoxelGrid:
     pts = np.concatenate([dirs * view.frustum.near, dirs * view.frustum.far])
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)
-    res = (hi - lo) / np.asarray(counts)
-    return VoxelGrid.filled(lo, counts, res, False, dtype=bool, frame="camera")
+    res = (hi - lo) / np.asarray(PROBE_COUNTS)
+    return VoxelGrid.filled(lo, PROBE_COUNTS, res, False, dtype=bool, frame="camera")
 
 
 def check_view_overlap(views) -> list[float]:

@@ -7,7 +7,8 @@ bounds:
 
 with i in {0, ..., N-1}.  In eval mode r_i = 0, so sample 0 sits exactly at
 the near bound and the inverse distance is exactly linear in i; in train
-mode each r_i is drawn independently from uniform(-0.5, 0.5).  Interval
+mode each r_i is drawn independently from uniform(-0.5, 0.5) by the
+generator the caller passes, which train mode requires.  Interval
 lengths are delta_i = t_{i+1} - t_i with the final interval closing the gap
 to the far bound, so the covered length is exactly far - near.
 
@@ -32,11 +33,14 @@ MODE_EVAL = "eval"
 
 @dataclass(frozen=True)
 class SamplingConfig:
+    """Samples per ray, their depth bounds and the sampling mode.  Train
+    mode draws its jitter from the generator the caller passes to
+    :func:`sample_points_batch`."""
+
     num_samples: int
     near: float
     far: float
     mode: str = MODE_EVAL
-    seed: int = 0
 
     def __post_init__(self):
         if self.num_samples < 2:
@@ -63,26 +67,23 @@ def interval_lengths(t: np.ndarray, far: float) -> np.ndarray:
         [np.diff(t, axis=-1), far - t[..., -1:]], axis=-1)
 
 
-def _draw_jitter(cfg: SamplingConfig, shape: tuple, rng=None) -> np.ndarray | None:
-    if cfg.mode == MODE_EVAL:
-        return None
-    if rng is None:
-        rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    return rng.uniform(-0.5, 0.5, size=shape)
-
-
 def sample_points_batch(origins: np.ndarray, dirs: np.ndarray,
                         cfg: SamplingConfig, rng=None):
     """Batched sampling: origins/dirs (R, 3) -> t (R, N), pts (R, N, 3), delta (R, N).
 
-    Train-mode jitter is drawn in one call over the fixed ray order, so a
-    given (generator state, batch) pair is exactly reproducible.
+    Train mode needs ``rng``, a ``numpy.random.Generator``; its jitter is
+    drawn in one call over the fixed ray order, so a given (generator
+    state, batch) pair is exactly reproducible.
     """
     origins = np.asarray(origins, dtype=np.float64)
     dirs = np.asarray(dirs, dtype=np.float64)
-    jitter = _draw_jitter(cfg, (len(dirs), cfg.num_samples), rng)
-    t = sample_distances(cfg, jitter) if jitter is not None else \
-        np.broadcast_to(sample_distances(cfg), (len(dirs), cfg.num_samples)).copy()
+    shape = (len(dirs), cfg.num_samples)
+    if cfg.mode == MODE_EVAL:
+        t = np.broadcast_to(sample_distances(cfg), shape).copy()
+    elif rng is None:
+        raise ValueError("train-mode sampling needs a generator: pass rng")
+    else:
+        t = sample_distances(cfg, rng.uniform(-0.5, 0.5, size=shape))
     pts = np.empty(t.shape + (3,))
     for a in range(3):   # per column, as origins[:, None] + t[..., None] * dirs[:, None]
         np.multiply(t, dirs[:, a, None], out=pts[..., a])
@@ -102,11 +103,13 @@ def opacity(sigma, delta):
     return -np.expm1(-sigma * delta)
 
 
-def transmittance(alphas: np.ndarray) -> np.ndarray:
-    """Exclusive cumulative product of (1 - alpha): T_0 = 1."""
-    a = np.asarray(alphas, dtype=np.float64)
-    t = np.cumprod(1.0 - a, axis=-1)
-    return np.concatenate([np.ones_like(t[..., :1]), t[..., :-1]], axis=-1)
+def transmittance(one_minus_alpha: np.ndarray) -> np.ndarray:
+    """T_i = prod_{j<i} (1 - alpha_j) along the leading sample axis, from
+    (N, ...) values of 1 - alpha: the exclusive cumulative product, T_0 = 1."""
+    trans = np.empty(one_minus_alpha.shape)
+    trans[0] = 1.0
+    np.cumprod(one_minus_alpha[:-1], axis=0, out=trans[1:])
+    return trans
 
 
 def composite(alphas: np.ndarray, colors: np.ndarray):
@@ -126,7 +129,7 @@ def composite(alphas: np.ndarray, colors: np.ndarray):
     # fails both comparisons, so it is rejected too.
     if not (np.all(a >= 0) and np.all(a <= 1)):
         raise ValueError("alphas must lie in [0, 1]")
-    trans = transmittance(a)
+    trans = np.moveaxis(transmittance(np.moveaxis(1.0 - a, -1, 0)), 0, -1)
     weights = a * trans
     c_hat = np.sum(weights[..., None] * c, axis=-2)
     residual = trans[..., -1] * (1.0 - a[..., -1])
@@ -212,10 +215,6 @@ class PatchBatch:
 
     corners: np.ndarray   # (K, 2) int, top-left (u, v) of each patch
     pixels: np.ndarray    # (K * s * s, 2) float, pixel centers
-
-    @property
-    def num_rays(self) -> int:
-        return len(self.pixels)
 
 
 def sample_patch_rays(view: CameraView, rng, patch_count: int = 64,

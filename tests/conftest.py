@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -32,6 +33,78 @@ def yaw_pose(yaw_deg: float, translation) -> Pose:
     """Camera turned about the world y axis (y points down, so +yaw turns left)."""
     return Pose(rotation_about(np.array([0.0, 1.0, 0.0]), np.deg2rad(yaw_deg)),
                 np.asarray(translation, dtype=np.float64))
+
+
+def optical_depth(scene: AnalyticScene, origin, direction, t0: float, t1: float) -> float:
+    """Exact integral of the scene's density along origin + t*direction
+    over [t0, t1].
+
+    The density is piecewise constant between primitive boundary
+    crossings, so the integral is a finite sum of segment lengths times
+    midpoint densities.
+    """
+    if t1 <= t0:
+        return 0.0
+    origin = np.asarray(origin, dtype=np.float64)
+    direction = np.asarray(direction, dtype=np.float64)
+    cuts = [t0, t1]
+    for prim in scene.primitives:
+        te, tx = prim.ray_intervals(origin, direction)
+        if te >= tx:
+            continue
+        for t in (float(te), float(tx)):
+            if t0 < t < t1:
+                cuts.append(t)
+    ts = np.unique(np.asarray(cuts, dtype=np.float64))
+    mids = origin + 0.5 * (ts[:-1] + ts[1:])[:, None] * direction
+    seg_sigma = scene.density_at(mids)
+    return float(np.sum(seg_sigma * np.diff(ts)))
+
+
+def closed_form_transmittance(scene: AnalyticScene, origin, direction,
+                              t0: float, t1: float) -> float:
+    """exp(-integral of the scene's density) over the ray segment."""
+    return float(np.exp(-optical_depth(scene, origin, direction, t0, t1)))
+
+
+@dataclass(frozen=True)
+class IntervalScaledField:
+    """Emulates a field trained under inverse-depth sampling.
+
+    Inside ``region`` the raw density is chosen so that one sample interval
+    of the given sampling configuration absorbs a fixed opacity: sigma(x) =
+    -ln(1 - alpha_target) / delta(t), where t is the radial distance from
+    ``ray_origin`` and delta(t) = t^2 (1/near - 1/far) / num_samples is the
+    local interval length of inverse-depth sampling.  Raw density therefore
+    scales with sample count and depth while per-sample opacity stays flat,
+    which is exactly the behavior that breaks fixed raw-density thresholds.
+    """
+
+    region: object
+    ray_origin: np.ndarray
+    near: float
+    far: float
+    num_samples: int
+    alpha_target: float = 0.55
+
+    def __post_init__(self):
+        if not (0.0 < self.alpha_target < 1.0):
+            raise ValueError("alpha_target must lie in (0, 1)")
+        if not (0.0 < self.near < self.far):
+            raise ValueError("requires 0 < near < far")
+        object.__setattr__(self, "ray_origin",
+                           np.asarray(self.ray_origin, dtype=np.float64).reshape(3))
+
+    def local_interval(self, dist: np.ndarray) -> np.ndarray:
+        """Continuous inverse-depth interval length at radial distance dist."""
+        return dist ** 2 * (1.0 / self.near - 1.0 / self.far) / self.num_samples
+
+    def density_at(self, pts: np.ndarray) -> np.ndarray:
+        p = np.asarray(pts, dtype=np.float64)
+        dist = np.linalg.norm(p - self.ray_origin, axis=-1)
+        dist = np.maximum(dist, 1e-12)
+        sigma = -np.log1p(-self.alpha_target) / self.local_interval(dist)
+        return np.where(self.region.contains(p), sigma, 0.0)
 
 
 def render_rays(density_field, color_source, dirs, cfg) -> SimpleNamespace:

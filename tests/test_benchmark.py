@@ -12,15 +12,14 @@ from occrebench.benchmark import (MetricsReport, OpacityMap, build_opacity_map,
                                   frustum_mask, grid_sample_opacity,
                                   view_overlap_ratio, visibility_mask,
                                   voxelize_occupancy)
-from occrebench.field import (AnalyticScene, Box, IntervalScaledField,
-                              VoxelDensityField, ground_truth_occupancy)
+from occrebench.field import AnalyticScene, Box, VoxelDensityField, ground_truth_occupancy
 from occrebench.geometry import CameraIntrinsics, CameraView, FrustumSpec, Pose, \
     all_pixel_coords, pixel_directions, project
 from occrebench.grids import VoxelGrid
 from occrebench.rendering import SamplingConfig, interval_lengths, opacity, \
     sample_distances
 
-from conftest import rotation_about, yaw_pose
+from conftest import IntervalScaledField, rotation_about, yaw_pose
 
 
 def eval_cfg(n=64, near=3.0, far=20.0):

@@ -1,7 +1,8 @@
 """Analytic scene oracle and voxel density field.
 
-The closed-form transmittance is itself validated here against dense
-numerical quadrature so downstream convergence tests can trust it.
+The closed-form optical depth of ``conftest`` is itself validated here
+against dense numerical quadrature so downstream convergence tests can
+trust it.
 """
 
 from __future__ import annotations
@@ -9,12 +10,42 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from occrebench.field import (AnalyticScene, Box, HalfSpace, IntervalScaledField,
-                              Sphere, VoxelDensityField, ground_truth_occupancy,
-                              inverse_softplus, render_reference_image, softplus)
+from occrebench.field import (AnalyticScene, Box, HalfSpace, Sphere, VoxelDensityField,
+                              ground_truth_occupancy, inverse_softplus,
+                              render_reference_image, sigmoid, softplus)
 from occrebench.geometry import CameraIntrinsics, CameraView, FrustumSpec, Pose, \
     pixel_directions
 from occrebench.grids import VoxelGrid
+
+from conftest import IntervalScaledField, closed_form_transmittance, optical_depth
+
+
+def density_gradient_wrt_params(f: VoxelDensityField, point):
+    """Sparse d(sigma)/d(theta) at one point: (node indices (k,3), values (k,)).
+
+    Each surrounding node contributes its trilinear weight times the
+    softplus derivative sigmoid(theta_node); zero-weight corners are
+    dropped, so a query exactly on a node returns a single entry.
+    Outside the hull the gradient is empty.  The scalar oracle for the
+    field's vectorized scatter.
+    """
+    loc = f.locate(np.asarray(point, dtype=np.float64).reshape(1, 3))
+    if not loc.inside[0]:
+        return np.zeros((0, 3), dtype=np.int64), np.zeros(0)
+    cell, frac = np.unravel_index(loc.base[0], f.shape), loc.frac[:, 0]
+    indices, values = [], []
+    for dx in (0, 1):
+        for dy in (0, 1):
+            for dz in (0, 1):
+                w = ((frac[0] if dx else 1 - frac[0])
+                     * (frac[1] if dy else 1 - frac[1])
+                     * (frac[2] if dz else 1 - frac[2]))
+                if w == 0.0:
+                    continue
+                node = (int(cell[0]) + dx, int(cell[1]) + dy, int(cell[2]) + dz)
+                indices.append(node)
+                values.append(w * float(sigmoid(f.theta[node])))
+    return np.asarray(indices, dtype=np.int64), np.asarray(values)
 
 
 class TestPrimitives:
@@ -87,10 +118,10 @@ class TestAnalyticScene:
     def test_optical_depth_single_slab(self):
         # Hand value: the box spans t in [4, 6] on the axis ray; integral = 2 * 50.
         scene = AnalyticScene((Box([-1, -1, 4], [1, 1, 6], 50.0, [1, 0, 0]),))
-        depth = scene.optical_depth(np.zeros(3), np.array([0, 0, 1.0]), 0.0, 10.0)
+        depth = optical_depth(scene, np.zeros(3), np.array([0, 0, 1.0]), 0.0, 10.0)
         assert np.isclose(depth, 100.0, atol=1e-12)
-        assert np.isclose(scene.transmittance(np.zeros(3), np.array([0, 0, 1.0]),
-                                              0.0, 10.0), np.exp(-100.0))
+        assert np.isclose(closed_form_transmittance(scene, np.zeros(3), np.array([0, 0, 1.0]),
+                                                    0.0, 10.0), np.exp(-100.0))
 
     def test_optical_depth_against_quadrature(self, sphere_scene):
         # Independent oracle: 200k-point midpoint quadrature of the density.
@@ -103,7 +134,7 @@ class TestAnalyticScene:
             ts = np.linspace(t0, t1, 200_001)
             mids = (ts[:-1] + ts[1:])[:, None] / 2 * d
             quad = np.sum(sphere_scene.density_at(mids)) * (t1 - t0) / 200_000
-            exact = sphere_scene.optical_depth(np.zeros(3), d, t0, t1)
+            exact = optical_depth(sphere_scene, np.zeros(3), d, t0, t1)
             assert abs(quad - exact) < 1e-3
 
     def test_optical_depth_with_overlapping_primitives(self):
@@ -112,7 +143,7 @@ class TestAnalyticScene:
         a = Box([-1, -1, 4], [1, 1, 6], 10.0, [1, 0, 0])
         b = Box([-1, -1, 5], [1, 1, 7], 20.0, [0, 1, 0])
         scene = AnalyticScene((a, b))
-        depth = scene.optical_depth(np.zeros(3), np.array([0, 0, 1.0]), 0.0, 10.0)
+        depth = optical_depth(scene, np.zeros(3), np.array([0, 0, 1.0]), 0.0, 10.0)
         assert np.isclose(depth, 40.0, atol=1e-12)
 
 
@@ -253,7 +284,7 @@ class TestVoxelDensityField:
         theta = np.zeros((4, 4, 4))
         theta[2, 1, 1] = -0.3
         f = self.make_field(theta)
-        idx, vals = f.density_gradient_wrt_params(f.origin + np.array([2, 1, 1]) * 0.5)
+        idx, vals = density_gradient_wrt_params(f, f.origin + np.array([2, 1, 1]) * 0.5)
         assert idx.shape == (1, 3) and tuple(idx[0]) == (2, 1, 1)
         expected = 1.0 / (1.0 + np.exp(0.3))
         assert np.isclose(vals[0], expected, atol=1e-12)
@@ -263,14 +294,14 @@ class TestVoxelDensityField:
         theta = rng.normal(size=(4, 4, 4))
         f = self.make_field(theta)
         center = f.origin + np.array([1.5, 1.5, 1.5]) * 0.5
-        idx, vals = f.density_gradient_wrt_params(center)
+        idx, vals = density_gradient_wrt_params(f, center)
         assert len(vals) == 8
         for node, val in zip(idx, vals):
             sig = 1.0 / (1.0 + np.exp(-theta[tuple(node)]))
             assert np.isclose(val, sig / 8.0, atol=1e-12)
 
     def test_gradient_outside_empty(self):
-        idx, vals = self.make_field().density_gradient_wrt_params([-1.0, 0, 0])
+        idx, vals = density_gradient_wrt_params(self.make_field(), [-1.0, 0, 0])
         assert len(vals) == 0
 
     def test_gradient_matches_finite_differences(self):
@@ -279,7 +310,7 @@ class TestVoxelDensityField:
         f = self.make_field(theta)
         for _ in range(20):
             x = rng.uniform(0.01, 1.49, 3)
-            idx, vals = f.density_gradient_wrt_params(x)
+            idx, vals = density_gradient_wrt_params(f, x)
             for node, val in zip(idx, vals):
                 h = 1e-6
                 fp = f.copy()
@@ -298,7 +329,7 @@ class TestVoxelDensityField:
         dense = f.accumulate_param_grad(pts, coeff)
         expected = np.zeros_like(theta)
         for p, c in zip(pts, coeff):
-            idx, vals = f.density_gradient_wrt_params(p)
+            idx, vals = density_gradient_wrt_params(f, p)
             for node, val in zip(idx, vals):
                 expected[tuple(node)] += c * val
         assert np.allclose(dense, expected, atol=1e-12)

@@ -37,6 +37,15 @@ def assert_same_grid(a: VoxelGrid, b: VoxelGrid) -> None:
     assert np.array_equal(a.values, b.values)
 
 
+def test_same_geometry_is_exact():
+    """Grids one ulp apart in origin or resolution differ in geometry."""
+    a = bool_grid()
+    assert a.same_geometry(bool_grid())
+    for origin, res in ((np.nextafter(a.origin, np.inf), a.resolution),
+                        (a.origin, np.nextafter(a.resolution, 0.0))):
+        assert not a.same_geometry(VoxelGrid(origin, a.counts, res, a.values))
+
+
 @pytest.mark.parametrize("name, make, frame_code, dtype_code, item", [
     ("bool_2x3x4.ogrd", bool_grid, 0, 1, "<u1"),
     ("f32_3x2x2.ogrd", f32_grid, 1, 0, "<f4"),

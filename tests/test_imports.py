@@ -1,12 +1,16 @@
-"""Module structure: import dependencies and the names the benchmark patches."""
+"""Module structure: import dependencies, the names the benchmark patches
+and the declared console scripts."""
 
 from __future__ import annotations
 
+import importlib
 import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -31,3 +35,16 @@ def test_benchmark_lookup_sites_exist():
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     tracing.assert_unwrapped()
+
+
+def test_console_scripts_resolve():
+    """Every ``[project.scripts]`` entry names a module that imports and a
+    callable in it, so an installed command starts."""
+    tomllib = pytest.importorskip("tomllib")   # Python 3.11+
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    for name, target in project.get("scripts", {}).items():
+        module, _, attr = target.partition(":")
+        obj = importlib.import_module(module)
+        for part in attr.split("."):
+            obj = getattr(obj, part)
+        assert callable(obj), name

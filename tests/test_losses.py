@@ -12,10 +12,9 @@ import pytest
 
 from occrebench.field import AnalyticScene, Box
 from occrebench.geometry import CameraIntrinsics, pixel_directions
-from occrebench.losses import (LossConfig, grad_chain_alpha_to_sigma,
-                               grad_reconstruction_wrt_alpha,
-                               occlusion_gradient_probe, polarization_loss_and_grad,
-                               reconstruction_loss, total_loss)
+from occrebench.losses import (LossConfig, grad_reconstruction_wrt_alpha,
+                               occlusion_gradient_probe, reconstruction_loss,
+                               total_loss)
 from occrebench.rendering import SamplingConfig, composite, opacity, transmittance
 
 from conftest import render_rays
@@ -44,7 +43,7 @@ def grad_reconstruction_wrt_alpha_quadratic(alpha: np.ndarray, colors: np.ndarra
     a = np.asarray(alpha, dtype=np.float64)
     c = np.asarray(colors, dtype=np.float64)
     s = np.sign(np.asarray(c_hat, dtype=np.float64) - np.asarray(c_gt, dtype=np.float64))
-    trans = transmittance(a)
+    trans = np.moveaxis(transmittance(np.moveaxis(1.0 - a, -1, 0)), 0, -1)
     n = a.shape[-1]
     grad = np.zeros(a.shape)
     for i in range(n):
@@ -59,12 +58,26 @@ def grad_reconstruction_wrt_alpha_quadratic(alpha: np.ndarray, colors: np.ndarra
     return grad
 
 
-def polarization_loss(alpha, signal, sigma, pair_valid=None):
-    return polarization_loss_and_grad(alpha, signal, sigma, pair_valid)[0]
+def polarization_terms(alpha, colors, sigma):
+    """Per-ray L_p (...) and dL_p/dsigma (..., N) of (..., N) samples, read
+    from ``total_loss`` one ray at a time as (1, N) batches, whose ``polar``
+    is then that ray's L_p.  The pair factors do not involve delta or the
+    target colors, so unit intervals and black targets stand in for them."""
+    alpha = np.asarray(alpha, dtype=np.float64)
+    n = alpha.shape[-1]
+    a, c, s = alpha.reshape(-1, n), np.reshape(colors, (-1, n, 3)), np.reshape(sigma, (-1, n))
+    terms = [total_loss(a[r:r + 1], c[r:r + 1], s[r:r + 1], np.ones((1, n)),
+                        np.zeros((1, 3)), LossConfig()) for r in range(len(a))]
+    return (np.array([t.polar for t in terms]).reshape(alpha.shape[:-1]),
+            np.concatenate([t.polar_wrt_sigma for t in terms]).reshape(alpha.shape))
 
 
-def grad_polarization_wrt_sigma(alpha, signal, sigma, pair_valid=None):
-    return polarization_loss_and_grad(alpha, signal, sigma, pair_valid)[1]
+def polarization_loss(alpha, colors, sigma):
+    return polarization_terms(alpha, colors, sigma)[0]
+
+
+def grad_polarization_wrt_sigma(alpha, colors, sigma):
+    return polarization_terms(alpha, colors, sigma)[1]
 
 
 def fd_grad(fn, x, h=1e-6):
@@ -154,24 +167,33 @@ class TestGradReconstruction:
 
 class TestChainRule:
     def test_zero_density_factor_is_delta(self):
-        g = grad_chain_alpha_to_sigma(np.ones(3), np.zeros(3), np.array([0.2, 0.5, 1.0]))
-        assert np.allclose(g, [0.2, 0.5, 1.0])
+        delta = np.array([[0.2, 0.5, 1.0]])
+        colors = np.array([[[0.9, 0.1, 0.2], [0.6, 0.3, 0.1], [0.2, 0.8, 0.4]]])
+        terms = total_loss(np.zeros((1, 3)), colors, np.zeros((1, 3)), delta,
+                           np.ones((1, 3)), LossConfig(lambda_p=0.0))
+        assert np.all(terms.recon_wrt_alpha != 0.0)
+        assert np.allclose(terms.recon_wrt_sigma / terms.recon_wrt_alpha, delta)
 
     def test_saturation_kills_gradient(self):
-        g = grad_chain_alpha_to_sigma(np.ones(1), np.array([1000.0]), np.array([1.0]))
-        assert g[0] == 0.0
+        sigma = np.array([[1000.0, 1.0]])
+        delta = np.ones((1, 2))
+        colors = np.array([[[0.9, 0.1, 0.2], [0.2, 0.8, 0.4]]])
+        terms = total_loss(opacity(sigma, delta), colors, sigma, delta, np.zeros((1, 3)),
+                           LossConfig(lambda_p=0.0))
+        assert terms.recon_wrt_alpha[0, 0] != 0.0
+        assert terms.recon_wrt_sigma[0, 0] == 0.0
 
     def test_full_chain_matches_finite_differences(self):
         rng = np.random.default_rng(11)
         for _ in range(10):
             alpha, colors, sigma, delta, c_gt = random_profile(rng)
+            g_sigma = total_loss(alpha, colors, sigma, delta, c_gt,
+                                 LossConfig(lambda_p=0.0)).recon_wrt_sigma[0]
             alpha, colors, sigma, delta, c_gt = (
                 alpha[0], colors[0], sigma[0], delta[0], c_gt[0])
             c_hat, _, _ = composite(alpha, colors)
             if np.any(np.abs(c_hat - c_gt) < 1e-3):
                 continue
-            g_alpha = grad_reconstruction_wrt_alpha(alpha, colors, c_hat, c_gt)
-            g_sigma = grad_chain_alpha_to_sigma(g_alpha, sigma, delta)
 
             def loss(s):
                 ch, _, _ = composite(opacity(s, delta), colors)
@@ -218,13 +240,6 @@ class TestPolarizationLoss:
     def test_needs_two_samples(self):
         with pytest.raises(ValueError):
             polarization_loss(np.array([0.5]), np.zeros((1, 3)), np.array([1.0]))
-
-    def test_scalar_signal_channel(self):
-        # pluggable per-point scalar channel (e.g. pseudo-depth)
-        alpha = np.array([0.5, 0.5])
-        sigma = np.array([1.0, 1.0])
-        signal = np.array([2.0, 5.0])
-        assert np.isclose(polarization_loss(alpha, signal, sigma), 0.5 * 3.0)
 
 
 class TestGradPolarization:

@@ -8,27 +8,28 @@ import pytest
 from occrebench.field import AnalyticScene, Box
 from occrebench.geometry import CameraIntrinsics, CameraView, FrustumSpec, Pose, \
     ccs_to_tcs, pixel_directions
+from occrebench.losses import ray_terms
 from occrebench.rendering import (PatchBatch, SamplingConfig, SourceViewSampler,
                                   bilinear_sample, composite, interval_lengths,
                                   opacity, sample_color_from_view,
                                   sample_patch_rays, sample_points_batch,
                                   transmittance)
 
-from conftest import render_rays, yaw_pose
+from conftest import closed_form_transmittance, render_rays, yaw_pose
 
 # The optical axis of a camera: the ray through its principal point.
 AXIS = pixel_directions(CameraIntrinsics(1, 1, 0, 0, 2, 2), np.array([[0.0, 0.0]]))
 
 
-def axis_samples(cfg):
+def axis_samples(cfg, rng=None):
     """(t, points, delta) along the optical axis: shapes (N,), (N, 3), (N,)."""
-    t, pts, delta = sample_points_batch(np.zeros((1, 3)), AXIS, cfg)
+    t, pts, delta = sample_points_batch(np.zeros((1, 3)), AXIS, cfg, rng)
     return t[0], pts[0], delta[0]
 
 
 class TestSampling:
-    def cfg(self, n=8, mode="eval", near=1.0, far=2.0, seed=0):
-        return SamplingConfig(num_samples=n, near=near, far=far, mode=mode, seed=seed)
+    def cfg(self, n=8, mode="eval", near=1.0, far=2.0):
+        return SamplingConfig(num_samples=n, near=near, far=far, mode=mode)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -69,13 +70,19 @@ class TestSampling:
         assert np.max(np.abs(z - np.arange(64) / 64.0)) < 1e-12
 
     def test_train_mode_jitters_within_strata(self):
-        cfg = self.cfg(n=64, mode="train", near=3.0, far=20.0, seed=5)
-        t1, _, d1 = axis_samples(cfg)
-        t2, _, _ = axis_samples(cfg)
-        assert np.array_equal(t1, t2)  # deterministic from cfg.seed
+        cfg = self.cfg(n=64, mode="train", near=3.0, far=20.0)
+        t1, _, d1 = axis_samples(cfg, np.random.default_rng(5))
+        t2, _, _ = axis_samples(cfg, np.random.default_rng(5))
+        assert np.array_equal(t1, t2)  # deterministic from the generator's state
         assert np.all(np.diff(t1) > 0) and np.all(d1 > 0)
         t_eval, _, _ = axis_samples(self.cfg(n=64, near=3.0, far=20.0))
         assert not np.array_equal(t1, t_eval)
+
+    def test_train_mode_needs_a_generator(self):
+        """Without ``rng``, train mode used to draw its jitter from a fixed
+        seed of its own, the same for every call."""
+        with pytest.raises(ValueError, match="rng"):
+            axis_samples(self.cfg(n=8, mode="train"))
 
 
 class TestOpacity:
@@ -216,7 +223,7 @@ class TestRenderRay:
             if impact < 0.75 * sphere_scene.primitives[0].radius:
                 dirs.append(d)
         dirs = np.stack(dirs)
-        exact = np.array([sphere_scene.transmittance(np.zeros(3), d, 3.0, 12.0)
+        exact = np.array([closed_form_transmittance(sphere_scene, np.zeros(3), d, 3.0, 12.0)
                           for d in dirs])
         mean_err = {}
         for n in (32, 64, 128, 256):
@@ -319,7 +326,7 @@ class TestPatchSampling:
 
     def test_default_batch_is_4096_rays(self):
         batch = sample_patch_rays(self.view(), np.random.default_rng(0))
-        assert batch.num_rays == 4096
+        assert len(batch.pixels) == 4096
         assert isinstance(batch, PatchBatch)
 
     def test_patches_always_inside_image(self):
@@ -340,7 +347,24 @@ class TestPatchSampling:
 
 def test_transmittance_is_exclusive_product():
     a = np.array([0.5, 0.5, 0.5])
-    assert np.allclose(transmittance(a), [1.0, 0.5, 0.25])
+    assert np.allclose(transmittance(1.0 - a), [1.0, 0.5, 0.25])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_composite_transmittance_is_the_loss_kernel(seed):
+    """``composite`` (last sample axis) and ``ray_terms`` (leading axis)
+    share one transmittance kernel, bit for bit, also where alphas are
+    exactly 0 and exactly 1."""
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(0.0, 1.0, (17, 24))
+    a[rng.uniform(size=a.shape) < 0.2] = 0.0
+    a[rng.uniform(size=a.shape) < 0.05] = 1.0
+    a[0] = 0.0
+    a[1, 5] = 1.0
+    trans = composite(a, np.zeros(a.shape + (3,)))[1]
+    shared = ray_terms(a.T, np.ones(a.shape).T, np.ones(a.shape).T).trans.T
+    assert np.array_equal(trans, shared)
+    assert np.all(trans[1, 6:] == 0.0) and np.all(trans[0] == 1.0)
 
 
 def test_interval_lengths_last_closes_to_far():
