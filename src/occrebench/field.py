@@ -77,6 +77,10 @@ class Box:
             inside &= (p[..., a] >= lo[a]) & (p[..., a] <= hi[a])
         return inside
 
+    def bounds(self):
+        """(min, max) corners of a box holding every point :meth:`contains`."""
+        return self.min_corner, self.max_corner
+
     def ray_intervals(self, origin: np.ndarray, dirs: np.ndarray):
         """Slab test for directions (..., 3): (t_enter, t_exit) arrays.
 
@@ -121,6 +125,16 @@ class Sphere:
         d = [p[..., a] - self.center[a] for a in range(3)]
         return np.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2]) <= self.radius
 
+    def bounds(self):
+        """(min, max) corners of a box holding every point :meth:`contains`.
+
+        center -/+ radius, widened by 1e-9 * (radius + |center|) per axis: a
+        point the float test accepts is within a few ulp of the sphere, and
+        the pad is far beyond that and beyond the rounding of the bound.
+        """
+        pad = self.radius + 1e-9 * (self.radius + np.abs(self.center))
+        return self.center - pad, self.center + pad
+
     def ray_intervals(self, origin: np.ndarray, dirs: np.ndarray):
         oc = np.asarray(origin, dtype=np.float64) - self.center
         d = np.asarray(dirs, dtype=np.float64)
@@ -158,6 +172,13 @@ class HalfSpace:
     def contains(self, pts: np.ndarray) -> np.ndarray:
         coord = np.asarray(pts, dtype=np.float64)[..., self.axis]
         return coord >= self.offset if self.side > 0 else coord <= self.offset
+
+    def bounds(self):
+        """(min, max) corners of a box holding every point :meth:`contains`:
+        unbounded except on the kept side of ``offset`` along ``axis``."""
+        lo, hi = np.full(3, -np.inf), np.full(3, np.inf)
+        (lo if self.side > 0 else hi)[self.axis] = self.offset
+        return lo, hi
 
     def ray_intervals(self, origin: np.ndarray, dirs: np.ndarray):
         o = float(np.asarray(origin, dtype=np.float64).reshape(3)[self.axis])
@@ -238,12 +259,18 @@ def ground_truth_occupancy(scene: AnalyticScene, grid: VoxelGrid,
 
     Centers are taken one block of x-slices at a time
     (:meth:`VoxelGrid.center_blocks`), so memory beyond the output grid is
-    O(block).
+    O(block).  A primitive is tested on a block only if its ``bounds()``
+    meet the axis-aligned box spanned by the block's centers: one whose
+    bounds miss that box contains none of them, so the grid is the same.
     """
+    bounds = [prim.bounds() for prim in scene.primitives]
+
     def occupied(centers):
+        lo, hi = centers.min(axis=0), centers.max(axis=0)
         occ = np.zeros(len(centers), dtype=bool)
-        for prim in scene.primitives:
-            occ |= prim.contains(centers)
+        for prim, (p_lo, p_hi) in zip(scene.primitives, bounds):
+            if np.all(p_lo <= hi) and np.all(lo <= p_hi):
+                occ |= prim.contains(centers)
         return occ
 
     return grid.map_centers(occupied, grid_to_world)

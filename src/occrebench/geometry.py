@@ -199,7 +199,8 @@ def ccs_to_tcs(points_cam: np.ndarray, intr: CameraIntrinsics,
 
     Points on the image with radial distance in [near, far] land in [0,1]^3.
     Requires strictly positive depth and nonzero norm; a NaN coordinate
-    fails both.
+    fails both.  The result is stored one coordinate at a time
+    (``out[..., a]`` contiguous), the order the opacity-map lookup reads.
     """
     pts = np.asarray(points_cam, dtype=np.float64)
     x, y, z = (pts[..., a] for a in range(3))
@@ -212,4 +213,4 @@ def ccs_to_tcs(points_cam: np.ndarray, intr: CameraIntrinsics,
     u, v, _ = project(intr, pts)
     inv_span = 1.0 / fr.near - 1.0 / fr.far
     zt = (1.0 / fr.near - 1.0 / norm) / inv_span
-    return np.stack([u / (intr.width - 1.0), v / (intr.height - 1.0), zt], axis=-1)
+    return np.moveaxis(np.stack([u / (intr.width - 1.0), v / (intr.height - 1.0), zt]), 0, -1)

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from occrebench import field
+from occrebench import benchmark, field
 from occrebench.field import AnalyticScene, Box, HalfSpace, Sphere
 from occrebench.geometry import CameraIntrinsics, CameraView, FrustumSpec, Pose
 from occrebench.rendering import composite, opacity, sample_points_batch
@@ -137,6 +137,20 @@ def softplus_calls(monkeypatch) -> list:
         return real(x)
 
     monkeypatch.setattr(field, "softplus", counting)
+    return calls
+
+
+@pytest.fixture
+def cell_table_builds(monkeypatch) -> list:
+    """The node count of every ``benchmark.cell_table`` built while the test
+    runs."""
+    calls, real = [], benchmark.cell_table
+
+    def counting(omap):
+        calls.append(omap.values.size)
+        return real(omap)
+
+    monkeypatch.setattr(benchmark, "cell_table", counting)
     return calls
 
 

@@ -3,7 +3,9 @@
 ``bench/workloads.py`` is loaded by file path and only called, so the
 bit-for-bit agreement with ``bench/reference/`` that refactors of the
 trainer and the evaluation protocol rely on is checked here too, not only
-in benchmark runs.
+in benchmark runs.  The street of the kitti workload, at a seed other than
+the default, also checks the voxel stages that decide from bounds against
+their all-at-once oracles on realistic data.
 """
 
 from __future__ import annotations
@@ -12,7 +14,12 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from occrebench import benchmark, field
+
+from test_center_blocks import ground_truth_all_at_once, voxelize_all_at_once
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -37,3 +44,18 @@ def test_default_seed_matches_reference(workloads, name, tmp_path):
     state = wl.setup(workloads.DEFAULT_SEED, str(tmp_path))
     state.expected = workloads.reference(name)
     assert wl.check(state, wl.op(state)) == []
+
+
+def test_street_voxels_match_the_all_at_once_oracles(workloads, tmp_path, cell_table_builds):
+    """The seed-1 street: the prediction through the opacity cell table and
+    the ground truth through primitive culling, bit for bit."""
+    st = workloads.kitti_setup(1, str(tmp_path))
+    spec, view = st.spec, st.spec.views[0]
+    omap = benchmark.build_opacity_map(st.field, view, st.sampling)
+    pred = benchmark.voxelize_occupancy(omap, spec.grid, st.t_vc).values
+    assert cell_table_builds == [omap.values.size]
+    assert np.array_equal(pred, voxelize_all_at_once(omap, spec.grid, st.t_vc))
+    gt = field.ground_truth_occupancy(spec.scene, spec.grid, spec.grid_to_world).values
+    assert np.array_equal(gt, ground_truth_all_at_once(spec.scene, spec.grid,
+                                                       spec.grid_to_world))
+    assert pred.any() and gt.any() and not gt.all()
