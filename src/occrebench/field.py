@@ -466,3 +466,12 @@ class Located:
     inside: np.ndarray
     base: np.ndarray
     frac: np.ndarray
+
+    @staticmethod
+    def concatenate(parts) -> "Located":
+        """One record of located parts, each of consecutive whole rays
+        (leading axis), in order: what :meth:`VoxelDensityField.locate`
+        gives on the parts' points concatenated along that axis."""
+        return Located(np.concatenate([p.inside for p in parts]),
+                       np.concatenate([p.base for p in parts]),
+                       np.concatenate([p.frac for p in parts], axis=1))

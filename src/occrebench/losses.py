@@ -29,10 +29,11 @@ weights alpha_i T_i, exp(-sigma delta), M_i, exp(-|dsigma_i|) and
 sign(dsigma_i) - is computed once per ray by ``ray_terms``.
 ``view_loss`` does only the per-view work: compositing, the pairs' colour
 steps and the suffix recursion, which runs on (N, 3, rays) arrays so each
-step touches one contiguous slice.  Memory beyond the caller's
-per-sample arrays is O(block).  Every per-ray sum is taken in the order a
-whole-batch, ray-major pass takes it, so results do not depend on the
-block size.
+step touches one contiguous slice.  Both take the block's arrays
+only, so their memory is O(block); the trainer keeps nothing per sample
+across blocks but dL/dsigma and the located points.  Every per-ray sum
+is taken in the order a whole-batch, ray-major pass takes it, so results
+do not depend on the block size.
 
 ``total_loss`` is ``ray_terms`` and ``view_loss`` on one whole ray-major
 batch; its ``LossTerms`` hold the weighted batch loss, the batch means of
@@ -226,10 +227,13 @@ def view_loss(rays: RayTerms, colors: np.ndarray, hit: np.ndarray,
     differences of the pairs.  Its memory is O(the block).
     """
     planes = np.moveaxis(colors, -1, 0)
-    # Accumulated in sample order, as the whole-batch (rays, N, 3) sum is;
-    # np.sum over (N, 1) would switch to pairwise order for a one-ray block.
-    c_hat = np.stack([np.add.accumulate(rays.weights * plane, axis=0)[-1]
-                      for plane in planes], axis=-1)
+    # One reduce down the sample axis of a C-contiguous (N, 3, ...) product
+    # adds whole sample rows in sample order, as the whole-batch (rays, N,
+    # 3) sum does; a reduce over (N, rays) would sum a one-ray block
+    # pairwise.
+    weighted = np.empty(colors.shape[:1] + colors.shape[-1:] + colors.shape[1:-1])
+    np.multiply(rays.weights[:, None], np.moveaxis(colors, -1, 1), out=weighted)
+    c_hat = np.moveaxis(np.add.reduce(weighted, axis=0), 0, -1)
     recon = reconstruction_loss(c_hat, c_gt)
     polar, polar_wrt_sigma = _polarization(rays.pair_weight, rays.decay, rays.pull_sign,
                                            _abs_steps(planes), hit[:-1] & hit[1:])

@@ -73,7 +73,8 @@ def sample_points_batch(origins: np.ndarray, dirs: np.ndarray,
 
     Train mode needs ``rng``, a ``numpy.random.Generator``; its jitter is
     drawn in one call over the fixed ray order, so a given (generator
-    state, batch) pair is exactly reproducible.
+    state, batch) pair is exactly reproducible, and calls over consecutive
+    blocks of the rays draw what one call over all of them draws.
     """
     origins = np.asarray(origins, dtype=np.float64)
     dirs = np.asarray(dirs, dtype=np.float64)

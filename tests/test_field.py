@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from occrebench.field import (AnalyticScene, Box, HalfSpace, Sphere, VoxelDensityField,
+from occrebench.field import (AnalyticScene, Box, HalfSpace, Located, Sphere, VoxelDensityField,
                               ground_truth_occupancy, inverse_softplus,
                               render_reference_image, sigmoid, softplus)
 from occrebench.geometry import CameraIntrinsics, CameraView, FrustumSpec, Pose, \
@@ -333,6 +333,20 @@ class TestVoxelDensityField:
             for node, val in zip(idx, vals):
                 expected[tuple(node)] += c * val
         assert np.allclose(dense, expected, atol=1e-12)
+
+    def test_block_located_pieces_concatenate_to_the_whole(self):
+        """Located ray blocks, one with no point inside the hull,
+        concatenate to the whole batch's record."""
+        f = self.make_field()
+        rng = np.random.default_rng(9)
+        pts = rng.uniform(-0.5, 2.0, (12, 5, 3))
+        pts[3:6] += 10.0                       # the second block: outside the hull
+        whole = f.locate(pts)
+        pieces = [f.locate(pts[s:s + 3]) for s in range(0, 12, 3)]
+        assert not pieces[1].inside.any() and whole.inside.any()
+        joined = Located.concatenate(pieces)
+        for name in ("inside", "base", "frac"):
+            assert np.array_equal(getattr(joined, name), getattr(whole, name))
 
     def test_inverse_softplus_rejects_nonpositive(self):
         with pytest.raises(ValueError):

@@ -2,8 +2,8 @@
 standard occluder: a (config, seed) pair reproduces the parameters bit for
 bit, the lambda_p on/off arms see identical random draws, the loss traces
 are measured directly, the blocked loss pass gives what the whole-batch
-pass gave bit for bit, and its memory does not grow with per-view
-temporaries."""
+pass gave bit for bit, and only dL/dsigma and the located points span
+the batch."""
 
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from occrebench import optim
-from occrebench.field import render_reference_image
+from occrebench.field import VoxelDensityField, render_reference_image
 from occrebench.fixtures import standard_occluder
 from occrebench.losses import total_loss
 from occrebench.rendering import (MODE_TRAIN, SamplingConfig, SourceViewSampler, opacity,
@@ -57,8 +57,13 @@ def test_config_and_seed_reproduce_theta_bit_for_bit(occluder):
         assert np.array_equal(getattr(a, trace), getattr(b, trace))
 
 
-def test_lambda_p_arms_see_identical_draws(occluder, monkeypatch):
+@pytest.mark.parametrize("block", [None, 7], ids=["one-block", "blocks-of-7"])
+def test_lambda_p_arms_see_identical_draws(occluder, monkeypatch, block):
     fix, cfg = occluder
+    n_rays = cfg.patch_count * cfg.patch_size ** 2
+    if block is not None:
+        monkeypatch.setattr(optim, "RAY_BLOCK", block)
+    blocks = -(-n_rays // optim.RAY_BLOCK)
     draws = {}
     for lam in (cfg.lambda_p, 0.0):
         with monkeypatch.context() as m:
@@ -69,6 +74,7 @@ def test_lambda_p_arms_see_identical_draws(occluder, monkeypatch):
                       [out for _, _, out in points])
     (patches_on, points_on), (patches_off, points_off) = draws.values()
     assert len(patches_on) == len(patches_off) == cfg.iterations
+    assert len(points_on) == len(points_off) == cfg.iterations * blocks
     for on, off in zip(patches_on + points_on, patches_off + points_off):
         assert all(np.array_equal(x, y) for x, y in zip(on, off))
 
@@ -197,27 +203,45 @@ def test_blocked_training_matches_whole_batch_oracle(occluder, monkeypatch, bloc
         assert np.array_equal(got, expected)
 
 
-def test_training_memory_grows_only_by_the_per_sample_arrays():
-    """From 2 to 4 blocks of rays, train's tracemalloc peak may grow by the
-    per-sample arrays it holds: points (24 B a sample), sigma, alpha, delta
-    and dL/dsigma (8 B each) and the located points (a 1 B inside flag;
-    8 B of base index and 24 B of offsets if inside).  One per-view
-    (R, N, 3) float64 temporary more would add 24 B a sample; the
-    whole-batch pass grew by about 311 B a sample."""
+def test_training_memory_grows_only_by_the_per_sample_arrays(monkeypatch):
+    """From 2 to 4 blocks of rays, what ``train`` holds at the scatter may
+    grow only by the arrays that span the batch: dL/dsigma (8 B a sample),
+    the located points (a 1 B inside flag; 8 B of base index and 24 B of
+    offsets if inside) and a few per-ray arrays (rays, target colours and
+    per-view losses, under 256 B a ray).  Whole-batch points would add
+    24 B a sample.  The peak may grow beyond that only by the scatter's
+    temporaries, seven 8 B arrays per inside point (coefficients, two
+    weight factors, and two corners' index and weight while the loop makes
+    the next corner).  The first ``train`` call in a process peaks higher,
+    so one runs untraced first."""
     fix = standard_occluder()
-    cfg = replace(fix.train_config, iterations=2, patch_size=8, num_samples=48)
+    cfg = replace(fix.train_config, iterations=1, patch_size=8, num_samples=48)
     per_patch = cfg.patch_size ** 2
+    scatter = VoxelDensityField.param_grad_from
+    held = []
 
-    def peak(n_rays):
+    def recorded(self, loc, dloss_dsigma):
+        held.append((tracemalloc.get_traced_memory()[0], np.count_nonzero(loc.inside)))
+        return scatter(self, loc, dloss_dsigma)
+
+    def measure(n_rays):
+        held.clear()
         tracemalloc.start()
         try:
             train(fix, replace(cfg, patch_count=n_rays // per_patch))
-            return tracemalloc.get_traced_memory()[1]
+            peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        (memory, inside), = held
+        return peak, memory, inside
 
     block = optim.RAY_BLOCK
     assert block % per_patch == 0
-    growth = peak(4 * block) - peak(2 * block)
-    held_per_sample = 24 + 4 * 8 + (1 + 8 + 24)
-    assert growth < 2 * block * cfg.num_samples * held_per_sample
+    train(fix, replace(cfg, patch_count=block // per_patch))
+    monkeypatch.setattr(VoxelDensityField, "param_grad_from", recorded)
+    (peak4, held4, inside4), (peak2, held2, inside2) = measure(4 * block), measure(2 * block)
+    added_inside = inside4 - inside2
+    held_bound = (2 * block * (cfg.num_samples * (8 + 1) + 256)
+                  + added_inside * (8 + 24))
+    assert held4 - held2 < held_bound
+    assert peak4 - peak2 < held_bound + added_inside * 7 * 8

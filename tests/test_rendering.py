@@ -85,6 +85,24 @@ class TestSampling:
             axis_samples(self.cfg(n=8, mode="train"))
 
 
+@pytest.mark.parametrize("block", [1, 7, 20], ids=["one-ray", "short-last-block", "one-block"])
+def test_block_draws_equal_the_whole_batch_draw(simple_intrinsics, block):
+    """Train-mode sampling over consecutive ray blocks from one generator
+    gives what one whole-batch call gives from a twin generator, bit for
+    bit: the trainer samples block by block on this."""
+    cfg = SamplingConfig(16, 3.0, 20.0, mode="train")
+    rng = np.random.default_rng(11)
+    n_rays = 20
+    dirs = pixel_directions(simple_intrinsics, rng.uniform(0, 50, (n_rays, 2)))
+    origins = rng.normal(size=(n_rays, 3))
+    whole = sample_points_batch(origins, dirs, cfg, np.random.default_rng(4))
+    blocked_rng = np.random.default_rng(4)
+    parts = [sample_points_batch(origins[s:s + block], dirs[s:s + block], cfg, blocked_rng)
+             for s in range(0, n_rays, block)]
+    for got, expected in zip(zip(*parts), whole):
+        assert np.array_equal(np.concatenate(got), expected)
+
+
 class TestOpacity:
     def test_zero_density_zero_opacity(self):
         assert opacity(0.0, 1.0) == 0.0
