@@ -318,9 +318,11 @@ def trilinear_corners(base: np.ndarray, frac, strides):
     is frac or 1 - frac.  wx * wy is taken once per (dx, dy) and each
     corner's index is one addition to ``base``.  A 1 - frac factor is
     made only while its half of the corners needs it, and no (..., 8)
-    array is built, so a caller holds one corner's arrays at a time and
-    at most two per-query weight arrays besides.  Each yielded array is
-    new, so the caller may work in it in place.
+    array is built.  Each yielded array is new, so the caller may work in
+    it in place; a caller that drops both before it asks for the next
+    corner holds one corner's arrays at a time and, here, at most two
+    per-query weight arrays (wx and wx * wy) besides: four 8 B arrays a
+    query.
     """
     sx, sy, sz = strides
     fx, fy, fz = frac
@@ -329,7 +331,14 @@ def trilinear_corners(base: np.ndarray, frac, strides):
         for dy in (0, 1):
             wxy = wx * (fy if dy else 1 - fy)
             for dz in (0, 1):
-                yield base + (dx * sx + dy * sy + dz * sz), wxy * (fz if dz else 1 - fz)
+                if dz:
+                    w = wxy * fz
+                else:               # (1 - fz) * wxy with no temporary: the same product
+                    w = np.subtract(1, fz)
+                    w *= wxy
+                yield base + (dx * sx + dy * sy + dz * sz), w
+                del w               # the caller's drop frees this corner
+            del wxy                 # before the next (dx, dy)'s is made
 
 
 # ---------------------------------------------------------------------------
@@ -420,12 +429,16 @@ class VoxelDensityField:
     def density_from(self, loc: "Located", nodes: np.ndarray) -> np.ndarray:
         """Density at located points, in their shape; zero outside the hull.
 
-        ``nodes`` is :meth:`node_density` of the current ``theta``.
+        ``nodes`` is :meth:`node_density` of the current ``theta``.  At its
+        peak this holds six 8 B arrays per inside point: the sum, one
+        corner's gathered node values and the four arrays
+        :func:`trilinear_corners` names.  The output is made after them.
         """
         inner = np.zeros(len(loc.base))
         for flat, w in trilinear_corners(loc.base, loc.frac, self.node_strides):
             w *= nodes[flat]
             inner += w
+            del flat, w             # before the generator makes the next corner
         out = np.zeros(loc.inside.shape)
         out[loc.inside] = inner
         return out
@@ -433,20 +446,44 @@ class VoxelDensityField:
     def accumulate_param_grad(self, pts: np.ndarray, dloss_dsigma: np.ndarray) -> np.ndarray:
         """Scatter dL/dsigma at many points into a dL/dtheta array."""
         pts = np.asarray(pts, dtype=np.float64).reshape(-1, 3)
-        return self.param_grad_from(self.locate(pts), dloss_dsigma)
+        return self.param_grad_from([(self.locate(pts), dloss_dsigma)])
 
-    def param_grad_from(self, loc: "Located", dloss_dsigma: np.ndarray) -> np.ndarray:
+    def param_grad_from(self, parts) -> np.ndarray:
         """Scatter dL/dsigma at located points into a dL/dtheta array.
 
-        Points outside the hull contribute nothing.  Bincount-based, in the
-        points' C order, so the reduction order is fixed and runs are
-        reproducible.
+        ``parts`` is an iterable of (:class:`Located`, dL/dsigma in the
+        located points' shape), in batch order; points outside the hull
+        contribute nothing.  Each corner k of :func:`trilinear_corners` has
+        a row of per-node sums that ``np.add.at`` fills in point order,
+        continuing from the row's running value, so the rows are the eight
+        whole-batch bincounts bit for bit, however the batch is split; they
+        are then added into zeros in corner order.  The reduction order is
+        fixed, so runs are reproducible.
+
+        Memory: the rows, 8 per node (64 B a node), span the batch; per
+        point, only the current part's.  A part is dropped before the next
+        is drawn, so a generator of parts holds one at a time.  Beyond the
+        parts, the scatter holds the part's coefficients and the four
+        arrays :func:`trilinear_corners` names: five 8 B arrays per inside
+        point of the part.
         """
-        coeff = np.asarray(dloss_dsigma, dtype=np.float64).reshape(loc.inside.shape)[loc.inside]
-        grad_flat = np.zeros(self.theta.size)
-        for flat, w in trilinear_corners(loc.base, loc.frac, self.node_strides):
-            w *= coeff
-            grad_flat += np.bincount(flat, weights=w, minlength=self.theta.size)
+        size, strides = self.theta.size, self.node_strides
+        sums = np.zeros((8, size))
+        for loc, dloss_dsigma in parts:
+            coeff = np.asarray(dloss_dsigma, dtype=np.float64).reshape(loc.inside.shape)
+            coeff = coeff[loc.inside]
+            # next() rather than enumerate or zip, whose cached result
+            # tuple would keep the previous corner alive
+            corners = trilinear_corners(loc.base, loc.frac, strides)
+            for row in sums:
+                flat, w = next(corners)
+                w *= coeff
+                np.add.at(row, flat, w)
+                del flat, w         # before the generator makes the next corner
+            del loc, dloss_dsigma, coeff, corners   # before the next part is drawn
+        grad_flat = np.zeros(size)
+        for row in sums:
+            grad_flat += row
         return (grad_flat * sigmoid(self.theta).reshape(-1)).reshape(self.shape)
 
 
@@ -466,12 +503,3 @@ class Located:
     inside: np.ndarray
     base: np.ndarray
     frac: np.ndarray
-
-    @staticmethod
-    def concatenate(parts) -> "Located":
-        """One record of located parts, each of consecutive whole rays
-        (leading axis), in order: what :meth:`VoxelDensityField.locate`
-        gives on the parts' points concatenated along that axis."""
-        return Located(np.concatenate([p.inside for p in parts]),
-                       np.concatenate([p.base for p in parts]),
-                       np.concatenate([p.frac for p in parts], axis=1))

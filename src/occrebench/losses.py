@@ -30,8 +30,9 @@ sign(dsigma_i) - is computed once per ray by ``ray_terms``.
 ``view_loss`` does only the per-view work: compositing, the pairs' colour
 steps and the suffix recursion, which runs on (N, 3, rays) arrays so each
 step touches one contiguous slice.  Both take the block's arrays
-only, so their memory is O(block); the trainer keeps nothing per sample
-across blocks but dL/dsigma and the located points.  Every per-ray sum
+only, so their memory is O(block); the trainer scatters each block's
+dL/dsigma before it makes the next, so nothing per sample spans the
+batch.  Every per-ray sum
 is taken in the order a whole-batch, ray-major pass takes it, so results
 do not depend on the block size.
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .benchmark import (build_opacity_map, compute_metrics, frustum_mask,
                         view_overlap_ratio, visibility_mask, voxelize_occupancy)
-from .field import (AnalyticScene, Located, VoxelDensityField, ground_truth_occupancy,
+from .field import (AnalyticScene, VoxelDensityField, ground_truth_occupancy,
                     render_reference_image)
 from .geometry import Pose, pixel_directions
 from .grids import VoxelGrid
@@ -27,10 +27,10 @@ from .rendering import (MODE_EVAL, MODE_TRAIN, SamplingConfig, SourceViewSampler
                         opacity, sample_patch_rays, sample_points_batch)
 from .rendering import composite  # noqa: F401 - not called here; bench/tracing.py wraps it
 
-# Rays per block of the pass in ``train``: every array but dL/dsigma and
-# the located points is O(RAY_BLOCK * num_samples), whatever the batch
-# size.  Of 256 to 2048, 512 and 1024 ran the 4096-ray occluder batch
-# fastest; the smaller holds less.
+# Rays per block of the pass in ``train``: every per-sample array, dL/dsigma
+# and the located points included, is O(RAY_BLOCK * num_samples), whatever
+# the batch size.  Of 256 to 2048, 512 and 1024 ran the 4096-ray occluder
+# batch fastest; the smaller holds less.
 RAY_BLOCK = 512
 
 # Voxels per axis of the coarse frustum grid the view-overlap gate samples.
@@ -161,13 +161,15 @@ def train(field: VoxelDensityField, scene: AnalyticScene, views,
     draws are the whole-batch draw), their lattice location (shared by the
     density gather and the gradient scatter), sigma, alpha and the
     view-independent loss factors (:func:`ray_terms`).  Once per source
-    view per block: the colour lookup and :func:`view_loss`.  Per-ray L_r
-    and L_p, the full dL/dsigma and the located points are kept, and the
-    batch means and the one scatter are taken at the end in the order a
-    whole-batch pass takes them, so results do not depend on the block
-    size.  Only dL/dsigma (8 B a sample) and the located points (1 B a
-    sample, 32 B more inside the lattice) span the batch; every other
-    array is O(block), and none of an iteration's arrays outlive it.
+    view per block: the colour lookup and :func:`view_loss`.  The gradient
+    scatter (:meth:`VoxelDensityField.param_grad_from`) draws the blocks
+    one at a time and adds each block's located points and dL/dsigma into
+    its per-corner sums before the next block is made.  Per-ray L_r and
+    L_p are kept, and the batch means and the scatter's sums are taken in
+    the order a whole-batch pass takes them, so results do not depend on
+    the block size.  Nothing per sample spans the batch: every per-sample
+    array is O(block), the scatter's sums are 64 B a node, and none of an
+    iteration's arrays outlive it.
     """
     check_view_overlap(views)
     images = [render_reference_image(scene, v) for v in views]
@@ -198,8 +200,8 @@ def train(field: VoxelDensityField, scene: AnalyticScene, views,
 def _batch_gradient(field, target, image, sources, rng, cfg, scfg, loss_cfg):
     """dL/dtheta for one iteration's ray batch on ``target``, and the
     source-view means of its loss total, L_r and L_p; see :func:`train`.
-    Each block's arrays go when :func:`_block_gradient` returns, so the
-    scatter holds only dL/dsigma, the located points and per-ray arrays."""
+    The blocks are made one at a time as the scatter draws them, and each
+    goes once it is scattered, so nothing per sample spans the batch."""
     batch = sample_patch_rays(target, rng, cfg.patch_count, cfg.patch_size)
     pix = batch.pixels.astype(np.int64)
     c_gt = image[pix[:, 1], pix[:, 0]]
@@ -209,30 +211,30 @@ def _batch_gradient(field, target, image, sources, rng, cfg, scfg, loss_cfg):
     n_rays, n_src = len(dirs), len(sources)
     recon = np.zeros((n_src, n_rays))
     polar = np.zeros((n_src, n_rays))
-    grad_sigma = np.zeros((n_rays, scfg.num_samples))
     blocks = [slice(start, start + RAY_BLOCK) for start in range(0, n_rays, RAY_BLOCK)]
-    located = Located.concatenate([
+    grad_theta = field.param_grad_from(
         _block_gradient(field, nodes, sources, origins[b], dirs[b], c_gt[b], rng, scfg,
-                        loss_cfg, n_rays, recon[:, b], polar[:, b], grad_sigma[b])
-        for b in blocks])
-    grad_sigma /= n_src
+                        loss_cfg, n_rays, recon[:, b], polar[:, b])
+        for b in blocks)
     means = [sum(float(np.mean(row)) for row in per_ray) / n_src
              for per_ray in (loss_cfg.combine(recon, polar), recon, polar)]
-    return field.param_grad_from(located, grad_sigma), means
+    return grad_theta, means
 
 
 def _block_gradient(field, nodes, sources, origins, dirs, c_gt, rng, scfg, loss_cfg,
-                    n_rays, recon, polar, grad_sigma):
+                    n_rays, recon, polar):
     """One block of :func:`_batch_gradient`'s rays: samples, locates and
     scores them against every source view, writing the block's rows of the
-    per-view L_r and L_p and adding its dL/dsigma; returns the located
-    points.  Every other array here is the block's and goes on return."""
+    per-view L_r and L_p.  Returns the located points and their dL/dsigma
+    (the source-view mean), the scatter's part; every other array here is
+    the block's and goes on return."""
     pts, delta = sample_points_batch(origins, dirs, scfg, rng)[1:]
     located = field.locate(pts)
     sigma = field.density_from(located, nodes)
     rays = ray_terms(opacity(sigma, delta).T, sigma.T, delta.T)
     # time-major and flat: one (N * B, 3) pose transform per view
     pts = pts.transpose(1, 0, 2).reshape(-1, 3)
+    grad_sigma = np.zeros(sigma.shape)
     grad_t = grad_sigma.T
     for v, sampler in enumerate(sources):
         colors, hit = sampler.sample_colors(pts)
@@ -241,7 +243,8 @@ def _block_gradient(field, nodes, sources, origins, dirs, c_gt, rng, scfg, loss_
         recon[v] = terms.recon
         polar[v] = terms.polar
         grad_t += loss_cfg.combine(terms.recon_wrt_sigma, terms.polar_wrt_sigma) / n_rays
-    return located
+    grad_sigma /= len(sources)
+    return located, grad_sigma
 
 
 # ---------------------------------------------------------------------------

@@ -148,24 +148,44 @@ def bilinear_sample(image: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarr
     gathered by flat pixel index from its own contiguous (h * w) plane; the
     right and lower taps are the same index into the plane shifted by 1
     and by w, and the four tap weights are computed once for all channels.
+    Beyond its inputs and output this holds at most six 8 B arrays a
+    point: the tap index, the four weights and one gather buffer.
     """
     h, w = image.shape[:2]
+    shape = np.shape(u)
     planes = np.moveaxis(image, -1, 0).reshape(image.shape[-1], h * w)
-    u = np.clip(np.asarray(u, dtype=np.float64), 0, w - 1)
-    v = np.clip(np.asarray(v, dtype=np.float64), 0, h - 1)
-    u0 = np.clip(np.floor(u).astype(np.int64), 0, w - 2)
-    v0 = np.clip(np.floor(v).astype(np.int64), 0, h - 2)
-    fu, fv = u - u0, v - v0
-    gu, gv = 1 - fu, 1 - fv
-    weights = (gu * gv, fu * gv, gu * fv, fu * fv)
-    tap = v0 * w + u0
-    out = np.empty((len(planes),) + u.shape)
-    for c, plane in enumerate(planes):
-        col = out[c, ...]
-        np.multiply(weights[0], plane.take(tap), out=col)
+    u = np.array(u, dtype=np.float64).reshape(-1)
+    v = np.array(v, dtype=np.float64).reshape(-1)
+    np.clip(u, 0, w - 1, out=u)
+    np.clip(v, 0, h - 1, out=v)
+    # u, v >= 0 (or NaN) after the clip, so truncation is the floor
+    u0 = u.astype(np.int64)
+    np.clip(u0, 0, w - 2, out=u0)
+    tap = v.astype(np.int64)
+    np.clip(tap, 0, h - 2, out=tap)
+    fu = np.subtract(u, u0, out=u)     # the offsets within the cell
+    fv = np.subtract(v, tap, out=v)
+    tap *= w                           # the flat index of the upper-left tap
+    tap += u0
+    del u, v, u0
+    gv = 1 - fv
+    w10, w11 = fu * gv, fu * fv
+    gu = np.subtract(1, fu, out=fu)
+    weights = (np.multiply(gv, gu, out=gv), w10,      # products commute exactly
+               np.multiply(fv, gu, out=fv), w11)
+    del fu, fv, gu, gv, w10, w11
+    out = np.empty((len(planes), len(tap)))
+    tapped = np.empty(len(tap))
+    for col, plane in zip(out, planes):
+        # Every index is in range, so mode="clip" changes nothing; it only
+        # spares take(out=) the copy it makes under the default "raise".
+        plane.take(tap, out=col, mode="clip")
+        col *= weights[0]
         for weight, shift in zip(weights[1:], (1, w, w + 1)):
-            col += weight * plane[shift:].take(tap)
-    return np.moveaxis(out, 0, -1)
+            plane[shift:].take(tap, out=tapped, mode="clip")
+            tapped *= weight
+            col += tapped
+    return np.moveaxis(out, 0, -1).reshape(shape + (len(planes),))
 
 
 def sample_color_from_view(image: np.ndarray, intr: CameraIntrinsics,
@@ -181,9 +201,9 @@ def sample_color_from_view(image: np.ndarray, intr: CameraIntrinsics,
     trainer calls it once per source view per block of rays, on the
     block's points only.
     """
-    pts = cam_to_source.apply(points_cam)
-    u, v, z = project(intr, pts)
+    u, v, z = project(intr, cam_to_source.apply(points_cam))
     hit = in_image(intr, u, v, z)
+    del z                                 # and with it the transformed points
     with np.errstate(invalid="ignore"):   # NaN (u, v) at z == 0 cast to int64
         colors = bilinear_sample(image, u, v)
     np.copyto(colors, 0.0, where=~hit[..., None])

@@ -7,12 +7,15 @@ trust it.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from occrebench.field import (AnalyticScene, Box, HalfSpace, Located, Sphere, VoxelDensityField,
+from occrebench.field import (AnalyticScene, Box, HalfSpace, Sphere, VoxelDensityField,
                               ground_truth_occupancy, inverse_softplus,
-                              render_reference_image, sigmoid, softplus)
+                              render_reference_image, sigmoid, softplus,
+                              trilinear_corners)
 from occrebench.geometry import CameraIntrinsics, CameraView, FrustumSpec, Pose, \
     pixel_directions
 from occrebench.grids import VoxelGrid
@@ -46,6 +49,17 @@ def density_gradient_wrt_params(f: VoxelDensityField, point):
                 indices.append(node)
                 values.append(w * float(sigmoid(f.theta[node])))
     return np.asarray(indices, dtype=np.int64), np.asarray(values)
+
+
+def bincount_param_grad(f: VoxelDensityField, loc, dloss_dsigma) -> np.ndarray:
+    """The scatter as it was before it ran part by part, kept as the oracle:
+    one located batch, one ``np.bincount`` per corner, added in corner order."""
+    coeff = np.asarray(dloss_dsigma, dtype=np.float64).reshape(loc.inside.shape)[loc.inside]
+    grad_flat = np.zeros(f.theta.size)
+    for flat, w in trilinear_corners(loc.base, loc.frac, f.node_strides):
+        w *= coeff
+        grad_flat += np.bincount(flat, weights=w, minlength=f.theta.size)
+    return (grad_flat * sigmoid(f.theta).reshape(-1)).reshape(f.shape)
 
 
 class TestPrimitives:
@@ -334,19 +348,50 @@ class TestVoxelDensityField:
                 expected[tuple(node)] += c * val
         assert np.allclose(dense, expected, atol=1e-12)
 
-    def test_block_located_pieces_concatenate_to_the_whole(self):
-        """Located ray blocks, one with no point inside the hull,
-        concatenate to the whole batch's record."""
-        f = self.make_field()
-        rng = np.random.default_rng(9)
-        pts = rng.uniform(-0.5, 2.0, (12, 5, 3))
-        pts[3:6] += 10.0                       # the second block: outside the hull
+    @pytest.mark.parametrize("rays_per_part", [1, 7, 500])
+    def test_scatter_over_parts_equals_the_one_part_scatter(self, rays_per_part):
+        """``param_grad_from`` over ray parts, some with no point inside the
+        hull, is the one-part scatter and the whole-batch bincount bit for bit."""
+        rng = np.random.default_rng(10)
+        f = self.make_field(rng.normal(size=(4, 4, 4)))
+        pts = rng.uniform(-0.2, 1.7, (1200, 6, 3))
+        pts[500:1000] += 10.0                  # whole parts outside the hull
+        g = rng.normal(size=(1200, 6))
+        parts = [(f.locate(pts[s:s + rays_per_part]), g[s:s + rays_per_part])
+                 for s in range(0, len(pts), rays_per_part)]
+        assert any(not loc.inside.any() for loc, _ in parts)
+        blocked = f.param_grad_from(iter(parts))
         whole = f.locate(pts)
-        pieces = [f.locate(pts[s:s + 3]) for s in range(0, 12, 3)]
-        assert not pieces[1].inside.any() and whole.inside.any()
-        joined = Located.concatenate(pieces)
-        for name in ("inside", "base", "frac"):
-            assert np.array_equal(getattr(joined, name), getattr(whole, name))
+        assert np.array_equal(blocked, f.param_grad_from([(whole, g)]))
+        assert np.array_equal(blocked, bincount_param_grad(f, whole, g))
+        assert np.any(blocked != 0.0)
+
+    @pytest.mark.parametrize("stage", ["density_from", "param_grad_from"])
+    def test_lattice_kernels_hold_what_their_docstrings_name(self, stage):
+        """Beyond 16 KiB, ``density_from`` peaks at six 8 B arrays per
+        inside point (the sum, one corner's gathered node values and the
+        four arrays ``trilinear_corners`` names; its output is made after
+        them) and the scatter of one part at five (the coefficients and
+        those four).  Holding the previous corner while the next is made
+        costs one more at least."""
+        rng = np.random.default_rng(11)
+        f = self.make_field(rng.normal(size=(4, 4, 4)))
+        loc = f.locate(rng.uniform(0.0, 1.5, (50_000, 3)))
+        assert loc.inside.all()
+        g = rng.normal(size=len(loc.base))
+        nodes = f.node_density()
+        if stage == "density_from":
+            run, arrays = lambda: f.density_from(loc, nodes), 6
+        else:
+            run, arrays = lambda: f.param_grad_from([(loc, g)]), 5
+        run()
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= arrays * 8 * len(loc.base) + 16384
 
     def test_inverse_softplus_rejects_nonpositive(self):
         with pytest.raises(ValueError):

@@ -2,8 +2,7 @@
 standard occluder: a (config, seed) pair reproduces the parameters bit for
 bit, the lambda_p on/off arms see identical random draws, the loss traces
 are measured directly, the blocked loss pass gives what the whole-batch
-pass gave bit for bit, and only dL/dsigma and the located points span
-the batch."""
+pass gave bit for bit, and nothing per sample spans the batch."""
 
 from __future__ import annotations
 
@@ -203,51 +202,47 @@ def test_blocked_training_matches_whole_batch_oracle(occluder, monkeypatch, bloc
         assert np.array_equal(got, expected)
 
 
-def test_training_memory_grows_only_by_the_per_sample_arrays(monkeypatch):
-    """From 2 to 4 blocks of rays, what ``train`` holds at each iteration's
-    scatter may grow only by the arrays that span the batch: dL/dsigma
-    (8 B a sample), the located points (a 1 B inside flag; 8 B of base
-    index and 24 B of offsets if inside) and a few per-ray arrays (rays,
-    target colours and per-view losses, under 256 B a ray).  Whole-batch
-    points would add 24 B a sample, and an array kept from the previous
-    iteration shows at the second scatter.  The peak may grow beyond that
-    only by the scatter's temporaries, seven 8 B arrays per inside point
-    (coefficients, two weight factors, and two corners' index and weight
-    while the loop makes the next corner).  The first ``train`` call in a
-    process peaks higher, so one runs untraced first."""
+def test_training_memory_peak_grows_by_under_256_bytes_a_ray(monkeypatch):
+    """From 2 to 4 blocks of rays, the peak of ``train`` may grow only by
+    the per-ray arrays (rays, target colours and per-view losses, under
+    256 B a ray), with no per-sample term: the scatter draws the blocks
+    one at a time and drops each before the next is made.  Holding every
+    block's dL/dsigma (8 B a sample) or located points (9 B a sample, 32 B
+    more inside the lattice) until one whole-batch scatter exceeds the
+    bound, as does holding the previous block while the next is made.
+    The first ``train`` call in a process peaks higher, so one runs
+    untraced first."""
     fix = standard_occluder()
     cfg = replace(fix.train_config, iterations=2, patch_size=8, num_samples=48)
     per_patch = cfg.patch_size ** 2
     scatter = VoxelDensityField.param_grad_from
-    held = []
+    parts_drawn = []
 
-    def recorded(self, loc, dloss_dsigma):
-        held.append((tracemalloc.get_traced_memory()[0], np.count_nonzero(loc.inside)))
-        return scatter(self, loc, dloss_dsigma)
+    def recorded(self, parts):
+        parts_drawn.append(0)
 
-    def measure(n_rays):
-        held.clear()
+        def counted():
+            for part in parts:
+                parts_drawn[-1] += 1
+                yield part
+                del part            # before the next part is made
+        return scatter(self, counted())
+
+    def peak(n_rays):
+        parts_drawn.clear()
         tracemalloc.start()
         try:
             train(fix, replace(cfg, patch_count=n_rays // per_patch))
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(held) == cfg.iterations
-        return peak, list(held)
 
     block = optim.RAY_BLOCK
     assert block % per_patch == 0
     train(fix, replace(cfg, patch_count=block // per_patch))
     monkeypatch.setattr(VoxelDensityField, "param_grad_from", recorded)
-    (peak4, held4), (peak2, held2) = measure(4 * block), measure(2 * block)
-    max_added_inside = 0
-    for (memory4, inside4), (memory2, inside2) in zip(held4, held2):
-        added_inside = inside4 - inside2
-        max_added_inside = max(max_added_inside, added_inside)
-        held_bound = (2 * block * (cfg.num_samples * (8 + 1) + 256)
-                      + added_inside * (8 + 24))
-        assert memory4 - memory2 < held_bound
-    peak_bound = (2 * block * (cfg.num_samples * (8 + 1) + 256)
-                  + max_added_inside * (8 + 24 + 7 * 8))
-    assert peak4 - peak2 < peak_bound
+    peak4 = peak(4 * block)
+    assert parts_drawn == [4] * cfg.iterations
+    peak2 = peak(2 * block)
+    assert parts_drawn == [2] * cfg.iterations
+    assert peak4 - peak2 < 256 * 2 * block

@@ -283,6 +283,21 @@ class TestMagnitudeVariation:
             assert 0.0 < a < 1.0
 
 
+def four_product_bilinear(image, u, v):
+    """The bilinear lookup before it worked in place, kept as the oracle."""
+    h, w = image.shape[:2]
+    u = np.clip(np.asarray(u, dtype=np.float64), 0, w - 1)
+    v = np.clip(np.asarray(v, dtype=np.float64), 0, h - 1)
+    u0 = np.clip(np.floor(u).astype(np.int64), 0, w - 2)
+    v0 = np.clip(np.floor(v).astype(np.int64), 0, h - 2)
+    fu, fv = u - u0, v - v0
+    gu, gv = 1 - fu, 1 - fv
+    return (gu[..., None] * gv[..., None] * image[v0, u0]
+            + fu[..., None] * gv[..., None] * image[v0, u0 + 1]
+            + gu[..., None] * fv[..., None] * image[v0 + 1, u0]
+            + fu[..., None] * fv[..., None] * image[v0 + 1, u0 + 1])
+
+
 class TestColorSampling:
     def gradient_image(self, h=32, w=48):
         img = np.zeros((h, w, 3))
@@ -310,6 +325,22 @@ class TestColorSampling:
         got = bilinear_sample(img, 10.5, 20.5)
         expected = (img[20, 10] + img[20, 11] + img[21, 10] + img[21, 11]) / 4
         assert np.allclose(got, expected, atol=1e-15)
+
+    @pytest.mark.parametrize("shape", [(), (1,), (7, 5)], ids=["scalar", "one-point", "2-d"])
+    def test_bilinear_matches_the_four_product_formula(self, shape):
+        """Bit for bit the formula the in-place lookup replaced, with
+        coordinates off the image and NaN among them, in the input shape."""
+        rng = np.random.default_rng(13)
+        img = rng.uniform(0.0, 1.0, (9, 12, 3))
+        u = rng.uniform(-2.0, 14.0, shape)
+        v = rng.uniform(-2.0, 11.0, shape)
+        if u.size > 1:
+            u.flat[0], v.flat[1] = np.nan, np.inf
+        with np.errstate(invalid="ignore"):
+            got = bilinear_sample(img, u, v)
+            expected = four_product_bilinear(img, u, v)
+        assert got.shape == shape + (3,)
+        assert np.array_equal(got, expected, equal_nan=True)
 
     def test_out_of_bounds_projection_misses(self):
         intr = CameraIntrinsics(10.0, 10.0, 23.5, 15.5, 48, 32)
