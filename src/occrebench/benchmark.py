@@ -9,7 +9,12 @@ thresholding at 0.5.  On a grid with about as many voxels as the map has
 nodes, a one-byte-per-node table first marks the map cells whose eight
 corners all lie clear of 0.5 on one side; a voxel in such a cell takes that
 side without interpolation, and only voxels in the cells that straddle 0.5
-are sampled, with the same result bit for bit.  The conventional protocol -
+are sampled, with the same result bit for bit.  A voxel reads the map only
+at its cell's eight corners and every node's opacity is a function of its
+own sample, so :func:`voxelize_field`, which ``optim.evaluate_field`` uses,
+computes only the nodes of the cells its voxels fall in (about 6% of the
+map on the occluder's 4,620-voxel grid), leaves the rest at zero and
+voxelizes that map, again bit for bit.  The conventional protocol -
 thresholding raw density at voxel centers - is kept for comparison.
 
 Masks: the frustum mask keeps voxels whose centers project inside the image
@@ -30,13 +35,15 @@ hence the visibility mask's clip) take one block of whole x-slices at a
 time (``grids.BLOCK_VOXELS`` voxels at most), so beyond the boolean grid
 they write their memory is O(block), not O(voxels); the opacity
 voxelization adds its cell table, one byte per map node, built one depth
-bin at a time.
+bin at a time, and :func:`voxelize_field` marks the nodes it will read in
+one byte per node before it allocates the map.
 
-Both stages that look density up (the map build, one call per depth bin,
-and the conventional voxelization, one per center block) take softplus of
-a ``VoxelDensityField``'s parameters once per call and reuse it for every
-batch (``node_density``/``density_from``); any other density source is
-asked through ``density_at``.
+Both stages that look density up (the map build, one call per depth bin
+or per image's worth of read nodes, and the conventional voxelization, one
+per center block) take softplus of a ``VoxelDensityField``'s parameters
+once per call and reuse it for every batch (``node_density``/
+``density_from``); any other density source is asked through
+``density_at``.
 """
 
 from __future__ import annotations
@@ -107,8 +114,40 @@ class OpacityMap:
     @property
     def node_strides(self) -> tuple:
         """Element strides of the depth-major buffer along (u, v, i)."""
-        w, h, _ = self.values.shape
-        return (h, 1, w * h)
+        return _node_strides(self.values.shape)
+
+
+def _node_strides(counts) -> tuple:
+    """Element strides along (u, v, i) of a depth-major map of (w, h, n)
+    ``counts`` nodes."""
+    w, h, _ = counts
+    return (h, 1, w * h)
+
+
+def _eval_rays(view: CameraView, cfg: SamplingConfig):
+    """The map's rays, one eval-mode ray per pixel in map pixel order: their
+    direction columns (3, pixels), sample distances and interval lengths."""
+    if cfg.mode != MODE_EVAL:
+        raise ValueError("opacity maps must be built with eval-mode sampling")
+    _, dirs = view.world_rays(all_pixel_coords(view.intrinsics).reshape(-1, 2))
+    t = sample_distances(cfg)
+    return np.ascontiguousarray(dirs.T), t, interval_lengths(t, cfg.far)
+
+
+def _opacity_at(density, origin, dir_cols, t, delta) -> np.ndarray:
+    """Opacity of the samples at distance ``t`` along the rays from
+    ``origin`` with direction columns ``dir_cols`` (3, m), over intervals
+    ``delta``; ``t`` and ``delta`` are scalars or (m,).
+
+    Every output is a function of its own sample alone.  The points are
+    formed one column at a time, ``t * d[a] + o[a]``, the same bits as
+    ``origins + t * dirs``.
+    """
+    pts = np.empty((3, len(dir_cols[0])))
+    for a in range(3):
+        np.multiply(t, dir_cols[a], out=pts[a])
+        pts[a] += origin[a]
+    return opacity(density(pts.T), delta)
 
 
 def build_opacity_map(density_field, view: CameraView,
@@ -116,31 +155,28 @@ def build_opacity_map(density_field, view: CameraView,
     """One eval-mode ray per pixel; N opacities per ray, filled one depth
     bin at a time into the depth-major map (memory beyond the map is
     O(pixels), independent of N)."""
-    if cfg.mode != MODE_EVAL:
-        raise ValueError("opacity maps must be built with eval-mode sampling")
-    intr = view.intrinsics
-    pixels = all_pixel_coords(intr).reshape(-1, 2)
-    origins, dirs = view.world_rays(pixels)
-    t = sample_distances(cfg)
-    delta = interval_lengths(t, cfg.far)
+    dir_cols, t, delta = _eval_rays(view, cfg)
     density = _density_lookup(density_field)
-    alpha = np.empty((cfg.num_samples, len(pixels)))
+    alpha = np.empty((cfg.num_samples, dir_cols.shape[1]))
     for i in range(cfg.num_samples):
-        alpha[i] = opacity(density(origins + t[i] * dirs), delta[i])
+        alpha[i] = _opacity_at(density, view.position, dir_cols, t[i], delta[i])
+    intr = view.intrinsics
     values = alpha.reshape(cfg.num_samples, intr.width, intr.height).transpose(1, 2, 0)
     return OpacityMap(values, intr, FrustumSpec(cfg.near, cfg.far))
 
 
-def _map_cells(omap: OpacityMap, pts: np.ndarray):
-    """The opacity-map cell of each cube point (..., 3): the flat node index
-    of its lower corner, and its offset (3, ...) within the cell.
+def _map_cells(counts, pts: np.ndarray):
+    """The cell of each cube point (..., 3) in an opacity map of (w, h, n)
+    ``counts`` nodes: the flat node index of its lower corner, and its
+    offset (3, ...) within the cell.
 
     Coordinates are scaled to node indices (u*(w-1), v*(h-1), z*N) and
     clamped to the node range, which implements border padding; a point
     clamped to the last node of an axis sits at offset 1 in the last cell.
     """
-    w, h, n = counts = omap.values.shape
+    w, h, n = counts
     scale = (w - 1.0, h - 1.0, float(n))
+    strides = _node_strides(counts)
     base = np.zeros(pts.shape[:-1], dtype=np.int64)
     frac = np.empty((3,) + pts.shape[:-1])
     for a in range(3):
@@ -149,7 +185,7 @@ def _map_cells(omap: OpacityMap, pts: np.ndarray):
         # until the subtraction is done, which then needs no conversion
         lo = np.minimum(np.floor(idx), counts[a] - 2.0)
         np.subtract(idx, lo, out=frac[a, ...])
-        base += lo.astype(np.int64) * omap.node_strides[a]
+        base += lo.astype(np.int64) * strides[a]
     return base, frac
 
 
@@ -160,13 +196,15 @@ def _interpolate(omap: OpacityMap, base, frac) -> np.ndarray:
     for flat, wgt in trilinear_corners(base, frac, omap.node_strides):
         wgt *= values[flat]
         out += wgt
+        del flat, wgt               # before the generator makes the next corner
     return out
 
 
 def grid_sample_opacity(omap: OpacityMap, points_tcs: np.ndarray) -> np.ndarray:
     """Trilinear sample of the opacity map at cube coordinates (..., 3),
     with border padding."""
-    return _interpolate(omap, *_map_cells(omap, np.asarray(points_tcs, dtype=np.float64)))
+    pts = np.asarray(points_tcs, dtype=np.float64)
+    return _interpolate(omap, *_map_cells(omap.values.shape, pts))
 
 
 # Cell classes of :func:`cell_table`.
@@ -229,13 +267,22 @@ def cell_table(omap: OpacityMap) -> np.ndarray:
 # Voxelization protocols
 # ---------------------------------------------------------------------------
 
+def _front_tcs(centers_cam: np.ndarray, intr: CameraIntrinsics, fr: FrustumSpec):
+    """Cube coordinates of the centers (m, 3) in front of the camera, and
+    which centers those are (None if all are: such a block is passed on as
+    it is, with no row gather)."""
+    front = centers_cam[:, 2] > 0
+    if front.all():
+        return None, ccs_to_tcs(centers_cam, intr, fr)
+    return front, ccs_to_tcs(np.compress(front, centers_cam, axis=0), intr, fr)
+
+
 def voxelize_occupancy(omap: OpacityMap, grid: VoxelGrid, t_vc: Pose) -> VoxelGrid:
     """Opacity protocol: occupied iff the sampled opacity exceeds 0.5.
 
     Voxel centers are taken to the camera frame by ``t_vc``, then into the
     normalized cube; centers behind the camera are unoccupied (whether they
-    count at all is the frustum mask's business).  A block wholly in front
-    of the camera is passed on as it is, with no row gather.
+    count at all is the frustum mask's business).
 
     The result is that of :func:`grid_sample_opacity` thresholded at 0.5,
     bit for bit.  When the grid has at least one voxel per
@@ -243,7 +290,8 @@ def voxelize_occupancy(omap: OpacityMap, grid: VoxelGrid, t_vc: Pose) -> VoxelGr
     first: each voxel's cell is found as :func:`grid_sample_opacity` finds
     it, a voxel in a decided cell takes that cell's class, and only voxels
     in undecided cells are interpolated.  Smaller grids interpolate every
-    voxel.
+    voxel.  Either way a voxel reads the map only at its cell's eight
+    corners.
     """
     table = None
     if CELL_TABLE_NODES_PER_VOXEL * grid.num_voxels >= omap.values.size:
@@ -252,7 +300,7 @@ def voxelize_occupancy(omap: OpacityMap, grid: VoxelGrid, t_vc: Pose) -> VoxelGr
     def occupied_in_front(tcs):
         if table is None:
             return grid_sample_opacity(omap, tcs) > OCCUPANCY_THRESHOLD
-        base, frac = _map_cells(omap, tcs)
+        base, frac = _map_cells(omap.values.shape, tcs)
         cls = table[base]
         occ = cls == CELL_ABOVE
         todo = np.flatnonzero(cls == CELL_UNDECIDED)
@@ -260,16 +308,77 @@ def voxelize_occupancy(omap: OpacityMap, grid: VoxelGrid, t_vc: Pose) -> VoxelGr
         return occ
 
     def occupied(centers_cam):
-        front = centers_cam[:, 2] > 0
-        if front.all():
-            return occupied_in_front(ccs_to_tcs(centers_cam, omap.intrinsics, omap.frustum))
+        front, tcs = _front_tcs(centers_cam, omap.intrinsics, omap.frustum)
+        if front is None:
+            return occupied_in_front(tcs)
         occ = np.zeros(len(centers_cam), dtype=bool)
-        if front.any():
-            cam = np.compress(front, centers_cam, axis=0)
-            occ[front] = occupied_in_front(ccs_to_tcs(cam, omap.intrinsics, omap.frustum))
+        if len(tcs):
+            occ[front] = occupied_in_front(tcs)
         return occ
 
     return grid.map_centers(occupied, t_vc)
+
+
+def _read_nodes(grid: VoxelGrid, t_vc: Pose, intr: CameraIntrinsics, fr: FrustumSpec,
+                counts) -> np.ndarray:
+    """Flat indices, in increasing order, of the nodes of a depth-major map
+    of (w, h, n) ``counts`` nodes that :func:`voxelize_occupancy` reads:
+    the eight corners of each front voxel's cell, found as it finds them."""
+    w, h, n = counts
+    read = np.zeros((n, w, h), dtype=bool)
+    for _, centers_cam in grid.center_blocks(t_vc):
+        base, _ = _map_cells(counts, _front_tcs(centers_cam, intr, fr)[1])
+        read.reshape(-1)[base] = True
+    # Lower corners to whole cells.  _map_cells keeps each lower corner one
+    # node short of the last on every axis, so no corner leaves the map.
+    read[1:] |= read[:-1]
+    read[:, 1:] |= read[:, :-1]
+    read[:, :, 1:] |= read[:, :, :-1]
+    return np.flatnonzero(read)
+
+
+def _read_map(density_field, view: CameraView, cfg: SamplingConfig,
+              grid: VoxelGrid, t_vc: Pose) -> OpacityMap:
+    """:func:`build_opacity_map`'s map at the nodes that
+    :func:`voxelize_occupancy` reads over ``grid``, and zero elsewhere.
+
+    The read nodes are computed in batches of one image's worth, across
+    depth bins, through the same kernel.  The map is allocated only once
+    their opacities are, so the node list and those opacities are held
+    with it only while they are scattered into it.
+    """
+    dir_cols, t, delta = _eval_rays(view, cfg)
+    intr, fr = view.intrinsics, FrustumSpec(cfg.near, cfg.far)
+    counts = (intr.width, intr.height, cfg.num_samples)
+    nodes = _read_nodes(grid, t_vc, intr, fr, counts)
+    density = _density_lookup(density_field)
+    pixels = intr.width * intr.height
+    read = np.empty(len(nodes))
+    for k in range(0, len(nodes), pixels):
+        i, pix = divmod(nodes[k:k + pixels], pixels)
+        read[k:k + pixels] = _opacity_at(density, view.position, dir_cols[:, pix],
+                                         t[i], delta[i])
+    alpha = np.zeros((cfg.num_samples, pixels))
+    alpha.reshape(-1)[nodes] = read
+    del nodes, read
+    values = alpha.reshape(cfg.num_samples, intr.width, intr.height).transpose(1, 2, 0)
+    return OpacityMap(values, intr, fr)
+
+
+def voxelize_field(density_field, view: CameraView, cfg: SamplingConfig,
+                   grid: VoxelGrid, t_vc: Pose) -> VoxelGrid:
+    """``voxelize_occupancy(build_opacity_map(density_field, view, cfg), grid,
+    t_vc)``, bit for bit, computing only the map nodes the voxels read.
+
+    Every node's opacity depends on its own sample alone, and a voxel reads
+    only the eight corners of its cell, so only the nodes of the front
+    voxels' cells are computed and the rest of the map is left at zero.  A
+    cell table built over that map may classify cells from zeros, but no
+    voxel looks those cells up.  Unread nodes are never computed, so a NaN
+    or negative density there is never seen; at a read node it raises as
+    in :func:`build_opacity_map`.
+    """
+    return voxelize_occupancy(_read_map(density_field, view, cfg, grid, t_vc), grid, t_vc)
 
 
 def conventional_voxelize(density_field, grid: VoxelGrid, t_vc: Pose) -> VoxelGrid:

@@ -7,8 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from occrebench.benchmark import (MetricsReport, OpacityMap, build_opacity_map,
-                                  compute_metrics, conventional_voxelize,
+from occrebench.benchmark import (MetricsReport, OpacityMap, _interpolate, _map_cells,
+                                  build_opacity_map, compute_metrics, conventional_voxelize,
                                   frustum_mask, grid_sample_opacity,
                                   view_overlap_ratio, visibility_mask,
                                   voxelize_occupancy)
@@ -189,6 +189,18 @@ class TestGridSample:
             bumped[idx] = min(0.999, bumped[idx] + rng.uniform(0, 0.1))
             omap2 = self.make_map(bumped)
             assert np.all(grid_sample_opacity(omap2, pts) >= base - 1e-12)
+
+    def test_interpolation_holds_one_corner_at_a_time(self):
+        """Beyond the output, five 8 B arrays a point: one corner's index,
+        weight and gathered values, and the two weight factors of
+        ``trilinear_corners``.  Keeping the previous corner alive while the
+        next is made held six."""
+        rng = np.random.default_rng(2)
+        omap = self.make_map(rng.random((32, 24, 16)))
+        n = 100_000
+        base, frac = _map_cells(omap.values.shape, rng.uniform(-0.1, 1.1, (n, 3)))
+        peak = traced_peak(lambda: _interpolate(omap, base, frac))
+        assert peak - 8 * n <= 44 * n
 
 
 def camera_frame_grid(counts=(16, 16, 16), res=0.25, origin=(-2.0, -2.0, 4.0)):

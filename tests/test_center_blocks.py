@@ -270,7 +270,7 @@ def test_voxelize_through_the_cell_table(counts, tabled, seed, cell_table_builds
     tcs = ccs_to_tcs(cam[front], INTR, FRUSTUM)
     assert np.any(tcs[:, 2] * omap.num_samples >= omap.num_samples - 1)   # offset 1
     assert np.any(tcs[:, :2] < 0) and np.any(tcs[:, :2] > 1)             # clamped
-    cls = benchmark.cell_table(omap)[benchmark._map_cells(omap, tcs)[0]]
+    cls = benchmark.cell_table(omap)[benchmark._map_cells(omap.values.shape, tcs)[0]]
     occ = got.reshape(-1)[front]
     assert np.all(occ[cls == CELL_ABOVE]) and np.any(cls == CELL_ABOVE)
     assert not np.any(occ[cls == CELL_BELOW]) and np.any(cls == CELL_BELOW)
