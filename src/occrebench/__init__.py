@@ -8,7 +8,7 @@ Submodules:
 * ``rendering`` - point sampling, opacity/transmittance, compositing
 * ``benchmark`` - opacity-map voxelization, masks, occupancy metrics
 * ``losses``    - photometric + polarization losses and analytic gradients
-* ``optim``     - Adam trainer and the polarization ablation harness
+* ``optim``     - Adam trainer and the one-view evaluation pass
 * ``scenefile`` - text scene-spec parsing
 * ``gridio``    - binary voxel-grid file format
 * ``reporting`` - metrics JSON/CSV emission

@@ -10,8 +10,9 @@ Two families:
   of softplus(theta), so it is nonnegative with smooth parameter gradients.
 
 Any object with a ``density_at(points) -> sigma`` method is accepted as a
-density field by the rendering and benchmark modules.  A caller that looks
-up many batches of points against one ``theta`` (the opacity-map build, the
+density field by the benchmark module (``benchmark._density_lookup``) and
+by ``losses.occlusion_gradient_probe``.  A caller that looks up many
+batches of points against one ``theta`` (the opacity-map build, the
 conventional voxelization, a training step) takes
 ``VoxelDensityField.node_density()`` once and passes it to
 ``density_from(locate(points), nodes)`` per batch, so softplus runs once

@@ -1,4 +1,4 @@
-"""Canonical synthetic fixtures used by the test and ablation harnesses.
+"""Canonical synthetic fixtures used by the tests and the benchmark.
 
 These are deliberately simple room-scale scenes with exact ground truth.
 ``standard_occluder()`` is the reference setup for occlusion studies: a

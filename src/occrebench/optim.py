@@ -11,7 +11,7 @@ so a (config, seed) pair reproduces parameters bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -250,7 +250,7 @@ def _block_gradient(field, nodes, sources, origins, dirs, c_gt, rng, scfg, loss_
 
 
 # ---------------------------------------------------------------------------
-# Evaluation and the polarization ablation
+# Evaluation
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -261,6 +261,13 @@ class EvalSetup:
     grid_to_world: Pose
     view_index: int = 0
     num_samples: int = 128
+
+    def __post_init__(self):
+        for name, least in (("view_index", 0), ("num_samples", 2)):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+                    or value < least):
+                raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
 
     def t_vc(self, view) -> Pose:
         return view.pose.inverse().compose(self.grid_to_world)
@@ -277,6 +284,9 @@ def evaluate_field(density_field, scene: AnalyticScene, views,
     validated: a NaN or negative density raises only where a read node
     samples it.
     """
+    if setup.view_index >= len(views):
+        raise ValueError(f"view_index {setup.view_index} is out of range "
+                         f"for {len(views)} views")
     view = views[setup.view_index]
     t_vc = setup.t_vc(view)
     eval_cfg = SamplingConfig(setup.num_samples, cfg.near, cfg.far, MODE_EVAL)
@@ -285,60 +295,3 @@ def evaluate_field(density_field, scene: AnalyticScene, views,
     mf = frustum_mask(setup.grid, t_vc, view.intrinsics)
     mv = visibility_mask(gt, view, t_vc)
     return compute_metrics(pred, gt, mf, mv)
-
-
-@dataclass
-class AblationRow:
-    seed: int
-    with_lp: object
-    without_lp: object
-
-
-@dataclass
-class ExperimentResult:
-    """Paired twin-run outcomes across seeds."""
-
-    rows: list = dataclass_field(default_factory=list)
-
-    def mean_metric(self, name: str, arm: str) -> float:
-        vals = [getattr(getattr(r, arm), name) for r in self.rows]
-        if any(v is None for v in vals):
-            raise ValueError(f"metric {name} undefined in some runs")
-        return float(np.mean(vals))
-
-    def mean_delta(self, name: str) -> float:
-        return self.mean_metric(name, "with_lp") - self.mean_metric(name, "without_lp")
-
-
-def run_polarization_ablation(base_field: VoxelDensityField, scene: AnalyticScene,
-                              views, setup: EvalSetup, cfg: TrainConfig,
-                              seeds) -> ExperimentResult:
-    """Twin runs per seed: identical init and RNG streams, lambda_p on/off.
-
-    The polarization weight does not influence any random draw, so the two
-    arms see byte-identical supervision; metric differences isolate the
-    loss term.
-    """
-    result = ExperimentResult()
-    for seed in seeds:
-        arms = {}
-        for name, lam in (("with_lp", cfg.lambda_p), ("without_lp", 0.0)):
-            run_cfg = replace(cfg, seed=int(seed), lambda_p=lam)
-            trained = train(base_field.copy(), scene, views, run_cfg)
-            arms[name] = evaluate_field(trained.field, scene, views, setup, run_cfg)
-        result.rows.append(AblationRow(seed=int(seed), with_lp=arms["with_lp"],
-                                       without_lp=arms["without_lp"]))
-    return result
-
-
-def run_lambda_sweep(base_field: VoxelDensityField, scene: AnalyticScene,
-                     views, setup: EvalSetup, cfg: TrainConfig,
-                     lambda_values) -> list:
-    """Train once per polarization weight; returns [(lambda_p, MetricsReport)]."""
-    out = []
-    for lam in lambda_values:
-        run_cfg = replace(cfg, lambda_p=float(lam))
-        trained = train(base_field.copy(), scene, views, run_cfg)
-        out.append((float(lam), evaluate_field(trained.field, scene, views,
-                                               setup, run_cfg)))
-    return out

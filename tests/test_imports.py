@@ -1,8 +1,9 @@
-"""Module structure: import dependencies, the names the benchmark patches
-and the declared console scripts."""
+"""Module structure: import dependencies, the names the benchmark patches,
+the declared console scripts, and that every public name in src is used."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import importlib.util
 import os
@@ -48,3 +49,38 @@ def test_console_scripts_resolve():
         for part in attr.split("."):
             obj = getattr(obj, part)
         assert callable(obj), name
+
+
+def referenced_names(path: Path) -> set:
+    """Every name a Python file uses: loaded or stored names, attributes,
+    imported names and string constants (``bench/tracing.py`` names the
+    sites it wraps as strings)."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def test_every_public_src_name_is_used():
+    """Each public top-level function or class in ``src/occrebench`` is
+    referenced somewhere in ``src/``, ``bench/`` or ``tests/``: a name with
+    neither a caller nor a test is deleted, not kept."""
+    used = set()
+    for folder in ("src", "bench", "tests"):
+        for path in (ROOT / folder).rglob("*.py"):
+            used |= referenced_names(path)
+    defined = []
+    for path in sorted((ROOT / "src" / "occrebench").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")):
+                defined.append(f"{path.stem}.{node.name}")
+    unused = [name for name in defined if name.rpartition(".")[2] not in used]
+    assert not unused, f"public names with no reference: {unused}"

@@ -2,7 +2,8 @@
 standard occluder: a (config, seed) pair reproduces the parameters bit for
 bit, the lambda_p on/off arms see identical random draws, the loss traces
 are measured directly, the blocked loss pass gives what the whole-batch
-pass gave bit for bit, and nothing per sample spans the batch."""
+pass gave bit for bit, and nothing per sample spans the batch; an
+evaluation set-up that names no view or too few samples is rejected."""
 
 from __future__ import annotations
 
@@ -119,6 +120,25 @@ def test_train_config_names_the_rejected_field(name, value):
     shape failed only after the reference images were rendered."""
     with pytest.raises(ValueError, match=name):
         optim.TrainConfig(**{name: value})
+
+
+@pytest.mark.parametrize("name, value", [
+    ("view_index", -1), ("view_index", 0.0), ("view_index", True),
+    ("num_samples", 1), ("num_samples", 2.5), ("num_samples", None),
+])
+def test_eval_setup_names_the_rejected_field(occluder, name, value):
+    """A view index of -1 scored the last view with no error, and one or a
+    fractional number of samples per ray constructed."""
+    with pytest.raises(ValueError, match=name):
+        replace(occluder[0].eval_setup, **{name: value})
+
+
+def test_evaluate_field_rejects_a_view_index_past_the_views(occluder):
+    """An index past the last view raised a bare IndexError."""
+    fix, cfg = occluder
+    setup = replace(fix.eval_setup, view_index=len(fix.views))
+    with pytest.raises(ValueError, match="view_index"):
+        optim.evaluate_field(fix.base_field, fix.scene, fix.views, setup, cfg)
 
 
 def oracle_train(field, scene, views, cfg):

@@ -1,43 +1,16 @@
-"""Scratch probe: visibility disagreement rates across fixture families."""
+"""Visibility disagreement rates across fixture families: the voxel-size
+march of ``visibility_mask`` against the quarter-step brute-force oracle of
+``test_benchmark``, on the voxels both cover.
+
+Run as ``PYTHONPATH=src python tests/vis_probe.py``.
+"""
 import numpy as np
 
 from occrebench.benchmark import visibility_mask
-from occrebench.geometry import CameraIntrinsics, CameraView, FrustumSpec, Pose, \
-    pixel_directions
+from occrebench.geometry import CameraIntrinsics, CameraView, FrustumSpec, Pose
 from occrebench.grids import VoxelGrid
 
-
-def brute_force(gt, view, t_vc, step):
-    intr = view.intrinsics
-    inv = t_vc.inverse()
-    o = inv.translation
-    visible = np.zeros(gt.counts, dtype=bool)
-    covered = np.zeros(gt.counts, dtype=bool)
-    lo, hi = gt.origin, gt.max_corner
-    occ = gt.values
-    counts = np.asarray(gt.counts)
-    for u in range(intr.width):
-        for v in range(intr.height):
-            d = inv.rotate(pixel_directions(intr, np.array([float(u), float(v)])))
-            with np.errstate(divide="ignore"):
-                t1 = (lo - o) / d
-                t2 = (hi - o) / d
-            te = np.minimum(t1, t2).max()
-            tx = np.maximum(t1, t2).min()
-            start = max(view.frustum.near, te)
-            if tx < start:
-                continue
-            ts = start + step * np.arange(int((tx - start) / step) + 1)
-            pts = o + ts[:, None] * d
-            idx = np.floor((pts - lo) / gt.resolution).astype(int)
-            ok = np.all((idx >= 0) & (idx < counts), axis=1)
-            idx = idx[ok]
-            occ_s = occ[idx[:, 0], idx[:, 1], idx[:, 2]]
-            vis_s = np.logical_and.accumulate(~occ_s)
-            covered[idx[:, 0], idx[:, 1], idx[:, 2]] = True
-            vi = idx[vis_s]
-            visible[vi[:, 0], vi[:, 1], vi[:, 2]] = True
-    return visible, covered
+from test_benchmark import BruteForceVisibility
 
 
 def run(kind, intr_wfx, trials=25, seed=7):
@@ -64,7 +37,7 @@ def run(kind, intr_wfx, trials=25, seed=7):
             occ = rng.random((16, 16, 16)) < float(kind)
         grid = grid0.like(occ)
         mv, cov = visibility_mask(grid, view, t_vc, return_coverage=True)
-        mv_o, cov_o = brute_force(grid, view, t_vc, 0.25 / 4)
+        mv_o, cov_o = BruteForceVisibility.run(grid, view, t_vc, 0.25 / 4)
         b = cov.values & cov_o
         d = int(((mv.values != mv_o) & b).sum())
         dis += d
