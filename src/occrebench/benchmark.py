@@ -406,14 +406,12 @@ def frustum_mask(grid: VoxelGrid, t_vc: Pose, intr: CameraIntrinsics) -> VoxelGr
                             t_vc)
 
 
-def visibility_mask(gt: VoxelGrid, view: CameraView, t_vc: Pose,
-                    step: float | None = None, return_coverage: bool = False):
+def visibility_mask(gt: VoxelGrid, view: CameraView, t_vc: Pose) -> VoxelGrid:
     """Ray-traced visibility against ground-truth occupancy.
 
     One ray per image pixel, marched from the near bound (or the grid entry
-    point, whichever is farther) to the grid exit at voxel-size steps
-    (``step``, default the smallest voxel edge, must be finite and
-    positive).  A sample is visible iff it and all preceding samples on its
+    point, whichever is farther) to the grid exit in steps of the smallest
+    voxel edge.  A sample is visible iff it and all preceding samples on its
     ray fall in unoccupied voxels; a voxel is visible iff any visible sample
     lands in it.  Voxels never sampled default to invisible, and the result
     is clipped to the frustum mask so m_v = 1 implies m_f = 1 (rays can clip
@@ -423,18 +421,10 @@ def visibility_mask(gt: VoxelGrid, view: CameraView, t_vc: Pose,
     set once its march ends or its first occupied sample is taken, since
     nothing after that changes the mask: the work is O(samples up to each
     ray's first occupied voxel).
-
-    With ``return_coverage`` the raw set of voxels receiving at least one
-    sample is returned alongside (diagnostic for oracle comparisons); rays
-    then march to their end, and the work is O(samples inside the grid
-    interval of each ray).
     """
     if gt.values.dtype != bool:
         raise ValueError("visibility mask needs a boolean ground-truth grid")
-    if step is None:
-        step = float(np.min(gt.resolution))
-    elif not 0.0 < step < np.inf:
-        raise ValueError(f"step {step}: must be finite and positive")
+    step = float(np.min(gt.resolution))
     intr = view.intrinsics
     cam_to_voxel = t_vc.inverse()
     origin_v = cam_to_voxel.translation
@@ -448,7 +438,6 @@ def visibility_mask(gt: VoxelGrid, view: CameraView, t_vc: Pose,
     num_steps = np.where(span >= 0, np.floor(span / step) + 1, 0).astype(np.int64)
 
     visible_flat = np.zeros(gt.num_voxels, dtype=bool)
-    covered_flat = np.zeros(gt.num_voxels, dtype=bool) if return_coverage else None
     occ_flat = gt.values.reshape(-1)
     # Per-ray state of the rays still marching, compacted as rays retire.
     live = num_steps > 0
@@ -465,19 +454,13 @@ def visibility_mask(gt: VoxelGrid, view: CameraView, t_vc: Pose,
         flat = (idx[:, 0] * gt.counts[1] + idx[:, 1]) * gt.counts[2] + idx[:, 2]
         clear &= ~(valid & occ_flat[flat])
         visible_flat[flat[valid & clear]] = True
-        if return_coverage:
-            covered_flat[flat[valid]] = True
         k += 1
-        # A blocked ray can change nothing but the coverage.
-        keep = k < num_steps if return_coverage else (k < num_steps) & clear
+        keep = (k < num_steps) & clear
         if not keep.all():
             start, dirs_v, num_steps, clear = (start[keep], dirs_v[keep],
                                                num_steps[keep], clear[keep])
     visible_flat &= frustum_mask(gt, t_vc, intr).values.reshape(-1)
-    visible = gt.like(visible_flat.reshape(gt.counts))
-    if return_coverage:
-        return visible, gt.like(covered_flat.reshape(gt.counts))
-    return visible
+    return gt.like(visible_flat.reshape(gt.counts))
 
 
 # ---------------------------------------------------------------------------
@@ -528,11 +511,11 @@ def _ratio(num: int, den: int) -> float | None:
 def compute_metrics(pred: VoxelGrid, gt: VoxelGrid, frustum: VoxelGrid,
                     visible: VoxelGrid) -> MetricsReport:
     """Exact count-ratio metrics from four same-geometry boolean grids."""
-    for name, g in (("gt", gt), ("frustum", frustum), ("visible", visible)):
+    for name, g in (("pred", pred), ("gt", gt), ("frustum", frustum), ("visible", visible)):
         if not pred.same_geometry(g):
             raise ValueError(f"{name} grid geometry differs from the prediction grid")
-        if g.values.dtype != bool or pred.values.dtype != bool:
-            raise ValueError("metrics require boolean grids")
+        if g.values.dtype != bool:
+            raise ValueError(f"metrics require boolean grids; {name} is {g.values.dtype}")
 
     p = pred.values.reshape(-1)
     g = gt.values.reshape(-1)
@@ -567,35 +550,3 @@ def compute_metrics(pred: VoxelGrid, gt: VoxelGrid, frustum: VoxelGrid,
         counts=counts,
     )
 
-
-# ---------------------------------------------------------------------------
-# View-overlap diagnostic
-# ---------------------------------------------------------------------------
-
-def view_overlap_ratio(target: CameraView, sources, grid: VoxelGrid,
-                       grid_to_world: Pose | None = None) -> float:
-    """Fraction of target-frustum voxel centers visible from any source.
-
-    A center is in the target frustum if it projects inside the target
-    image with positive depth and its radial distance lies within the
-    target's near/far bounds; it counts as covered if it projects inside at
-    least one source image with positive depth.  Low values diagnose rigs
-    whose multi-view supervision cannot constrain the frustum.
-    """
-    centers = grid.centers_flat()
-    if grid_to_world is not None:
-        centers = grid_to_world.apply(centers)
-    cam = target.pose.inverse().apply(centers)
-    u, v, z = project(target.intrinsics, cam)
-    dist = np.linalg.norm(cam, axis=-1)
-    in_target = (in_image(target.intrinsics, u, v, z)
-                 & (dist >= target.frustum.near) & (dist <= target.frustum.far))
-    n_target = int(np.sum(in_target))
-    if n_target == 0:
-        raise ValueError("no voxel centers fall inside the target frustum")
-    pts = centers[in_target]
-    covered = np.zeros(len(pts), dtype=bool)
-    for src in sources:
-        cam_s = src.pose.inverse().apply(pts)
-        covered |= in_image(src.intrinsics, *project(src.intrinsics, cam_s))
-    return float(np.sum(covered)) / n_target

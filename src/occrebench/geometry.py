@@ -29,6 +29,14 @@ def rotation_y(angle_rad: float) -> np.ndarray:
     return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
 
 
+def check_int(name: str, value, least: int) -> None:
+    """Raise, naming the field, unless ``value`` is an int (a bool is not)
+    of at least ``least``."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < least):
+        raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
+
+
 def _as_vec3(x) -> np.ndarray:
     v = np.asarray(x, dtype=np.float64)
     if v.shape != (3,):
@@ -54,8 +62,8 @@ class CameraIntrinsics:
         for name in ("cx", "cy"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} {getattr(self, name)}: must be finite")
-        if self.width < 2 or self.height < 2:
-            raise ValueError("image must be at least 2x2 (TCS divides by w-1, h-1)")
+        for name in ("width", "height"):   # TCS divides by w-1, h-1
+            check_int(name, getattr(self, name), 2)
 
 
 @dataclass(frozen=True)

@@ -17,12 +17,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import check_int
+
 FRAME_VOXEL = "voxel"
 FRAME_CAMERA = "camera"
 
 # Voxels per block of :meth:`VoxelGrid.center_blocks` (whole x-slices; a
 # block holds at least one slice whatever its size).
 BLOCK_VOXELS = 2 ** 16
+
+
+def _voxel_counts(counts) -> tuple:
+    """Three voxel counts as ints; a non-integer or one below 1 raises."""
+    counts = tuple(np.asarray(counts, dtype=object).reshape(3))
+    for c in counts:
+        check_int("voxel counts", c, 1)
+    return tuple(int(c) for c in counts)
 
 
 @dataclass
@@ -35,13 +45,11 @@ class VoxelGrid:
 
     def __post_init__(self):
         self.origin = np.asarray(self.origin, dtype=np.float64).reshape(3)
-        self.counts = tuple(int(c) for c in np.asarray(self.counts).reshape(3))
+        self.counts = _voxel_counts(self.counts)
         res = np.asarray(self.resolution, dtype=np.float64)
         if res.ndim == 0:
             res = np.full(3, float(res))
         self.resolution = res.reshape(3)
-        if any(c < 1 for c in self.counts):
-            raise ValueError("voxel counts must be >= 1")
         if not np.all(np.isfinite(self.origin)):
             raise ValueError(f"voxel origin {self.origin}: must be finite")
         if not np.all((self.resolution > 0) & (self.resolution < np.inf)):
@@ -57,8 +65,7 @@ class VoxelGrid:
     @classmethod
     def filled(cls, origin, counts, resolution, fill, dtype=None,
                frame: str = FRAME_VOXEL) -> "VoxelGrid":
-        counts = tuple(int(c) for c in np.asarray(counts).reshape(3))
-        values = np.full(counts, fill, dtype=dtype)
+        values = np.full(_voxel_counts(counts), fill, dtype=dtype)
         return cls(origin, counts, resolution, values, frame)
 
     def like(self, values: np.ndarray) -> "VoxelGrid":

@@ -15,13 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .benchmark import (compute_metrics, frustum_mask, view_overlap_ratio,
-                        visibility_mask, voxelize_field)
+from .benchmark import compute_metrics, frustum_mask, visibility_mask, voxelize_field
 # not called here; bench/tracing.py wraps them
 from .benchmark import build_opacity_map, voxelize_occupancy  # noqa: F401
 from .field import (AnalyticScene, VoxelDensityField, ground_truth_occupancy,
                     render_reference_image)
-from .geometry import Pose, pixel_directions
+from .geometry import Pose, check_int, in_image, project
 from .grids import VoxelGrid
 from .losses import LossConfig, ray_terms, view_loss
 from .losses import total_loss  # noqa: F401 - not called here; bench/tracing.py wraps it
@@ -35,8 +34,9 @@ from .rendering import composite  # noqa: F401 - not called here; bench/tracing.
 # batch fastest; the smaller holds less.
 RAY_BLOCK = 512
 
-# Voxels per axis of the coarse frustum grid the view-overlap gate samples.
-PROBE_COUNTS = (12, 12, 12)
+# Pixels per image axis, and depths per ray, that the view-overlap gate
+# samples in each view's frustum.
+OVERLAP_PROBE = 12
 
 
 @dataclass(frozen=True)
@@ -58,8 +58,9 @@ class TrainConfig:
     far: float = 20.0
 
     def __post_init__(self):
-        if self.iterations < 0:
-            raise ValueError("iterations must be >= 0")
+        for name, least in (("iterations", 0), ("lr_decay_start", 0), ("seed", 0),
+                            ("patch_count", 1), ("patch_size", 1), ("num_samples", 2)):
+            check_int(name, getattr(self, name), least)
         for name in ("learning_rate", "lr_decay_factor", "eps"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
@@ -68,9 +69,6 @@ class TrainConfig:
                 raise ValueError(f"{name} must lie in (0, 1)")
         if not (0.0 < self.near < self.far):
             raise ValueError("near and far must satisfy 0 < near < far")
-        for name, least in (("patch_count", 1), ("patch_size", 1), ("num_samples", 2)):
-            if not getattr(self, name) >= least:
-                raise ValueError(f"{name} must be >= {least}")
         self.loss_config()   # rejects a negative or non-finite loss weight, by name
 
     def loss_config(self) -> LossConfig:
@@ -111,36 +109,32 @@ def iteration_rng(seed: int, iteration: int) -> np.random.Generator:
         np.random.SeedSequence(entropy=seed, spawn_key=(iteration,))))
 
 
-def frustum_probe_grid(view) -> VoxelGrid:
-    """Coarse camera-frame grid spanning the view frustum's bounding box,
-    used by the overlap gate."""
-    intr = view.intrinsics
-    corners_uv = np.array([[0.0, 0.0], [intr.width - 1.0, 0.0],
-                           [0.0, intr.height - 1.0],
-                           [intr.width - 1.0, intr.height - 1.0]])
-    dirs = pixel_directions(intr, corners_uv)
-    pts = np.concatenate([dirs * view.frustum.near, dirs * view.frustum.far])
-    lo = pts.min(axis=0)
-    hi = pts.max(axis=0)
-    res = (hi - lo) / np.asarray(PROBE_COUNTS)
-    return VoxelGrid.filled(lo, PROBE_COUNTS, res, False, dtype=bool, frame="camera")
-
-
 def check_view_overlap(views) -> list[float]:
-    """Overlap ratio of each view's frustum against the remaining views.
+    """Share of each view's frustum that projects inside another view's image.
 
-    Raises if any ratio is zero: with no shared coverage the photometric
-    loss has no cross-view signal and training cannot converge.
+    Samples ``OVERLAP_PROBE`` depths, near to far, on the rays through an
+    ``OVERLAP_PROBE``-square lattice of interior pixels, (i + 0.5)(w - 1) /
+    ``OVERLAP_PROBE``, so that edge rounding cannot make a view miss itself.
+    Raises if a ratio is zero: with no shared coverage the photometric loss
+    has no cross-view signal and training cannot converge.
     """
     if len(views) < 2:
         raise ValueError("training needs at least two views")
+    lattice = (np.arange(OVERLAP_PROBE) + 0.5) / OVERLAP_PROBE
     ratios = []
     for i, target in enumerate(views):
-        sources = [v for j, v in enumerate(views) if j != i]
-        ratio = view_overlap_ratio(target, sources, frustum_probe_grid(target),
-                                   grid_to_world=target.pose)
-        ratios.append(ratio)
-        if ratio == 0.0:
+        intr, fr = target.intrinsics, target.frustum
+        uv = np.meshgrid(lattice * (intr.width - 1), lattice * (intr.height - 1))
+        origins, dirs = target.world_rays(np.stack(uv, axis=-1).reshape(-1, 2))
+        depths = np.linspace(fr.near, fr.far, OVERLAP_PROBE)
+        pts = (origins + depths[:, None, None] * dirs).reshape(-1, 3)
+        seen = np.zeros(len(pts), dtype=bool)
+        for j, source in enumerate(views):
+            if j != i:
+                cam = source.pose.inverse().apply(pts)
+                seen |= in_image(source.intrinsics, *project(source.intrinsics, cam))
+        ratios.append(float(np.mean(seen)))
+        if ratios[-1] == 0.0:
             raise ValueError(
                 f"view {i} shares no frustum volume with any other view "
                 f"(overlap ratio 0); widen the FOV or move the cameras")
@@ -264,10 +258,7 @@ class EvalSetup:
 
     def __post_init__(self):
         for name, least in (("view_index", 0), ("num_samples", 2)):
-            value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
-                    or value < least):
-                raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
+            check_int(name, getattr(self, name), least)
 
     def t_vc(self, view) -> Pose:
         return view.pose.inverse().compose(self.grid_to_world)

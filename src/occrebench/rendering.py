@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CameraIntrinsics, CameraView, Pose, in_image, project
+from .geometry import CameraIntrinsics, CameraView, Pose, check_int, in_image, project
 
 MODE_TRAIN = "train"
 MODE_EVAL = "eval"
@@ -43,8 +43,7 @@ class SamplingConfig:
     mode: str = MODE_EVAL
 
     def __post_init__(self):
-        if self.num_samples < 2:
-            raise ValueError("need at least 2 samples per ray")
+        check_int("num_samples", self.num_samples, 2)
         if not (0.0 < self.near < self.far):
             raise ValueError("requires 0 < near < far")
         if self.mode not in (MODE_TRAIN, MODE_EVAL):

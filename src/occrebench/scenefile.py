@@ -89,14 +89,25 @@ def _get(node, path, key, default=_REQUIRED):
     return default
 
 
-def _vec3(node, path):
-    try:
-        v = np.asarray(node, dtype=np.float64)
-    except (TypeError, ValueError) as e:
-        raise SceneSpecError(f"{path}: not a numeric triple ({e})") from None
-    if v.shape != (3,):
-        raise SceneSpecError(f"{path}: expected 3 numbers, got shape {v.shape}")
-    return v
+def _number(value, path) -> float:
+    """``value`` as a float; a bool, a null or a non-number raises."""
+    if not isinstance(value, bool) and value is not None:
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise SceneSpecError(f"{path}: expected a number, got {value!r}")
+
+
+def _float(node, path, key) -> float:
+    return _number(_get(node, path, key), f"{path}.{key}")
+
+
+def _vec3(node, path, item=_number):
+    """Three ``item``s (numbers by default) as an array."""
+    if not isinstance(node, (list, tuple)) or len(node) != 3:
+        raise SceneSpecError(f"{path}: expected a list of 3, got {node!r}")
+    return np.array([item(x, f"{path}[{a}]") for a, x in enumerate(node)])
 
 
 def _pose(node, path) -> Pose:
@@ -106,9 +117,9 @@ def _pose(node, path) -> Pose:
     pos_key = "position" if "position" in node else "translation"
     translation = _vec3(node.get(pos_key, (0.0, 0.0, 0.0)), f"{path}.{pos_key}")
     if "rotation" in node:
-        rot = np.asarray(node["rotation"], dtype=np.float64)
+        rot = _vec3(node["rotation"], f"{path}.rotation", _vec3)
     elif "yaw_deg" in node:
-        rot = rotation_y(np.deg2rad(float(node["yaw_deg"])))
+        rot = rotation_y(np.deg2rad(_float(node, path, "yaw_deg")))
     else:
         rot = np.eye(3)
     try:
@@ -122,16 +133,14 @@ def _camera(node, path) -> CameraView:
     _check_keys(node, path, {"fx", "fy", "cx", "cy", "width", "height", "near",
                              "far", "position", "yaw_deg", "rotation"})
     try:
-        intr = CameraIntrinsics(fx=float(_get(node, path, "fx")),
-                                fy=float(_get(node, path, "fy")),
-                                cx=float(_get(node, path, "cx")),
-                                cy=float(_get(node, path, "cy")),
-                                width=int(_get(node, path, "width")),
-                                height=int(_get(node, path, "height")))
+        intr = CameraIntrinsics(*(_float(node, path, k) for k in ("fx", "fy", "cx", "cy")),
+                                width=_get(node, path, "width"),
+                                height=_get(node, path, "height"))
+    except SceneSpecError:
+        raise
     except ValueError as e:
         raise SceneSpecError(f"{path}: {e}") from None
-    near = float(_get(node, path, "near"))
-    far = float(_get(node, path, "far"))
+    near, far = _float(node, path, "near"), _float(node, path, "far")
     try:
         fr = FrustumSpec(near, far)
     except ValueError as e:
@@ -146,7 +155,7 @@ def _primitive(node, path):
     shape = _get(node, path, "shape")
     common = {"shape", "density", "albedo"}
     try:
-        density = float(_get(node, path, "density"))
+        density = _float(node, path, "density")
         albedo = _vec3(_get(node, path, "albedo"), f"{path}.albedo")
         if shape == "box":
             _check_keys(node, path, common | {"min", "max"})
@@ -156,7 +165,7 @@ def _primitive(node, path):
         if shape == "sphere":
             _check_keys(node, path, common | {"center", "radius"})
             return Sphere(_vec3(_get(node, path, "center"), f"{path}.center"),
-                          float(_get(node, path, "radius")), density, albedo)
+                          _float(node, path, "radius"), density, albedo)
         if shape in ("ground", "halfspace"):
             _check_keys(node, path, common | {"axis", "offset", "side"})
             axis = {"x": 0, "y": 1, "z": 2}.get(str(node.get("axis", "y")))
@@ -165,7 +174,7 @@ def _primitive(node, path):
             side_name = str(node.get("side", "above"))
             if side_name not in ("above", "below"):
                 raise SceneSpecError(f"{path}.side: must be 'above' or 'below'")
-            return HalfSpace(axis=axis, offset=float(_get(node, path, "offset")),
+            return HalfSpace(axis=axis, offset=_float(node, path, "offset"),
                              side=+1 if side_name == "above" else -1,
                              density=density, albedo=albedo)
     except SceneSpecError:
@@ -200,7 +209,7 @@ def _grid(node, path) -> tuple[VoxelGrid, Pose]:
     try:
         frame = str(node.get("frame", FRAME_CAMERA))
         grid = VoxelGrid.filled(_vec3(_get(node, path, "origin"), f"{path}.origin"),
-                                tuple(int(c) for c in _get(node, path, "counts")),
+                                _get(node, path, "counts"),
                                 _vec3(_get(node, path, "resolution"),
                                       f"{path}.resolution"),
                                 False, dtype=bool, frame=frame)

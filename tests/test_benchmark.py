@@ -1,4 +1,12 @@
-"""Opacity-map voxelization, masks, metrics, and the overlap diagnostic."""
+"""Opacity-map voxelization, masks and metrics.
+
+``visibility_mask`` always marches at the smallest voxel edge.  Two oracles
+are kept here: ``full_march``, the march before rays retired, which also
+returns the voxels a march covers, and ``BruteForceVisibility``, a scalar
+re-derivation with a ``step`` of its own.  Step sensitivity is measured only
+through ``BruteForceVisibility.run``; ``tests/vis_probe.py`` compares the
+march against both.
+"""
 
 from __future__ import annotations
 
@@ -9,8 +17,7 @@ import pytest
 
 from occrebench.benchmark import (MetricsReport, OpacityMap, _interpolate, _map_cells,
                                   build_opacity_map, compute_metrics, conventional_voxelize,
-                                  frustum_mask, grid_sample_opacity,
-                                  view_overlap_ratio, visibility_mask,
+                                  frustum_mask, grid_sample_opacity, visibility_mask,
                                   voxelize_occupancy)
 from occrebench.field import AnalyticScene, Box, VoxelDensityField, ground_truth_occupancy
 from occrebench.geometry import CameraIntrinsics, CameraView, FrustumSpec, Pose, \
@@ -19,7 +26,7 @@ from occrebench.grids import VoxelGrid
 from occrebench.rendering import SamplingConfig, interval_lengths, opacity, \
     sample_distances
 
-from conftest import IntervalScaledField, rotation_about, yaw_pose
+from conftest import IntervalScaledField, rotation_about
 
 
 def eval_cfg(n=64, near=3.0, far=20.0):
@@ -369,9 +376,10 @@ class TestVisibilityMask:
     def test_empty_grid_every_sampled_frustum_voxel_visible(self):
         gt = self.grid(np.zeros((16, 16, 16), dtype=bool))
         view = self.view()
-        mv, cov = visibility_mask(gt, view, Pose.identity(), return_coverage=True)
+        mv = visibility_mask(gt, view, Pose.identity())
+        cov = full_march(gt, view, Pose.identity())[1]
         mf = frustum_mask(gt, Pose.identity(), view.intrinsics)
-        assert np.array_equal(mv.values, cov.values & mf.values)
+        assert np.array_equal(mv.values, cov & mf.values)
         assert mv.values.any()
 
     def test_single_blocker_shadows_axis_column(self):
@@ -385,12 +393,6 @@ class TestVisibilityMask:
         # voxels in front of it on the axis are visible
         assert mv.values[8, 8, :4].all()
 
-    @pytest.mark.parametrize("step", [0.0, -0.1, np.nan, np.inf])
-    def test_rejects_step_not_finite_and_positive(self, step):
-        gt = self.grid(np.zeros((16, 16, 16), dtype=bool))
-        with pytest.raises(ValueError, match="step"):
-            visibility_mask(gt, self.view(), Pose.identity(), step=step)
-
     def test_requires_boolean_grid(self):
         gt = VoxelGrid([-2, -2, 2], (4, 4, 4), 1.0, np.zeros((4, 4, 4)))
         with pytest.raises(ValueError):
@@ -399,10 +401,11 @@ class TestVisibilityMask:
     def test_visibility_subset_of_coverage_and_determinism(self):
         rng = np.random.default_rng(5)
         gt = self.grid(rng.random((16, 16, 16)) < 0.2)
-        mv1, cov = visibility_mask(gt, self.view(), Pose.identity(), return_coverage=True)
+        mv1 = visibility_mask(gt, self.view(), Pose.identity())
         mv2 = visibility_mask(gt, self.view(), Pose.identity())
+        cov = full_march(gt, self.view(), Pose.identity())[1]
         assert np.array_equal(mv1.values, mv2.values)
-        assert not (mv1.values & ~cov.values).any()
+        assert not (mv1.values & ~cov).any()
         assert not (mv1.values & gt.values).any()  # occupied voxels never visible
 
     def test_exact_match_with_independent_same_step_oracle(self):
@@ -424,8 +427,7 @@ class TestVisibilityMask:
                        rng.random((16, 16, 512)) < 0.002)
         view = self.view()
         rays = view.intrinsics.width * view.intrinsics.height
-        peak = traced_peak(lambda: visibility_mask(gt, view, Pose.identity(),
-                                                   return_coverage=True))
+        peak = traced_peak(lambda: visibility_mask(gt, view, Pose.identity()))
         assert peak < 128 * (gt.num_voxels + rays)
 
     def test_visibility_within_frustum(self):
@@ -437,15 +439,14 @@ class TestVisibilityMask:
         assert not (mv.values & ~mf.values).any()
 
 
-def full_march(gt, view, t_vc, step=None):
+def full_march(gt, view, t_vc):
     """The march before rays retired, kept as the oracle: every ray takes
     every step of the longest march, masked by its own step count.
 
     Returns (visible, covered, steps per ray, steps per ray up to and
     including its first occupied sample, or all of them if it has none).
     """
-    if step is None:
-        step = float(np.min(gt.resolution))
+    step = float(np.min(gt.resolution))
     intr = view.intrinsics
     cam_to_voxel = t_vc.inverse()
     origin_v = cam_to_voxel.translation
@@ -478,9 +479,16 @@ def assert_mixed(mask):
     assert mask.any() and not mask.all()
 
 
+# The retirement grids span about 4 m a side: 16 voxels of 0.25 m an axis, or 57
+# voxels along z of 0.07 m, the march's step, which divides no other edge.
+GRIDS = pytest.mark.parametrize("counts, res", [((16, 16, 16), 0.25),
+                                                ((16, 16, 57), (0.25, 0.25, 0.07))],
+                                ids=["cubic", "anisotropic"])
+
+
 class TestRayRetirement:
     """Rays leave the march at their end or their first occupied sample; the
-    outputs must be those of the full march bit for bit."""
+    mask must be that of the full march bit for bit."""
 
     # A wide view (half-angles 52 and 44 degrees) so that tilted grids leave
     # some rays missing the grid altogether.
@@ -492,57 +500,50 @@ class TestRayRetirement:
         return Pose(rotation_about(rng.normal(size=3), rng.uniform(0.1, 0.5)),
                     rng.uniform(-max_translation, max_translation, 3))
 
-    def check(self, gt, t_vc, step):
-        expect_mv, expect_cov, num_steps, used = full_march(gt, self.VIEW, t_vc, step)
-        mv, cov = visibility_mask(gt, self.VIEW, t_vc, step=step, return_coverage=True)
-        assert np.array_equal(mv.values, expect_mv)
-        assert np.array_equal(cov.values, expect_cov)
-        assert np.array_equal(visibility_mask(gt, self.VIEW, t_vc, step=step).values,
-                              expect_mv)
-        return expect_mv, expect_cov, num_steps, used
+    def check(self, gt, t_vc):
+        expect = full_march(gt, self.VIEW, t_vc)
+        assert np.array_equal(visibility_mask(gt, self.VIEW, t_vc).values, expect[0])
+        return expect
 
-    @pytest.mark.parametrize("step", [None, 0.07])
+    @GRIDS
     @pytest.mark.parametrize("seed", range(6))
-    def test_random_grid_in_front(self, seed, step):
+    def test_random_grid_in_front(self, seed, counts, res):
         rng = np.random.default_rng(seed)
-        gt = VoxelGrid([-2.0, -2.0, 2.0], (16, 16, 16), 0.25,
-                       rng.random((16, 16, 16)) < rng.uniform(0.05, 0.4))
-        mv, cov, num_steps, used = self.check(gt, self.random_pose(rng, 1.5), step)
+        gt = VoxelGrid([-2.0, -2.0, 2.0], counts, res,
+                       rng.random(counts) < rng.uniform(0.05, 0.4))
+        mv, cov, num_steps, used = self.check(gt, self.random_pose(rng, 1.5))
         assert_mixed(mv)
         assert_mixed(cov)
         assert (num_steps == 0).any()            # rays that miss the grid
         assert (used == 1).any()                 # ... that start in an occupied voxel
         assert (used < num_steps).any()          # ... that retire early
 
-    @pytest.mark.parametrize("step", [None, 0.07])
+    @GRIDS
     @pytest.mark.parametrize("seed", range(3))
-    def test_random_grid_around_the_camera(self, seed, step):
+    def test_random_grid_around_the_camera(self, seed, counts, res):
         """Every ray starts inside the grid, at the near bound."""
         rng = np.random.default_rng(100 + seed)
-        gt = VoxelGrid([-2.0, -2.0, -2.0], (16, 16, 16), 0.25,
-                       rng.random((16, 16, 16)) < 0.1)
-        mv, cov, num_steps, used = self.check(gt, self.random_pose(rng, 0.5), step)
+        gt = VoxelGrid([-2.0, -2.0, -2.0], counts, res, rng.random(counts) < 0.1)
+        mv, cov, num_steps, used = self.check(gt, self.random_pose(rng, 0.5))
         assert_mixed(mv)
         assert_mixed(cov)
         assert (num_steps > 0).all()
         assert (used == 1).any() and (used == num_steps).any()
 
-    @pytest.mark.parametrize("step", [None, 0.07])
-    def test_empty_grid_no_ray_retires_early(self, step):
-        gt = VoxelGrid([-2.0, -2.0, 2.0], (16, 16, 16), 0.25,
-                       np.zeros((16, 16, 16), dtype=bool))
+    @GRIDS
+    def test_empty_grid_no_ray_retires_early(self, counts, res):
+        gt = VoxelGrid([-2.0, -2.0, 2.0], counts, res, np.zeros(counts, dtype=bool))
         mv, cov, num_steps, used = self.check(
-            gt, self.random_pose(np.random.default_rng(7), 1.5), step)
+            gt, self.random_pose(np.random.default_rng(7), 1.5))
         assert np.array_equal(used, num_steps)
         assert_mixed(mv)
         assert_mixed(cov)
 
-    @pytest.mark.parametrize("step", [None, 0.07])
-    def test_full_grid_every_ray_retires_at_once(self, step):
-        gt = VoxelGrid([-2.0, -2.0, 2.0], (16, 16, 16), 0.25,
-                       np.ones((16, 16, 16), dtype=bool))
+    @GRIDS
+    def test_full_grid_every_ray_retires_at_once(self, counts, res):
+        gt = VoxelGrid([-2.0, -2.0, 2.0], counts, res, np.ones(counts, dtype=bool))
         mv, cov, num_steps, used = self.check(
-            gt, self.random_pose(np.random.default_rng(8), 1.5), step)
+            gt, self.random_pose(np.random.default_rng(8), 1.5))
         assert not mv.any()
         assert_mixed(cov)
         # A ray whose entry sample rounds to just outside the grid is blocked
@@ -550,16 +551,15 @@ class TestRayRetirement:
         assert np.array_equal(np.unique(used[num_steps > 0]), [1, 2])
         assert np.all(used[num_steps == 0] == 0)
 
-    @pytest.mark.parametrize("step", [None, 0.07])
-    def test_work_is_the_samples_up_to_the_first_occupied_one(self, monkeypatch, step):
-        """Count the sample rows the march looks up on a half wall: without
-        coverage, each ray's steps up to and including its first occupied
-        sample; with it, each ray's steps."""
-        occ = np.zeros((16, 16, 16), dtype=bool)
-        occ[:8, :, 6] = True
-        gt = VoxelGrid([-2.0, -2.0, 2.0], (16, 16, 16), 0.25, occ)
+    @GRIDS
+    def test_work_is_the_samples_up_to_the_first_occupied_one(self, monkeypatch, counts, res):
+        """Count the sample rows the march looks up on a half wall: each
+        ray's steps up to and including its first occupied sample."""
+        occ = np.zeros(counts, dtype=bool)
+        occ[:8, :, counts[2] * 6 // 16] = True       # 1.5 m into the grid
+        gt = VoxelGrid([-2.0, -2.0, 2.0], counts, res, occ)
         view, pose = TestVisibilityMask().view(), Pose.identity()
-        _, _, num_steps, used = full_march(gt, view, pose, step)
+        _, _, num_steps, used = full_march(gt, view, pose)
         assert used.sum() < num_steps.sum() < len(num_steps) * num_steps.max()
 
         rows = []
@@ -570,11 +570,8 @@ class TestRayRetirement:
             return lookup(grid, points)
 
         monkeypatch.setattr(VoxelGrid, "point_to_index", counting)
-        visibility_mask(gt, view, pose, step=step)
+        visibility_mask(gt, view, pose)
         assert sum(rows) == used.sum()
-        rows.clear()
-        visibility_mask(gt, view, pose, step=step, return_coverage=True)
-        assert sum(rows) == num_steps.sum()
 
 
 class TestMetrics:
@@ -650,47 +647,16 @@ class TestMetrics:
             if rep.iou is not None and rep.precision is not None and rep.recall is not None:
                 assert rep.iou <= min(rep.precision, rep.recall) + 1e-12
 
+    @pytest.mark.parametrize("name", ["pred", "gt", "frustum", "visible"])
+    def test_non_boolean_grid_is_named(self, name):
+        grids = {n: self.make([0] * 8) for n in ("pred", "gt", "frustum", "visible")}
+        grids[name] = grids[name].like(np.zeros((2, 2, 2)))
+        with pytest.raises(ValueError, match=f"boolean grids; {name} is float64"):
+            compute_metrics(**grids)
+
     def test_geometry_mismatch_rejected(self):
         a = self.make([0] * 8)
         b = VoxelGrid([0, 0, 0], (2, 2, 2), 2.0, np.zeros((2, 2, 2), dtype=bool))
         with pytest.raises(ValueError):
             compute_metrics(a, a, a, b)
 
-
-class TestViewOverlap:
-    def grid(self):
-        return camera_frame_grid(counts=(16, 16, 16), res=0.5, origin=(-4.0, -4.0, 3.0))
-
-    def test_coincident_views_full_overlap(self):
-        v = default_view()
-        assert view_overlap_ratio(v, [v], self.grid()) == 1.0
-
-    def test_opposite_views_zero_overlap(self):
-        target = default_view()
-        flipped = Pose(np.diag([-1.0, 1.0, -1.0]), np.zeros(3))
-        source = CameraView(target.intrinsics, flipped, target.frustum)
-        assert view_overlap_ratio(target, [source], self.grid()) == 0.0
-
-    def test_wider_fov_source_covers_strictly_more(self):
-        """Target forward; source yawed 30 degrees.  103-degree-FOV source
-        vs 64-degree: the wide one covers strictly more target-frustum
-        voxels (the diagnosed failure mode of narrow rigs)."""
-        target = default_view()
-        grid = self.grid()
-
-        def source(fov_deg):
-            w = 48
-            fx = (w - 1) / 2 / np.tan(np.deg2rad(fov_deg) / 2)
-            intr = CameraIntrinsics(fx, fx, (w - 1) / 2, 17.5, w, 36)
-            return CameraView(intr, yaw_pose(30.0, [0.0, 0.0, 0.0]),
-                              FrustumSpec(3.0, 20.0))
-
-        wide = view_overlap_ratio(target, [source(103.0)], grid)
-        narrow = view_overlap_ratio(target, [source(64.0)], grid)
-        assert wide > narrow
-
-    def test_empty_target_frustum_rejected(self):
-        v = default_view()
-        behind = camera_frame_grid(counts=(2, 2, 2), res=0.5, origin=(0.0, 0.0, -10.0))
-        with pytest.raises(ValueError):
-            view_overlap_ratio(v, [v], behind)

@@ -188,10 +188,10 @@ class TestStagesMatchAllAtOnce:
     def test_visibility_mask_clip(self, counts, seed, monkeypatch):
         rng, grid, t_vc = self.setup_grid(counts, seed)
         gt = grid.like(rng.random(grid.counts) < 0.02)
-        got = visibility_mask(gt, VIEW, t_vc, step=0.1).values
+        got = visibility_mask(gt, VIEW, t_vc).values
         monkeypatch.setattr(benchmark, "frustum_mask", lambda g, t, intr: g.like(
             frustum_all_at_once(g, t, intr)))
-        assert np.array_equal(got, visibility_mask(gt, VIEW, t_vc, step=0.1).values)
+        assert np.array_equal(got, visibility_mask(gt, VIEW, t_vc).values)
         assert got.any()
 
 
@@ -395,7 +395,7 @@ def excess_peak(fn, bool_voxels: int) -> int:
 
 # Stage name -> (run it on a ground-truth grid and its grid-to-camera pose,
 # boolean voxel grids it writes: the output, and for the march also its
-# coverage and its frustum clip).
+# frustum clip).
 def without_cell_table(fn):
     with mock.patch.object(benchmark, "CELL_TABLE_NODES_PER_VOXEL", 0):
         return fn()
@@ -411,7 +411,7 @@ STAGES = {
         density_field(np.random.default_rng(3)), g, t), 1),
     "frustum_mask": (lambda g, t: frustum_mask(g, t, INTR), 1),
     "ground_truth_occupancy": (lambda g, t: ground_truth_occupancy(scene(), g, t), 1),
-    "visibility_mask": (lambda g, t: visibility_mask(g, VIEW, t, return_coverage=True), 3),
+    "visibility_mask": (lambda g, t: visibility_mask(g, VIEW, t), 2),
 }
 
 

@@ -433,3 +433,13 @@ def test_grid_and_field_name_the_rejected_geometry(origin, resolution, field):
         VoxelGrid(origin, (2, 2, 2), resolution, np.zeros((2, 2, 2), dtype=bool))
     with pytest.raises(ValueError, match=field):
         VoxelDensityField(origin, resolution, np.zeros((2, 2, 2)))
+
+
+@pytest.mark.parametrize("counts", [(2.5, 2, 2), (2, True, 2), (2, 2, 0),
+                                    np.array([2.0, 2.0, 2.0])])
+def test_grid_counts_must_be_ints(counts):
+    """Counts of (2.5, 2, 2) became (2, 2, 2)."""
+    with pytest.raises(ValueError, match="^voxel counts must be an int >= 1"):
+        VoxelGrid([0.0, 0.0, 0.0], counts, 1.0, np.zeros((2, 2, 2), dtype=bool))
+    with pytest.raises(ValueError, match="^voxel counts must be an int >= 1"):
+        VoxelGrid.filled([0.0, 0.0, 0.0], counts, 1.0, False, dtype=bool)

@@ -86,6 +86,14 @@ class TestTypes:
         with pytest.raises(ValueError):
             FrustumSpec(-1.0, 5.0)
 
+    @pytest.mark.parametrize("width, height, name", [
+        (64.9, 48, "width"), (64, 48.0, "height"), (True, 48, "width"), (64, None, "height"),
+    ])
+    def test_intrinsics_reject_a_non_integer_size(self, width, height, name):
+        """A width of 64.9 became 64 on its way in from a scene spec."""
+        with pytest.raises(ValueError, match=f"^{name} must be an int >= 2"):
+            CameraIntrinsics(10.0, 10.0, 3.0, 3.0, width, height)
+
     @pytest.mark.parametrize("args, name", [
         ((np.nan, 10.0, 3.0, 3.0, 10, 8), "fx"),
         ((np.inf, 10.0, 3.0, 3.0, 10, 8), "fx"),

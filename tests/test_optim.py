@@ -3,7 +3,8 @@ standard occluder: a (config, seed) pair reproduces the parameters bit for
 bit, the lambda_p on/off arms see identical random draws, the loss traces
 are measured directly, the blocked loss pass gives what the whole-batch
 pass gave bit for bit, and nothing per sample spans the batch; an
-evaluation set-up that names no view or too few samples is rejected."""
+evaluation set-up that names no view or too few samples is rejected, and
+so is a rig whose views share no frustum, before anything is rendered."""
 
 from __future__ import annotations
 
@@ -16,9 +17,12 @@ import pytest
 from occrebench import optim
 from occrebench.field import VoxelDensityField, render_reference_image
 from occrebench.fixtures import standard_occluder
+from occrebench.geometry import CameraIntrinsics, CameraView, FrustumSpec, Pose
 from occrebench.losses import total_loss
 from occrebench.rendering import (MODE_TRAIN, SamplingConfig, SourceViewSampler, opacity,
                                   sample_patch_rays, sample_points_batch)
+
+from conftest import yaw_pose
 
 
 @pytest.fixture(scope="module")
@@ -112,12 +116,15 @@ def test_lambda_p_zero_arm_reports_measured_polarization(occluder, monkeypatch):
     ("near", 30.0),
     ("lambda_p", np.nan), ("lambda_r", np.nan), ("lambda_p", np.inf), ("lambda_r", -1.0),
     ("patch_count", 0), ("patch_count", -3), ("patch_size", 0), ("num_samples", 1),
+    ("iterations", 2.5), ("lr_decay_start", 1200.0), ("seed", 1.0), ("seed", -1),
+    ("patch_count", 64.0), ("patch_size", True), ("num_samples", 48.5),
 ])
 def test_train_config_names_the_rejected_field(name, value):
     """beta = 1 would divide by zero in Adam's bias correction (theta NaN
     after one step); beta > 1 makes the moment averages diverge.  A NaN
     loss weight turned theta NaN with no error; an empty or negative batch
-    shape failed only after the reference images were rendered."""
+    shape failed only after the reference images were rendered; a float
+    count constructed."""
     with pytest.raises(ValueError, match=name):
         optim.TrainConfig(**{name: value})
 
@@ -266,3 +273,58 @@ def test_training_memory_peak_grows_by_under_256_bytes_a_ray(monkeypatch):
     peak2 = peak(2 * block)
     assert parts_drawn == [2] * cfg.iterations
     assert peak4 - peak2 < 256 * 2 * block
+
+
+# ---------------------------------------------------------------------------
+# The view-overlap gate
+# ---------------------------------------------------------------------------
+
+def forward_view(fx=36.0, yaw_deg=0.0):
+    """A 48x36 view from the origin, turned by ``yaw_deg``, seeing 3-20 m."""
+    return CameraView(CameraIntrinsics(fx, fx, 23.5, 17.5, 48, 36),
+                      yaw_pose(yaw_deg, [0.0, 0.0, 0.0]), FrustumSpec(3.0, 20.0))
+
+
+def turned_back(view):
+    """``view`` turned half a turn about its own y axis."""
+    flip = Pose(np.diag([-1.0, 1.0, -1.0]), np.zeros(3))
+    return CameraView(view.intrinsics, view.pose.compose(flip), view.frustum)
+
+
+def test_coincident_views_overlap_fully():
+    v = forward_view()
+    assert optim.check_view_overlap([v, v]) == [1.0, 1.0]
+
+
+def test_opposite_views_are_rejected():
+    v = forward_view()
+    with pytest.raises(ValueError, match="view 0 shares no frustum volume"):
+        optim.check_view_overlap([v, turned_back(v)])
+
+
+def test_a_wider_source_sees_more_of_the_target():
+    """Source yawed 30 degrees: a 103-degree field of view sees strictly more
+    of the target's frustum than a 64-degree one (the failure mode of
+    narrow rigs)."""
+    target = forward_view()
+    wide, narrow = (optim.check_view_overlap(
+        [target, forward_view(23.5 / np.tan(np.deg2rad(fov) / 2), 30.0)])[0]
+        for fov in (103.0, 64.0))
+    assert 0.0 < narrow < wide
+
+
+def test_a_single_view_is_rejected():
+    with pytest.raises(ValueError, match="at least two views"):
+        optim.check_view_overlap([forward_view()])
+
+
+@pytest.mark.parametrize("rig, match", [
+    (lambda views: views[:1], "at least two views"),
+    (lambda views: [views[0], turned_back(views[0])], "shares no frustum volume"),
+], ids=["one-view", "opposite-views"])
+def test_train_rejects_the_rig_before_rendering(occluder, monkeypatch, rig, match):
+    fix, cfg = occluder
+    rendered = recording(monkeypatch, "render_reference_image")
+    with pytest.raises(ValueError, match=match):
+        optim.train(fix.base_field.copy(), fix.scene, rig(fix.views), cfg)
+    assert rendered == []

@@ -39,6 +39,12 @@ class TestSampling:
         with pytest.raises(ValueError):
             SamplingConfig(4, 1.0, 2.0, mode="jazz")
 
+    @pytest.mark.parametrize("n", [2.5, 8.0, True, None])
+    def test_num_samples_must_be_an_int(self, n):
+        """2.5 samples constructed, and sample_distances then drew 3."""
+        with pytest.raises(ValueError, match="^num_samples must be an int >= 2"):
+            SamplingConfig(n, 1.0, 2.0)
+
     def test_eval_first_sample_at_near(self):
         t, _, _ = axis_samples(self.cfg(n=16, near=3.0, far=20.0))
         assert t[0] == 3.0

@@ -76,3 +76,37 @@ def test_nan_primitive_names_its_path():
 def test_non_finite_camera_names_its_path(camera, match):
     with pytest.raises(SceneSpecError, match=match):
         parse_scene_spec(spec(camera=camera))
+
+
+GRID = "grid: {{origin: [0, 0, 0], counts: {}, resolution: [1, 1, 1]}}\n"
+SPHERE = "primitives:\n  - {{shape: sphere, center: [0, 0, 5], {}, albedo: [1, 0, 0]}}\n"
+
+
+@pytest.mark.parametrize("text, match", [
+    (spec(GRID.format("[4.7, 4, 4]")), "spec.grid: voxel counts must be an int >= 1, got 4.7"),
+    (spec(GRID.format("[true, 4, 4]")), "spec.grid: voxel counts must be an int >= 1, got True"),
+    (spec(camera=CAMERA.replace("width: 64", "width: 64.9")),
+     r"spec.cameras\[0\]: width must be an int >= 2, got 64.9"),
+    (spec(camera=CAMERA.replace("width: 64", "width: null")),
+     r"spec.cameras\[0\]: width must be an int >= 2, got None"),
+    (spec(camera=CAMERA.replace("fx: 31.5", "fx: null")),
+     r"spec.cameras\[0\].fx: expected a number, got None"),
+    (spec(camera=CAMERA.replace("near: 2.5", "near: null")),
+     r"spec.cameras\[0\].near: expected a number, got None"),
+    (spec(camera=CAMERA[:-1] + ", yaw_deg: abc}"),
+     r"spec.cameras\[0\].yaw_deg: expected a number, got 'abc'"),
+    (spec(camera=CAMERA[:-1] + ", position: [0, true, 0]}"),
+     r"spec.cameras\[0\].position\[1\]: expected a number, got True"),
+    (spec(SPHERE.format("radius: null, density: 1")),
+     r"spec.primitives\[0\].radius: expected a number, got None"),
+    (spec(SPHERE.format("radius: 1, density: null")),
+     r"spec.primitives\[0\].density: expected a number, got None"),
+    (spec("primitives:\n  - {shape: ground, offset: null, density: 1, albedo: [1, 0, 0]}\n"),
+     r"spec.primitives\[0\].offset: expected a number, got None"),
+], ids=["counts-float", "counts-bool", "width-float", "width-null", "fx-null", "near-null",
+        "yaw-text", "position-bool", "radius-null", "density-null", "offset-null"])
+def test_bad_number_names_its_path(text, match):
+    """Each of these parsed to a truncated number, or raised a bare
+    TypeError or ValueError."""
+    with pytest.raises(SceneSpecError, match=match):
+        parse_scene_spec(text)

@@ -1,8 +1,10 @@
 """Visibility disagreement rates across fixture families: the voxel-size
 march of ``visibility_mask`` against the quarter-step brute-force oracle of
-``test_benchmark``, on the voxels both cover.
+``test_benchmark``, on the voxels both cover (the march's cover is that of
+``test_benchmark.full_march``, its oracle).
 
-Run as ``PYTHONPATH=src python tests/vis_probe.py``.
+Run as ``PYTHONPATH=src python tests/vis_probe.py``; ``test_vis_probe.py``
+runs one trial of it on both rigs.
 """
 import numpy as np
 
@@ -10,10 +12,15 @@ from occrebench.benchmark import visibility_mask
 from occrebench.geometry import CameraIntrinsics, CameraView, FrustumSpec, Pose
 from occrebench.grids import VoxelGrid
 
-from test_benchmark import BruteForceVisibility
+from test_benchmark import BruteForceVisibility, full_march
+
+
+RIGS = ((32, 24, 24.0), (48, 36, 36.0))
 
 
 def run(kind, intr_wfx, trials=25, seed=7):
+    """Print, and return, the disagreements, the voxels both cover and the
+    grids with any disagreement, over ``trials`` random grids."""
     w, h, fx = intr_wfx
     intr = CameraIntrinsics(fx, fx, (w - 1) / 2, (h - 1) / 2, w, h)
     view = CameraView(intr, Pose.identity(), FrustumSpec(0.5, 100.0))
@@ -36,18 +43,19 @@ def run(kind, intr_wfx, trials=25, seed=7):
         else:
             occ = rng.random((16, 16, 16)) < float(kind)
         grid = grid0.like(occ)
-        mv, cov = visibility_mask(grid, view, t_vc, return_coverage=True)
+        mv = visibility_mask(grid, view, t_vc).values
         mv_o, cov_o = BruteForceVisibility.run(grid, view, t_vc, 0.25 / 4)
-        b = cov.values & cov_o
-        d = int(((mv.values != mv_o) & b).sum())
+        b = full_march(grid, view, t_vc)[1] & cov_o
+        d = int(((mv != mv_o) & b).sum())
         dis += d
         both += int(b.sum())
         bad_grids += d > 0
     print(f"{kind:10s} img={w}x{h} fx={fx}: {dis:5d}/{both} disagreements, "
           f"{bad_grids}/{trials} grids affected")
+    return dis, both, bad_grids
 
 
 if __name__ == "__main__":
-    for rig in ((32, 24, 24.0), (48, 36, 36.0)):
+    for rig in RIGS:
         for kind in ("sparse8", "sparse24", "sparse64", "blobs", "0.5"):
             run(kind, rig)
