@@ -12,6 +12,7 @@ Submodules:
 * ``scenefile`` - text scene-spec parsing
 * ``gridio``    - binary voxel-grid file format
 * ``reporting`` - metrics JSON/CSV emission
+* ``fixtures``  - the synthetic occluder scene the tests and the benchmark share
 """
 
 __version__ = "0.1.0"

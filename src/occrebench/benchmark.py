@@ -52,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import Box, VoxelDensityField, trilinear_corners
+from .field import VoxelDensityField, slab_intervals, trilinear_corners
 from .geometry import CameraIntrinsics, CameraView, FrustumSpec, Pose, ccs_to_tcs, \
     all_pixel_coords, in_image, pixel_directions, project
 from .grids import VoxelGrid
@@ -431,8 +431,7 @@ def visibility_mask(gt: VoxelGrid, view: CameraView, t_vc: Pose) -> VoxelGrid:
     dirs_cam = pixel_directions(intr, all_pixel_coords(intr).reshape(-1, 2))
     dirs_v = cam_to_voxel.rotate(dirs_cam)
 
-    bounds = Box(gt.origin, gt.max_corner, 0.0, (0, 0, 0))
-    te, tx = bounds.ray_intervals(origin_v, dirs_v)
+    te, tx = slab_intervals(gt.origin, gt.max_corner, origin_v, dirs_v)
     start = np.maximum(view.frustum.near, te)
     span = tx - start
     num_steps = np.where(span >= 0, np.floor(span / step) + 1, 0).astype(np.int64)

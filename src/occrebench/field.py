@@ -25,8 +25,8 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .geometry import CameraView, Pose
-from .grids import VoxelGrid
+from .geometry import CameraView, Pose, check_int, check_real
+from .grids import VoxelGrid, lattice
 
 
 def softplus(x: np.ndarray) -> np.ndarray:
@@ -39,9 +39,8 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def inverse_softplus(y: float) -> float:
-    """theta with softplus(theta) = y, for y > 0."""
-    if y <= 0:
-        raise ValueError("softplus is positive; cannot invert a nonpositive value")
+    """theta with softplus(theta) = y, for finite y > 0."""
+    check_real("softplus value", y, above=0)
     return float(np.log(np.expm1(y)))
 
 
@@ -61,11 +60,11 @@ class Box:
     def __post_init__(self):
         lo = np.asarray(self.min_corner, dtype=np.float64).reshape(3)
         hi = np.asarray(self.max_corner, dtype=np.float64).reshape(3)
-        _check_finite("box min_corner", lo)
-        _check_finite("box max_corner", hi)
+        check_real("box min_corner", lo)
+        check_real("box max_corner", hi)
         if np.any(lo >= hi):
             raise ValueError("box requires min < max per axis")
-        _check_density(self.density)
+        check_real("primitive density", self.density, least=0)
         object.__setattr__(self, "min_corner", lo)
         object.__setattr__(self, "max_corner", hi)
         object.__setattr__(self, "albedo", _as_rgb(self.albedo))
@@ -83,24 +82,7 @@ class Box:
         return self.min_corner, self.max_corner
 
     def ray_intervals(self, origin: np.ndarray, dirs: np.ndarray):
-        """Slab test for directions (..., 3): (t_enter, t_exit) arrays.
-
-        Disjoint rays come back with t_enter >= t_exit.
-        """
-        o = np.asarray(origin, dtype=np.float64)
-        d = np.asarray(dirs, dtype=np.float64)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t_lo = (self.min_corner - o) / d
-            t_hi = (self.max_corner - o) / d
-        near = np.minimum(t_lo, t_hi)
-        far = np.maximum(t_lo, t_hi)
-        zero = d == 0.0
-        if np.any(zero):
-            in_slab = np.broadcast_to((o >= self.min_corner) & (o <= self.max_corner),
-                                      d.shape)
-            near = np.where(zero, np.where(in_slab, -np.inf, np.inf), near)
-            far = np.where(zero, np.where(in_slab, np.inf, -np.inf), far)
-        return near.max(axis=-1), far.min(axis=-1)
+        return slab_intervals(self.min_corner, self.max_corner, origin, dirs)
 
 
 @dataclass(frozen=True)
@@ -112,10 +94,9 @@ class Sphere:
 
     def __post_init__(self):
         center = np.asarray(self.center, dtype=np.float64).reshape(3)
-        _check_finite("sphere center", center)
-        if not 0 < self.radius < np.inf:   # NaN fails too
-            raise ValueError(f"sphere radius {self.radius}: must be finite and positive")
-        _check_density(self.density)
+        check_real("sphere center", center)
+        check_real("sphere radius", self.radius, above=0)
+        check_real("primitive density", self.density, least=0)
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "albedo", _as_rgb(self.albedo))
 
@@ -164,10 +145,13 @@ class HalfSpace:
     albedo: np.ndarray
 
     def __post_init__(self):
-        if self.axis not in (0, 1, 2) or self.side not in (-1, 1):
-            raise ValueError("half-space needs axis in {0,1,2} and side in {-1,+1}")
-        _check_finite("half-space offset", self.offset)
-        _check_density(self.density)
+        for name, allowed in (("axis", (0, 1, 2)), ("side", (-1, 1))):
+            value = getattr(self, name)
+            check_int(f"half-space {name}", value, allowed[0])   # `in` takes True and 1.0
+            if value not in allowed:
+                raise ValueError(f"half-space {name} must be one of {allowed}, got {value!r}")
+        check_real("half-space offset", self.offset)
+        check_real("primitive density", self.density, least=0)
         object.__setattr__(self, "albedo", _as_rgb(self.albedo))
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
@@ -182,18 +166,7 @@ class HalfSpace:
         return lo, hi
 
     def ray_intervals(self, origin: np.ndarray, dirs: np.ndarray):
-        o = float(np.asarray(origin, dtype=np.float64).reshape(3)[self.axis])
-        d = np.asarray(dirs, dtype=np.float64)[..., self.axis]
-        with np.errstate(divide="ignore"):
-            t_cross = (self.offset - o) / d
-        entering = (d > 0) == (self.side > 0)
-        te = np.where(entering, t_cross, -np.inf)
-        tx = np.where(entering, np.inf, t_cross)
-        if np.any(d == 0.0):
-            inside = o >= self.offset if self.side > 0 else o <= self.offset
-            te = np.where(d == 0.0, -np.inf if inside else np.inf, te)
-            tx = np.where(d == 0.0, np.inf if inside else -np.inf, tx)
-        return te, tx
+        return slab_intervals(*self.bounds(), origin, dirs)
 
 
 def _as_rgb(c) -> np.ndarray:
@@ -203,14 +176,27 @@ def _as_rgb(c) -> np.ndarray:
     return rgb
 
 
-def _check_density(density: float) -> None:
-    if not 0 <= density < np.inf:   # NaN fails too
-        raise ValueError(f"primitive density {density}: must be finite and nonnegative")
+def slab_intervals(lo: np.ndarray, hi: np.ndarray, origin: np.ndarray, dirs: np.ndarray):
+    """Slab test of the box [lo, hi] for rays from ``origin`` along
+    directions (..., 3): (t_enter, t_exit) arrays.  A bound may be
+    infinite, so a half-space is a box too.
 
-
-def _check_finite(name: str, value) -> None:
-    if not np.all(np.isfinite(value)):
-        raise ValueError(f"{name} {value}: must be finite")
+    Disjoint rays come back with t_enter >= t_exit.  Along an axis that a
+    direction does not move on, the ray is in the slab for all t or none.
+    """
+    o = np.asarray(origin, dtype=np.float64)
+    d = np.asarray(dirs, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_lo = (lo - o) / d
+        t_hi = (hi - o) / d
+    near = np.minimum(t_lo, t_hi)
+    far = np.maximum(t_lo, t_hi)
+    zero = d == 0.0
+    if np.any(zero):
+        in_slab = np.broadcast_to((o >= lo) & (o <= hi), d.shape)
+        near = np.where(zero, np.where(in_slab, -np.inf, np.inf), near)
+        far = np.where(zero, np.where(in_slab, np.inf, -np.inf), far)
+    return near.max(axis=-1), far.min(axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -361,19 +347,10 @@ class VoxelDensityField:
     theta: np.ndarray
 
     def __post_init__(self):
-        self.origin = np.asarray(self.origin, dtype=np.float64).reshape(3)
-        res = np.asarray(self.resolution, dtype=np.float64)
-        if res.ndim == 0:
-            res = np.full(3, float(res))
-        self.resolution = res.reshape(3)
+        self.origin, self.resolution = lattice(self.origin, self.resolution)
         self.theta = np.asarray(self.theta, dtype=np.float64)
         if self.theta.ndim != 3 or any(n < 2 for n in self.theta.shape):
             raise ValueError("theta must be 3-D with at least 2 nodes per axis")
-        if not np.all(np.isfinite(self.origin)):
-            raise ValueError(f"node origin {self.origin}: must be finite")
-        if not np.all((self.resolution > 0) & (self.resolution < np.inf)):
-            raise ValueError(
-                f"node resolution {self.resolution}: must be finite and positive")
 
     @classmethod
     def uniform(cls, origin, resolution, shape, sigma0: float = 0.05) -> "VoxelDensityField":

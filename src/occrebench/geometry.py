@@ -16,6 +16,7 @@ All math is float64; round-trip contracts are asserted at 1e-9.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +36,20 @@ def check_int(name: str, value, least: int) -> None:
     if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
             or value < least):
         raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
+
+
+def check_real(name: str, value, least=None, above=None) -> None:
+    """Raise, naming the field, unless ``value`` (a number, or an array
+    checked entry by entry) is finite and, where a bound is given, at
+    least ``least`` or strictly above ``above``.  Python numbers compare in
+    Python: a config is checked on every set-up, and numpy calls cost more
+    than the comparisons."""
+    for x in (value.ravel().tolist() if isinstance(value, np.ndarray) else (value,)):
+        if not (math.isfinite(x) and (least is None or x >= least)
+                and (above is None or x > above)):
+            bound = (f" and >= {least}" if least is not None
+                     else f" and > {above}" if above is not None else "")
+            raise ValueError(f"{name} {value}: must be finite{bound}")
 
 
 def _as_vec3(x) -> np.ndarray:
@@ -57,11 +72,9 @@ class CameraIntrinsics:
 
     def __post_init__(self):
         for name in ("fx", "fy"):
-            if not 0 < getattr(self, name) < np.inf:   # NaN fails too
-                raise ValueError(f"{name} {getattr(self, name)}: must be finite and positive")
+            check_real(name, getattr(self, name), above=0)
         for name in ("cx", "cy"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} {getattr(self, name)}: must be finite")
+            check_real(name, getattr(self, name))
         for name in ("width", "height"):   # TCS divides by w-1, h-1
             check_int(name, getattr(self, name), 2)
 
@@ -79,9 +92,8 @@ class Pose:
         if r.shape != (3, 3):
             raise ValueError(f"rotation must be 3x3, got {r.shape}")
         # NaN would pass the tolerance tests below: comparisons with it are false.
-        for name, v in (("rotation", r), ("translation", t)):
-            if not np.all(np.isfinite(v)):
-                raise ValueError(f"{name} {v.tolist()}: must be finite")
+        check_real("rotation", r)
+        check_real("translation", t)
         if np.max(np.abs(r.T @ r - np.eye(3))) > _ORTHO_TOL:
             raise ValueError("rotation is not orthonormal within 1e-9")
         if abs(np.linalg.det(r) - 1.0) > _ORTHO_TOL:
@@ -118,16 +130,19 @@ class Pose:
 
 @dataclass(frozen=True)
 class FrustumSpec:
-    """Near/far bounds of the rendering frustum, in meters."""
+    """Near/far bounds of the rendering frustum, in meters: the one depth
+    range rule, which ``SamplingConfig`` and ``TrainConfig`` apply too.  A
+    finite far bound keeps the last sample interval, and so its opacity,
+    finite."""
 
     near: float
     far: float
 
     def __post_init__(self):
-        if not (0.0 < self.near < self.far):
-            raise ValueError("frustum requires 0 < near < far")
-        if not self.far < np.inf:
-            raise ValueError(f"far {self.far}: must be finite")
+        check_real("far", self.far)
+        check_real("near", self.near, above=0)
+        if not self.near < self.far:
+            raise ValueError(f"near {self.near}: must be below far {self.far}")
 
 
 @dataclass(frozen=True)

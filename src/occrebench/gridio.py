@@ -25,7 +25,7 @@ import tempfile
 
 import numpy as np
 
-from .grids import FRAME_CAMERA, FRAME_VOXEL, VoxelGrid
+from .grids import FRAME_CAMERA, FRAME_VOXEL, VoxelGrid, lattice
 
 MAGIC = b"OGRD"
 FORMAT_VERSION = 1
@@ -96,11 +96,10 @@ def grid_from_bytes(data: bytes) -> VoxelGrid:
         raise HeaderFieldError(f"unknown dtype code {dtype_code}")
     if min(nx, ny, nz) < 1:
         raise HeaderFieldError(f"counts {(nx, ny, nz)}: each must be >= 1")
-    if not np.all(np.isfinite([ox, oy, oz])):
-        raise HeaderFieldError(f"origin {(ox, oy, oz)}: must be finite")
-    if not all(0.0 < r < np.inf for r in (rx, ry, rz)):
-        raise HeaderFieldError(
-            f"resolution {(rx, ry, rz)}: must be finite and positive")
+    try:
+        origin, resolution = lattice((ox, oy, oz), (rx, ry, rz))
+    except ValueError as e:
+        raise HeaderFieldError(str(e)) from None
     n = nx * ny * nz
     itemsize = 4 if dtype_code == DTYPE_F32 else 1
     expected = HEADER.size + n * itemsize
@@ -118,8 +117,8 @@ def grid_from_bytes(data: bytes) -> VoxelGrid:
         values = values.astype(bool)
     else:
         values = values.astype(np.float64)
-    return VoxelGrid(origin=[ox, oy, oz], counts=(nx, ny, nz),
-                     resolution=[rx, ry, rz], values=values,
+    return VoxelGrid(origin=origin, counts=(nx, ny, nz),
+                     resolution=resolution, values=values,
                      frame=_FRAME_NAMES[frame_code])
 
 

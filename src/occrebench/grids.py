@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import check_int
+from .geometry import check_int, check_real
 
 FRAME_VOXEL = "voxel"
 FRAME_CAMERA = "camera"
@@ -35,6 +35,18 @@ def _voxel_counts(counts) -> tuple:
     return tuple(int(c) for c in counts)
 
 
+def lattice(origin, resolution) -> tuple:
+    """A lattice's origin and scalar-or-3 spacing as float 3-vectors.
+    Raises, naming the field, unless the origin is finite and each spacing
+    finite and positive."""
+    origin = np.asarray(origin, dtype=np.float64).reshape(3)
+    res = np.asarray(resolution, dtype=np.float64)
+    res = np.full(3, float(res)) if res.ndim == 0 else res.reshape(3)
+    check_real("origin", origin)
+    check_real("resolution", res, above=0)
+    return origin, res
+
+
 @dataclass
 class VoxelGrid:
     origin: np.ndarray
@@ -44,17 +56,8 @@ class VoxelGrid:
     frame: str = FRAME_VOXEL
 
     def __post_init__(self):
-        self.origin = np.asarray(self.origin, dtype=np.float64).reshape(3)
         self.counts = _voxel_counts(self.counts)
-        res = np.asarray(self.resolution, dtype=np.float64)
-        if res.ndim == 0:
-            res = np.full(3, float(res))
-        self.resolution = res.reshape(3)
-        if not np.all(np.isfinite(self.origin)):
-            raise ValueError(f"voxel origin {self.origin}: must be finite")
-        if not np.all((self.resolution > 0) & (self.resolution < np.inf)):
-            raise ValueError(
-                f"voxel resolution {self.resolution}: must be finite and positive")
+        self.origin, self.resolution = lattice(self.origin, self.resolution)
         if self.frame not in (FRAME_VOXEL, FRAME_CAMERA):
             raise ValueError(f"unknown frame tag {self.frame!r}")
         self.values = np.asarray(self.values)

@@ -49,6 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import check_real
 from .rendering import SamplingConfig, opacity, sample_points_batch, transmittance
 from .rendering import composite  # noqa: F401 - not called here; bench/tracing.py wraps it
 
@@ -62,8 +63,7 @@ class LossConfig:
 
     def __post_init__(self):
         for name in ("lambda_r", "lambda_p"):
-            if not 0 <= getattr(self, name) < np.inf:   # NaN fails too
-                raise ValueError(f"{name} must be finite and nonnegative")
+            check_real(name, getattr(self, name), least=0)
 
     def combine(self, recon, polar):
         """lambda_r * recon + lambda_p * polar, for losses or their gradients."""

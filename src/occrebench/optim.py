@@ -20,7 +20,7 @@ from .benchmark import compute_metrics, frustum_mask, visibility_mask, voxelize_
 from .benchmark import build_opacity_map, voxelize_occupancy  # noqa: F401
 from .field import (AnalyticScene, VoxelDensityField, ground_truth_occupancy,
                     render_reference_image)
-from .geometry import Pose, check_int, in_image, project
+from .geometry import FrustumSpec, Pose, check_int, check_real, in_image, project
 from .grids import VoxelGrid
 from .losses import LossConfig, ray_terms, view_loss
 from .losses import total_loss  # noqa: F401 - not called here; bench/tracing.py wraps it
@@ -62,13 +62,11 @@ class TrainConfig:
                             ("patch_count", 1), ("patch_size", 1), ("num_samples", 2)):
             check_int(name, getattr(self, name), least)
         for name in ("learning_rate", "lr_decay_factor", "eps"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+            check_real(name, getattr(self, name), above=0)
         for name in ("beta1", "beta2"):  # Adam's bias correction divides by 1 - beta**t
             if not 0 < getattr(self, name) < 1:
                 raise ValueError(f"{name} must lie in (0, 1)")
-        if not (0.0 < self.near < self.far):
-            raise ValueError("near and far must satisfy 0 < near < far")
+        FrustumSpec(self.near, self.far)   # the one depth range rule
         self.loss_config()   # rejects a negative or non-finite loss weight, by name
 
     def loss_config(self) -> LossConfig:

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CameraIntrinsics, CameraView, Pose, check_int, in_image, project
+from .geometry import (CameraIntrinsics, CameraView, FrustumSpec, Pose, check_int, in_image,
+                       project)
 
 MODE_TRAIN = "train"
 MODE_EVAL = "eval"
@@ -44,8 +45,7 @@ class SamplingConfig:
 
     def __post_init__(self):
         check_int("num_samples", self.num_samples, 2)
-        if not (0.0 < self.near < self.far):
-            raise ValueError("requires 0 < near < far")
+        FrustumSpec(self.near, self.far)   # the one depth range rule
         if self.mode not in (MODE_TRAIN, MODE_EVAL):
             raise ValueError(f"unknown sampling mode {self.mode!r}")
 

@@ -28,6 +28,7 @@ offending field; YAML syntax errors carry line/column.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,6 +79,18 @@ def _check_keys(node, path, allowed):
                 f"{path}.{key}: unknown key (allowed: {', '.join(sorted(allowed))})")
 
 
+@contextmanager
+def _at(path):
+    """Report a TypeError or ValueError raised in the block as a
+    SceneSpecError at ``path``; a SceneSpecError passes through unchanged."""
+    try:
+        yield
+    except SceneSpecError:
+        raise
+    except (TypeError, ValueError) as e:
+        raise SceneSpecError(f"{path}: {e}") from None
+
+
 _REQUIRED = object()
 
 
@@ -122,29 +135,21 @@ def _pose(node, path) -> Pose:
         rot = rotation_y(np.deg2rad(_float(node, path, "yaw_deg")))
     else:
         rot = np.eye(3)
-    try:
+    with _at(path):
         return Pose(rot, translation)
-    except ValueError as e:
-        raise SceneSpecError(f"{path}: {e}") from None
 
 
 def _camera(node, path) -> CameraView:
     _require_mapping(node, path)
     _check_keys(node, path, {"fx", "fy", "cx", "cy", "width", "height", "near",
                              "far", "position", "yaw_deg", "rotation"})
-    try:
+    with _at(path):
         intr = CameraIntrinsics(*(_float(node, path, k) for k in ("fx", "fy", "cx", "cy")),
                                 width=_get(node, path, "width"),
                                 height=_get(node, path, "height"))
-    except SceneSpecError:
-        raise
-    except ValueError as e:
-        raise SceneSpecError(f"{path}: {e}") from None
     near, far = _float(node, path, "near"), _float(node, path, "far")
-    try:
+    with _at(f"{path}.near/far"):
         fr = FrustumSpec(near, far)
-    except ValueError as e:
-        raise SceneSpecError(f"{path}.near/far: {e}") from None
     pose = _pose({k: node[k] for k in ("position", "yaw_deg", "rotation")
                   if k in node}, path)
     return CameraView(intr, pose, fr)
@@ -153,8 +158,10 @@ def _camera(node, path) -> CameraView:
 def _primitive(node, path):
     _require_mapping(node, path)
     shape = _get(node, path, "shape")
+    if shape not in ("box", "sphere", "ground", "halfspace"):
+        raise SceneSpecError(f"{path}.shape: unknown shape {shape!r}")
     common = {"shape", "density", "albedo"}
-    try:
+    with _at(path):
         density = _float(node, path, "density")
         albedo = _vec3(_get(node, path, "albedo"), f"{path}.albedo")
         if shape == "box":
@@ -166,22 +173,16 @@ def _primitive(node, path):
             _check_keys(node, path, common | {"center", "radius"})
             return Sphere(_vec3(_get(node, path, "center"), f"{path}.center"),
                           _float(node, path, "radius"), density, albedo)
-        if shape in ("ground", "halfspace"):
-            _check_keys(node, path, common | {"axis", "offset", "side"})
-            axis = {"x": 0, "y": 1, "z": 2}.get(str(node.get("axis", "y")))
-            if axis is None:
-                raise SceneSpecError(f"{path}.axis: must be one of x, y, z")
-            side_name = str(node.get("side", "above"))
-            if side_name not in ("above", "below"):
-                raise SceneSpecError(f"{path}.side: must be 'above' or 'below'")
-            return HalfSpace(axis=axis, offset=_float(node, path, "offset"),
-                             side=+1 if side_name == "above" else -1,
-                             density=density, albedo=albedo)
-    except SceneSpecError:
-        raise
-    except ValueError as e:
-        raise SceneSpecError(f"{path}: {e}") from None
-    raise SceneSpecError(f"{path}.shape: unknown shape {shape!r}")
+        _check_keys(node, path, common | {"axis", "offset", "side"})
+        axis = {"x": 0, "y": 1, "z": 2}.get(str(node.get("axis", "y")))
+        if axis is None:
+            raise SceneSpecError(f"{path}.axis: must be one of x, y, z")
+        side_name = str(node.get("side", "above"))
+        if side_name not in ("above", "below"):
+            raise SceneSpecError(f"{path}.side: must be 'above' or 'below'")
+        return HalfSpace(axis=axis, offset=_float(node, path, "offset"),
+                         side=+1 if side_name == "above" else -1,
+                         density=density, albedo=albedo)
 
 
 def _grid(node, path) -> tuple[VoxelGrid, Pose]:
@@ -206,17 +207,13 @@ def _grid(node, path) -> tuple[VoxelGrid, Pose]:
         else:
             pose = Pose(DRIVING_AXES, np.zeros(3))
         return grid, pose
-    try:
+    with _at(path):
         frame = str(node.get("frame", FRAME_CAMERA))
         grid = VoxelGrid.filled(_vec3(_get(node, path, "origin"), f"{path}.origin"),
                                 _get(node, path, "counts"),
                                 _vec3(_get(node, path, "resolution"),
                                       f"{path}.resolution"),
                                 False, dtype=bool, frame=frame)
-    except SceneSpecError:
-        raise
-    except (TypeError, ValueError) as e:
-        raise SceneSpecError(f"{path}: {e}") from None
     return grid, _pose(pose_keys, path)
 
 
@@ -244,16 +241,10 @@ def parse_scene_spec(text: str) -> SceneSpec:
         raise SceneSpecError("spec.primitives: expected a list")
     primitives = tuple(_primitive(p, f"spec.primitives[{i}]")
                        for i, p in enumerate(prim_node))
-    try:
+    with _at("spec.background"):
         scene = AnalyticScene(primitives, background=background)
-    except ValueError as e:
-        raise SceneSpecError(f"spec.background: {e}") from None
 
     grid_node = doc.get("grid")
-    if grid_node is None:
-        grid = VoxelGrid.filled(**GRID_PRESETS["desk"], fill=False, dtype=bool,
-                                frame=FRAME_VOXEL)
-        grid_to_world = Pose(DRIVING_AXES, np.zeros(3))
-    else:
-        grid, grid_to_world = _grid(grid_node, "spec.grid")
+    grid, grid_to_world = _grid({"preset": "desk"} if grid_node is None else grid_node,
+                                "spec.grid")
     return SceneSpec(scene=scene, views=views, grid=grid, grid_to_world=grid_to_world)

@@ -8,10 +8,12 @@ trust it.
 from __future__ import annotations
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
+from occrebench import fixtures
 from occrebench.field import (AnalyticScene, Box, HalfSpace, Sphere, VoxelDensityField,
                               ground_truth_occupancy, inverse_softplus,
                               render_reference_image, sigmoid, softplus,
@@ -62,6 +64,25 @@ def bincount_param_grad(f: VoxelDensityField, loc, dloss_dsigma) -> np.ndarray:
     return (grad_flat * sigmoid(f.theta).reshape(-1)).reshape(f.shape)
 
 
+def plane_intervals(hs: HalfSpace, origin, dirs):
+    """``HalfSpace.ray_intervals`` as it was before it became the slab test
+    of ``bounds()``, kept as the oracle: the plane crossing, entering or
+    leaving by the sign of the direction, and all or nothing along rays
+    parallel to the plane."""
+    o = float(np.asarray(origin, dtype=np.float64).reshape(3)[hs.axis])
+    d = np.asarray(dirs, dtype=np.float64)[..., hs.axis]
+    with np.errstate(divide="ignore"):
+        t_cross = (hs.offset - o) / d
+    entering = (d > 0) == (hs.side > 0)
+    te = np.where(entering, t_cross, -np.inf)
+    tx = np.where(entering, np.inf, t_cross)
+    if np.any(d == 0.0):
+        inside = o >= hs.offset if hs.side > 0 else o <= hs.offset
+        te = np.where(d == 0.0, -np.inf if inside else np.inf, te)
+        tx = np.where(d == 0.0, np.inf if inside else -np.inf, tx)
+    return te, tx
+
+
 class TestPrimitives:
     def test_box_validation(self):
         with pytest.raises(ValueError):
@@ -110,6 +131,56 @@ class TestPrimitives:
         d = np.array([[0.0, 0.6, 0.8]])
         te, tx = ground.ray_intervals(np.zeros(3), d)
         assert np.isclose(te[0], 1.5 / 0.6) and tx[0] == np.inf
+
+    @pytest.mark.parametrize("axis, side, field", [
+        (True, 1, "axis"), (1.0, 1, "axis"), (3, 1, "axis"), (-1, 1, "axis"),
+        (1, True, "side"), (1, 1.0, "side"), (1, 0, "side"), (1, 2, "side"),
+    ])
+    def test_halfspace_rejects_a_bad_axis_or_side(self, axis, side, field):
+        """An axis of True constructed, and contains then boolean-indexed the
+        points (an array of the wrong shape); an axis of 1.0 constructed, and
+        contains and bounds raised IndexError."""
+        with pytest.raises(ValueError, match=f"^half-space {field} "):
+            HalfSpace(axis, 0.0, side, 1.0, [1, 1, 1])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_halfspace_slab_test_equals_the_plane_formula(self, seed):
+        """Bit for bit, signed zeros included, on rays with zero direction
+        components and origins on the plane; the formula warns at 0/0, the
+        slab test does not."""
+        rng = np.random.default_rng(seed)
+        for _ in range(500):
+            hs = HalfSpace(int(rng.integers(3)), float(rng.normal()),
+                           int(rng.choice([-1, 1])), 1.0, [1, 1, 1])
+            origin = rng.normal(size=3)
+            if rng.random() < 0.3:
+                origin[hs.axis] = hs.offset
+            dirs = rng.normal(size=(32, 3))
+            dirs[rng.random((32, 3)) < 0.25] = 0.0
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                want = plane_intervals(hs, origin, dirs)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = hs.ray_intervals(origin, dirs)
+            for g, w in zip(got, want):
+                assert g.tobytes() == w.tobytes()
+
+    def test_plane_formula_warns_at_zero_over_zero(self):
+        hs = HalfSpace(1, 0.0, 1, 1.0, [1, 1, 1])
+        on_plane, parallel = np.zeros(3), np.array([[1.0, 0.0, 0.0]])
+        with pytest.warns(RuntimeWarning, match="invalid value encountered in divide"):
+            plane_intervals(hs, on_plane, parallel)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            hs.ray_intervals(on_plane, parallel)
+
+    def test_occluder_images_equal_the_plane_formula_images(self, monkeypatch):
+        fix = fixtures.standard_occluder()
+        images = [render_reference_image(fix.scene, v) for v in fix.views]
+        monkeypatch.setattr(HalfSpace, "ray_intervals", plane_intervals)
+        for view, image in zip(fix.views, images):
+            assert render_reference_image(fix.scene, view).tobytes() == image.tobytes()
 
 
 class TestAnalyticScene:
@@ -396,6 +467,12 @@ class TestVoxelDensityField:
     def test_inverse_softplus_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             inverse_softplus(0.0)
+
+    @pytest.mark.parametrize("sigma0", [np.nan, np.inf])
+    def test_uniform_field_rejects_a_non_finite_density(self, sigma0):
+        """A NaN or infinite sigma0 gave a field of NaN or infinite theta."""
+        with pytest.raises(ValueError, match="softplus value"):
+            VoxelDensityField.uniform([0.0, 0.0, 0.0], 1.0, (2, 2, 2), sigma0=sigma0)
 
 
 class TestIntervalScaledField:

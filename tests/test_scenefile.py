@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from occrebench.scenefile import SceneSpecError, parse_scene_spec
@@ -41,6 +42,24 @@ def test_unknown_key_names_its_path(text, path):
 def test_missing_required_key(text, path):
     with pytest.raises(SceneSpecError, match=path + ": required key missing"):
         parse_scene_spec(text)
+
+
+def test_unknown_shape_is_reported_before_its_keys():
+    """A box with a misspelt shape reported its missing density."""
+    with pytest.raises(SceneSpecError,
+                       match=r"spec.primitives\[0\].shape: unknown shape 'cube'"):
+        parse_scene_spec(spec("primitives:\n  - {shape: cube, min: [0, 0, 5], "
+                              "max: [1, 1, 6]}\n"))
+
+
+@pytest.mark.parametrize("grid", ["", "grid: null\n"], ids=["absent", "null"])
+def test_missing_grid_is_the_desk_preset(grid):
+    parsed, desk = parse_scene_spec(spec(grid)), parse_scene_spec(spec("grid: {preset: desk}\n"))
+    assert parsed.grid.same_geometry(desk.grid) and parsed.grid.frame == desk.grid.frame
+    assert parsed.grid.values.dtype == bool and not parsed.grid.values.any()
+    for a, b in ((parsed.grid_to_world.rotation, desk.grid_to_world.rotation),
+                 (parsed.grid_to_world.translation, desk.grid_to_world.translation)):
+        assert np.array_equal(a, b)
 
 
 def test_preset_with_explicit_origin_rejected():
