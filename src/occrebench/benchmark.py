@@ -1,49 +1,21 @@
 """The reformulated occupancy evaluation protocol.
 
-Pipeline: render per-pixel opacities with eval-mode sampling, treat them as
-a dense map over the normalized frustum cube (pixel axes scaled by
-1/(w-1), 1/(h-1); depth node i at z = i/N, which is exact for eval-mode
-inverse-depth sampling), then voxelize by transforming each voxel center
-into the cube, trilinearly sampling the map with border padding, and
-thresholding at 0.5.  On a grid with about as many voxels as the map has
-nodes, a one-byte-per-node table first marks the map cells whose eight
-corners all lie clear of 0.5 on one side; a voxel in such a cell takes that
-side without interpolation, and only voxels in the cells that straddle 0.5
-are sampled, with the same result bit for bit.  A voxel reads the map only
-at its cell's eight corners and every node's opacity is a function of its
-own sample, so :func:`voxelize_field`, which ``optim.evaluate_field`` uses,
-computes only the nodes of the cells its voxels fall in (about 6% of the
-map on the occluder's 4,620-voxel grid), leaves the rest at zero and
-voxelizes that map, again bit for bit.  The conventional protocol -
-thresholding raw density at voxel centers - is kept for comparison.
+Opacity protocol: render per-pixel opacities with eval-mode sampling into a
+map over the normalized frustum cube (pixel axes scaled by 1/(w-1),
+1/(h-1); depth node i at z = i/N, which is exact for eval-mode
+inverse-depth sampling), take each voxel center into the cube, sample the
+map trilinearly with border padding and threshold at 0.5.  The
+conventional protocol, thresholding raw density at voxel centers, is kept
+for comparison.
 
 Masks: the frustum mask keeps voxels whose centers project inside the image
 with positive depth; the visibility mask marches one ray per pixel at
 voxel-size steps through the ground-truth grid and keeps voxels reached
-before the first occupied sample.  A ray retires at its first occupied
-sample, so the march does O(samples up to each ray's first occupied voxel)
-work, not O(rays x the longest march).  Metrics are exact count ratios.
+before the first occupied sample.  Metrics are exact count ratios.
 
-Both image-sized stages take one depth bin or march step per pass for all
-rays at once, so beyond the (w, h, N) map their memory is O(pixels +
-voxels), independent of the march length and the sample count.  Arrays
-are stored in the order they are read: the opacity map depth bin by depth
-bin (a bin is written at once, and a block of voxels reads a few bins of
-every pixel), voxel centers one coordinate at a time.  The stages
-that visit every voxel center (both voxelizations and the frustum mask,
-hence the visibility mask's clip) take one block of whole x-slices at a
-time (``grids.BLOCK_VOXELS`` voxels at most), so beyond the boolean grid
-they write their memory is O(block), not O(voxels); the opacity
-voxelization adds its cell table, one byte per map node, built one depth
-bin at a time, and :func:`voxelize_field` marks the nodes it will read in
-one byte per node before it allocates the map.
-
-Both stages that look density up (the map build, one call per depth bin
-or per image's worth of read nodes, and the conventional voxelization, one
-per center block) take softplus of a ``VoxelDensityField``'s parameters
-once per call and reuse it for every batch (``node_density``/
-``density_from``); any other density source is asked through
-``density_at``.
+Every stage that visits voxel centers does so through
+``VoxelGrid.map_centers`` or ``center_blocks``, one block of x-slices at a
+time (``test_center_blocks.py``).
 """
 
 from __future__ import annotations
@@ -65,8 +37,10 @@ OCCUPANCY_THRESHOLD = 0.5
 def _density_lookup(density_field):
     """``points -> sigma`` for one stage's batches of points.
 
-    A ``VoxelDensityField``'s node densities are taken here, once, so the
-    lookup must not outlive the stage: training updates ``theta`` in place.
+    A ``VoxelDensityField``'s node densities are taken here, once
+    (``test_benchmark.py::TestOpacityMap::test_softplus_once_per_map``), so
+    the lookup must not outlive the stage: training updates ``theta`` in
+    place.
     """
     if isinstance(density_field, VoxelDensityField):
         nodes = density_field.node_density()
@@ -107,15 +81,6 @@ class OpacityMap:
             raise ValueError("opacities must lie in [0, 1]")
         self.values = np.ascontiguousarray(v.transpose(2, 0, 1)).transpose(1, 2, 0)
 
-    @property
-    def num_samples(self) -> int:
-        return self.values.shape[2]
-
-    @property
-    def node_strides(self) -> tuple:
-        """Element strides of the depth-major buffer along (u, v, i)."""
-        return _node_strides(self.values.shape)
-
 
 def _node_strides(counts) -> tuple:
     """Element strides along (u, v, i) of a depth-major map of (w, h, n)
@@ -124,45 +89,56 @@ def _node_strides(counts) -> tuple:
     return (h, 1, w * h)
 
 
-def _eval_rays(view: CameraView, cfg: SamplingConfig):
-    """The map's rays, one eval-mode ray per pixel in map pixel order: their
-    direction columns (3, pixels), sample distances and interval lengths."""
+def _fill_map(density_field, view: CameraView, cfg: SamplingConfig, nodes) -> OpacityMap:
+    """The eval-mode opacity map, one ray per pixel, at the flat depth-major
+    ``nodes`` (in increasing order) and zero elsewhere; at every node if
+    ``nodes`` is None.
+
+    Nodes are computed one image's worth at a time, so memory beyond the
+    map is O(pixels), independent of N
+    (``test_benchmark.py::TestOpacityMap::test_peak_memory_is_the_map_plus_per_ray_state``).
+    A point is formed one coordinate at a time, ``t * d[a] + o[a]``, the
+    same bits as ``origins + t * dirs``, and its opacity depends on its own
+    sample alone, so a node has the same bits in either map.  A sparse map
+    is allocated only once its nodes' opacities exist, and neither they nor
+    the node list outlive the scatter into it
+    (``test_voxelize_field.py::test_evaluate_field_peaks_no_higher_than_the_dense_pass``).
+    """
     if cfg.mode != MODE_EVAL:
         raise ValueError("opacity maps must be built with eval-mode sampling")
-    _, dirs = view.world_rays(all_pixel_coords(view.intrinsics).reshape(-1, 2))
+    intr = view.intrinsics
+    _, dirs = view.world_rays(all_pixel_coords(intr).reshape(-1, 2))
+    dir_cols = np.ascontiguousarray(dirs.T)
     t = sample_distances(cfg)
-    return np.ascontiguousarray(dirs.T), t, interval_lengths(t, cfg.far)
-
-
-def _opacity_at(density, origin, dir_cols, t, delta) -> np.ndarray:
-    """Opacity of the samples at distance ``t`` along the rays from
-    ``origin`` with direction columns ``dir_cols`` (3, m), over intervals
-    ``delta``; ``t`` and ``delta`` are scalars or (m,).
-
-    Every output is a function of its own sample alone.  The points are
-    formed one column at a time, ``t * d[a] + o[a]``, the same bits as
-    ``origins + t * dirs``.
-    """
-    pts = np.empty((3, len(dir_cols[0])))
-    for a in range(3):
-        np.multiply(t, dir_cols[a], out=pts[a])
-        pts[a] += origin[a]
-    return opacity(density(pts.T), delta)
+    delta = interval_lengths(t, cfg.far)
+    density = _density_lookup(density_field)
+    pixels = intr.width * intr.height
+    size = cfg.num_samples * pixels if nodes is None else len(nodes)
+    alpha = np.empty(size)
+    for k in range(0, size, pixels):
+        if nodes is None:           # one whole depth bin: t[i] is a scalar
+            i, pix = k // pixels, slice(None)
+        else:
+            i, pix = divmod(nodes[k:k + pixels], pixels)
+        pts = np.empty((3, min(pixels, size - k)))
+        for a in range(3):
+            np.multiply(t[i], dir_cols[a, pix], out=pts[a])
+            pts[a] += view.position[a]
+        alpha[k:k + pixels] = opacity(density(pts.T), delta[i])
+        del pts
+    if nodes is not None:
+        read, alpha = alpha, np.zeros(cfg.num_samples * pixels)
+        alpha[nodes] = read
+        del nodes, read
+    values = alpha.reshape(cfg.num_samples, intr.width, intr.height).transpose(1, 2, 0)
+    return OpacityMap(values, intr, FrustumSpec(cfg.near, cfg.far))
 
 
 def build_opacity_map(density_field, view: CameraView,
                       cfg: SamplingConfig) -> OpacityMap:
     """One eval-mode ray per pixel; N opacities per ray, filled one depth
-    bin at a time into the depth-major map (memory beyond the map is
-    O(pixels), independent of N)."""
-    dir_cols, t, delta = _eval_rays(view, cfg)
-    density = _density_lookup(density_field)
-    alpha = np.empty((cfg.num_samples, dir_cols.shape[1]))
-    for i in range(cfg.num_samples):
-        alpha[i] = _opacity_at(density, view.position, dir_cols, t[i], delta[i])
-    intr = view.intrinsics
-    values = alpha.reshape(cfg.num_samples, intr.width, intr.height).transpose(1, 2, 0)
-    return OpacityMap(values, intr, FrustumSpec(cfg.near, cfg.far))
+    bin at a time into the depth-major map."""
+    return _fill_map(density_field, view, cfg, None)
 
 
 def _map_cells(counts, pts: np.ndarray):
@@ -193,7 +169,7 @@ def _interpolate(omap: OpacityMap, base, frac) -> np.ndarray:
     """Trilinear opacity at located points (see :func:`_map_cells`)."""
     values = omap.values.transpose(2, 0, 1).reshape(-1)
     out = np.zeros(frac.shape[1:])
-    for flat, wgt in trilinear_corners(base, frac, omap.node_strides):
+    for flat, wgt in trilinear_corners(base, frac, _node_strides(omap.values.shape)):
         wgt *= values[flat]
         out += wgt
         del flat, wgt               # before the generator makes the next corner
@@ -229,7 +205,8 @@ def cell_table(omap: OpacityMap) -> np.ndarray:
     (as are the nodes on a last face, which are no cell's lower corner).
     Indexed like the depth-major value buffer, so a cell's class is
     ``table[base]`` for the ``base`` of :func:`_map_cells`.  Built one depth
-    bin at a time: beyond the table its memory is O(w * h).
+    bin at a time: beyond the table its memory is O(w * h)
+    (``test_center_blocks.py::test_cell_table_adds_at_most_a_byte_per_node``).
 
     Why a decided cell needs no interpolation: the opacity at any point of
     a cell is a convex combination of its corner opacities, so it lies
@@ -291,7 +268,7 @@ def voxelize_occupancy(omap: OpacityMap, grid: VoxelGrid, t_vc: Pose) -> VoxelGr
     it, a voxel in a decided cell takes that cell's class, and only voxels
     in undecided cells are interpolated.  Smaller grids interpolate every
     voxel.  Either way a voxel reads the map only at its cell's eight
-    corners.
+    corners (``test_center_blocks.py::test_voxelize_through_the_cell_table``).
     """
     table = None
     if CELL_TABLE_NODES_PER_VOXEL * grid.num_voxels >= omap.values.size:
@@ -319,13 +296,15 @@ def voxelize_occupancy(omap: OpacityMap, grid: VoxelGrid, t_vc: Pose) -> VoxelGr
     return grid.map_centers(occupied, t_vc)
 
 
-def _read_nodes(grid: VoxelGrid, t_vc: Pose, intr: CameraIntrinsics, fr: FrustumSpec,
-                counts) -> np.ndarray:
-    """Flat indices, in increasing order, of the nodes of a depth-major map
-    of (w, h, n) ``counts`` nodes that :func:`voxelize_occupancy` reads:
-    the eight corners of each front voxel's cell, found as it finds them."""
-    w, h, n = counts
-    read = np.zeros((n, w, h), dtype=bool)
+def _read_nodes(view: CameraView, cfg: SamplingConfig, grid: VoxelGrid,
+                t_vc: Pose) -> np.ndarray:
+    """Flat indices, in increasing order, of the nodes of the depth-major
+    map of ``view`` and ``cfg`` that :func:`voxelize_occupancy` reads over
+    ``grid``: the eight corners of each front voxel's cell, found as it
+    finds them, marked in one byte per node."""
+    intr, fr = view.intrinsics, FrustumSpec(cfg.near, cfg.far)
+    counts = (intr.width, intr.height, cfg.num_samples)
+    read = np.zeros((cfg.num_samples, intr.width, intr.height), dtype=bool)
     for _, centers_cam in grid.center_blocks(t_vc):
         base, _ = _map_cells(counts, _front_tcs(centers_cam, intr, fr)[1])
         read.reshape(-1)[base] = True
@@ -337,48 +316,20 @@ def _read_nodes(grid: VoxelGrid, t_vc: Pose, intr: CameraIntrinsics, fr: Frustum
     return np.flatnonzero(read)
 
 
-def _read_map(density_field, view: CameraView, cfg: SamplingConfig,
-              grid: VoxelGrid, t_vc: Pose) -> OpacityMap:
-    """:func:`build_opacity_map`'s map at the nodes that
-    :func:`voxelize_occupancy` reads over ``grid``, and zero elsewhere.
-
-    The read nodes are computed in batches of one image's worth, across
-    depth bins, through the same kernel.  The map is allocated only once
-    their opacities are, so the node list and those opacities are held
-    with it only while they are scattered into it.
-    """
-    dir_cols, t, delta = _eval_rays(view, cfg)
-    intr, fr = view.intrinsics, FrustumSpec(cfg.near, cfg.far)
-    counts = (intr.width, intr.height, cfg.num_samples)
-    nodes = _read_nodes(grid, t_vc, intr, fr, counts)
-    density = _density_lookup(density_field)
-    pixels = intr.width * intr.height
-    read = np.empty(len(nodes))
-    for k in range(0, len(nodes), pixels):
-        i, pix = divmod(nodes[k:k + pixels], pixels)
-        read[k:k + pixels] = _opacity_at(density, view.position, dir_cols[:, pix],
-                                         t[i], delta[i])
-    alpha = np.zeros((cfg.num_samples, pixels))
-    alpha.reshape(-1)[nodes] = read
-    del nodes, read
-    values = alpha.reshape(cfg.num_samples, intr.width, intr.height).transpose(1, 2, 0)
-    return OpacityMap(values, intr, fr)
-
-
 def voxelize_field(density_field, view: CameraView, cfg: SamplingConfig,
                    grid: VoxelGrid, t_vc: Pose) -> VoxelGrid:
     """``voxelize_occupancy(build_opacity_map(density_field, view, cfg), grid,
     t_vc)``, bit for bit, computing only the map nodes the voxels read.
 
-    Every node's opacity depends on its own sample alone, and a voxel reads
-    only the eight corners of its cell, so only the nodes of the front
-    voxels' cells are computed and the rest of the map is left at zero.  A
-    cell table built over that map may classify cells from zeros, but no
-    voxel looks those cells up.  Unread nodes are never computed, so a NaN
-    or negative density there is never seen; at a read node it raises as
-    in :func:`build_opacity_map`.
+    A voxel reads only the eight corners of its cell, so only the nodes of
+    the front voxels' cells are computed, in batches of one image's worth
+    across depth bins, and the rest of the map is left at zero.  A cell
+    table built over that map may classify cells from zeros, but no voxel
+    looks those cells up.  A NaN or negative density at an unread node is
+    never seen; at a read node it raises as in :func:`build_opacity_map`.
     """
-    return voxelize_occupancy(_read_map(density_field, view, cfg, grid, t_vc), grid, t_vc)
+    return voxelize_occupancy(
+        _fill_map(density_field, view, cfg, _read_nodes(view, cfg, grid, t_vc)), grid, t_vc)
 
 
 def conventional_voxelize(density_field, grid: VoxelGrid, t_vc: Pose) -> VoxelGrid:
@@ -420,7 +371,8 @@ def visibility_mask(gt: VoxelGrid, view: CameraView, t_vc: Pose) -> VoxelGrid:
     voxel grids, independent of the march length.  A ray leaves the pass
     set once its march ends or its first occupied sample is taken, since
     nothing after that changes the mask: the work is O(samples up to each
-    ray's first occupied voxel).
+    ray's first occupied voxel) (``test_benchmark.py::TestRayRetirement``,
+    ``TestVisibilityMask::test_peak_memory_independent_of_march_length``).
     """
     if gt.values.dtype != bool:
         raise ValueError("visibility mask needs a boolean ground-truth grid")

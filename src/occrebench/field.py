@@ -39,9 +39,13 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def inverse_softplus(y: float) -> float:
-    """theta with softplus(theta) = y, for finite y > 0."""
+    """theta with softplus(theta) = y, for finite y > 0.  From y = 700 on,
+    where e^y nears overflow, ln(e^y - 1) is taken as y + ln(1 - e^-y);
+    below, the first form is kept for its bits."""
     check_real("softplus value", y, above=0)
-    return float(np.log(np.expm1(y)))
+    if y < 700:
+        return float(np.log(np.expm1(y)))
+    return float(y + np.log(-np.expm1(-y)))
 
 
 # ---------------------------------------------------------------------------
@@ -214,25 +218,23 @@ class AnalyticScene:
         object.__setattr__(self, "primitives", tuple(self.primitives))
         object.__setattr__(self, "background", _as_rgb(self.background))
 
-    def density_at(self, pts: np.ndarray) -> np.ndarray:
-        p = np.asarray(pts, dtype=np.float64)
-        sigma = np.zeros(p.shape[:-1])
+    def _first_containing(self, p: np.ndarray, out: np.ndarray, attr: str) -> np.ndarray:
+        """``out`` with each point's entry set to its first primitive's ``attr``."""
         unset = np.ones(p.shape[:-1], dtype=bool)
         for prim in self.primitives:
             hit = prim.contains(p) & unset
-            sigma[hit] = prim.density
+            out[hit] = getattr(prim, attr)
             unset &= ~hit
-        return sigma
+        return out
+
+    def density_at(self, pts: np.ndarray) -> np.ndarray:
+        p = np.asarray(pts, dtype=np.float64)
+        return self._first_containing(p, np.zeros(p.shape[:-1]), "density")
 
     def color_at(self, pts: np.ndarray) -> np.ndarray:
         p = np.asarray(pts, dtype=np.float64)
         colors = np.broadcast_to(self.background, p.shape).copy()
-        unset = np.ones(p.shape[:-1], dtype=bool)
-        for prim in self.primitives:
-            hit = prim.contains(p) & unset
-            colors[hit] = prim.albedo
-            unset &= ~hit
-        return colors
+        return self._first_containing(p, colors, "albedo")
 
     def sample_colors(self, pts: np.ndarray):
         """ColorSource protocol: point colors plus an all-true hit mask."""

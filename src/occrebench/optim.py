@@ -266,12 +266,11 @@ def evaluate_field(density_field, scene: AnalyticScene, views,
                    setup: EvalSetup, cfg: TrainConfig):
     """Full benchmark pass: opacity map, voxelize, masks, metrics.
 
-    The prediction is ``voxelize_occupancy(build_opacity_map(...))`` bit for
-    bit, but through ``benchmark.voxelize_field``, which computes only the
-    opacity-map nodes the grid's voxels read (on the occluder's grid, about
-    6% of them).  Unread nodes are never computed, so they are never
-    validated: a NaN or negative density raises only where a read node
-    samples it.
+    The prediction is ``benchmark.voxelize_field``, which fills the opacity
+    map only at the nodes the grid's voxels read (on the occluder's grid,
+    about 6% of them) and gives the bits of the dense map
+    (``test_voxelize_field.py``).  Unread nodes are never computed, so a
+    NaN or negative density raises only where a read node samples it.
     """
     if setup.view_index >= len(views):
         raise ValueError(f"view_index {setup.view_index} is out of range "

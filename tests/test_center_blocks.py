@@ -268,7 +268,7 @@ def test_voxelize_through_the_cell_table(counts, tabled, seed, cell_table_builds
     front = cam[:, 2] > 0
     assert front.any() and not front.all()
     tcs = ccs_to_tcs(cam[front], INTR, FRUSTUM)
-    assert np.any(tcs[:, 2] * omap.num_samples >= omap.num_samples - 1)   # offset 1
+    assert np.any(tcs[:, 2] * omap.values.shape[2] >= omap.values.shape[2] - 1)   # offset 1
     assert np.any(tcs[:, :2] < 0) and np.any(tcs[:, :2] > 1)             # clamped
     cls = benchmark.cell_table(omap)[benchmark._map_cells(omap.values.shape, tcs)[0]]
     occ = got.reshape(-1)[front]

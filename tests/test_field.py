@@ -468,6 +468,19 @@ class TestVoxelDensityField:
         with pytest.raises(ValueError):
             inverse_softplus(0.0)
 
+    @pytest.mark.parametrize("y", [710.0, 800.0, 1e300])
+    def test_inverse_softplus_stays_finite_where_expm1_overflows(self, y):
+        """np.expm1 overflows above about 709.78, which gave theta = inf."""
+        theta = inverse_softplus(y)
+        assert np.isfinite(theta)
+        assert softplus(theta) == y
+
+    @pytest.mark.parametrize("y", [0.05, 60.0])
+    def test_inverse_softplus_keeps_its_bits_below_the_switch(self, y):
+        """The evaluation fields' densities: y + ln(1 - e^-y) differs from
+        ln(e^y - 1) by an ulp at 0.05."""
+        assert inverse_softplus(y) == float(np.log(np.expm1(y)))
+
     @pytest.mark.parametrize("sigma0", [np.nan, np.inf])
     def test_uniform_field_rejects_a_non_finite_density(self, sigma0):
         """A NaN or infinite sigma0 gave a field of NaN or infinite theta."""

@@ -156,7 +156,8 @@ def test_cell_table_over_a_partly_filled_map(seed, cell_table_builds):
     assert got.any() and not got.all()
     assert np.array_equal(got, dense(fld, SMALL_VIEW, SMALL_CFG, grid, t_vc))
 
-    sparse_map = benchmark._read_map(fld, SMALL_VIEW, SMALL_CFG, grid, t_vc)
+    nodes = benchmark._read_nodes(SMALL_VIEW, SMALL_CFG, grid, t_vc)
+    sparse_map = benchmark._fill_map(fld, SMALL_VIEW, SMALL_CFG, nodes)
     dense_map = build_opacity_map(fld, SMALL_VIEW, SMALL_CFG)
     equal = sparse_map.values == dense_map.values
     assert equal.any() and not equal.all()
@@ -181,13 +182,20 @@ def count_located_points(monkeypatch) -> list:
 
 
 def test_evaluate_field_looks_up_only_the_read_nodes(monkeypatch):
+    """The read nodes in lookups of one image's worth across depth bins,
+    and the dense map in one lookup per depth bin."""
     fld = occluder_field(0)
+    pixels = VIEW.intrinsics.width * VIEW.intrinsics.height
     looked_up = count_located_points(monkeypatch)
     optim.evaluate_field(fld, OCCLUDER.scene, OCCLUDER.views, SETUP, CFG)
-    assert 0 < sum(looked_up) <= 0.07 * MAP_NODES
+    read = sum(looked_up)
+    assert 0 < read <= 0.07 * MAP_NODES
+    calls = -(-read // pixels)
+    assert len(looked_up) == calls and looked_up[:-1] == [pixels] * (calls - 1)
     looked_up.clear()
     build_opacity_map(fld, VIEW, EVAL_CFG)
     assert sum(looked_up) == MAP_NODES
+    assert looked_up == [pixels] * SETUP.num_samples
 
 
 def least_traced_peak(fn) -> int:
