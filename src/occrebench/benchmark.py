@@ -246,11 +246,11 @@ def cell_table(omap: OpacityMap) -> np.ndarray:
 
 def _front_tcs(centers_cam: np.ndarray, intr: CameraIntrinsics, fr: FrustumSpec):
     """Cube coordinates of the centers (m, 3) in front of the camera, and
-    which centers those are (None if all are: such a block is passed on as
-    it is, with no row gather)."""
+    which centers those are (``slice(None)`` if all are: such a block is
+    passed on as it is, with no row gather)."""
     front = centers_cam[:, 2] > 0
     if front.all():
-        return None, ccs_to_tcs(centers_cam, intr, fr)
+        return slice(None), ccs_to_tcs(centers_cam, intr, fr)
     return front, ccs_to_tcs(np.compress(front, centers_cam, axis=0), intr, fr)
 
 
@@ -286,11 +286,9 @@ def voxelize_occupancy(omap: OpacityMap, grid: VoxelGrid, t_vc: Pose) -> VoxelGr
 
     def occupied(centers_cam):
         front, tcs = _front_tcs(centers_cam, omap.intrinsics, omap.frustum)
-        if front is None:
-            return occupied_in_front(tcs)
+        occ_front = occupied_in_front(tcs)   # before the block's output exists
         occ = np.zeros(len(centers_cam), dtype=bool)
-        if len(tcs):
-            occ[front] = occupied_in_front(tcs)
+        occ[front] = occ_front
         return occ
 
     return grid.map_centers(occupied, t_vc)
@@ -418,16 +416,24 @@ def visibility_mask(gt: VoxelGrid, view: CameraView, t_vc: Pose) -> VoxelGrid:
 # Metrics
 # ---------------------------------------------------------------------------
 
+# The keys of ``MetricsReport.counts``, in the order they are emitted.
+COUNT_NAMES = ("frustum_tp", "frustum_fp", "frustum_fn", "frustum_tn",
+               "invisible_empty_tp", "invisible_empty_fp", "invisible_empty_fn",
+               "invisible_empty_tn", "frustum_total", "invisible_total")
+
+
 @dataclass(frozen=True)
 class MetricsReport:
     """The six occupancy metrics plus the unified IoU/Pre/Rec triple.
 
     O_* metrics range over the frustum with occupied as the positive class;
     IE_* metrics range over the invisible part of the frustum with EMPTY as
-    the positive class.  IoU/Pre/Rec repeat the frustum-restricted occupied
-    counts in the form supervised benchmarks use; Pre/Rec are O_Pre/O_Rec
-    under those names, derived rather than stored.  Metrics with an empty
-    denominator are None and listed in ``undefined``.
+    the positive class, so their tp, fp, fn and tn are the occupied table's
+    tn, fn, fp and tp there.  IoU/Pre/Rec repeat the frustum-restricted
+    occupied counts in the form supervised benchmarks use; Pre/Rec are
+    O_Pre/O_Rec under those names, derived rather than stored.  Metrics
+    with an empty denominator are None and listed in ``undefined``.
+    ``counts`` holds the two tables under ``COUNT_NAMES``.
     """
 
     o_acc: float | None
@@ -459,9 +465,20 @@ def _ratio(num: int, den: int) -> float | None:
     return num / den if den else None
 
 
+def _scores(tp: int, fp: int, fn: int, tn: int) -> tuple:
+    """Accuracy, precision and recall of one confusion table."""
+    return _ratio(tp + tn, tp + fp + fn + tn), _ratio(tp, tp + fp), _ratio(tp, tp + fn)
+
+
 def compute_metrics(pred: VoxelGrid, gt: VoxelGrid, frustum: VoxelGrid,
                     visible: VoxelGrid) -> MetricsReport:
-    """Exact count-ratio metrics from four same-geometry boolean grids."""
+    """Exact count-ratio metrics from four same-geometry boolean grids.
+
+    One rule counts a region's (tp, fp, fn, tn), occupied positive: over
+    the frustum for O_*, and reversed over its invisible part for IE_*.
+    With one boolean temporary at a time, at most three grids are held above
+    the inputs (``test_benchmark.py::TestMetrics::test_peak_memory_is_three_boolean_grids``).
+    """
     for name, g in (("pred", pred), ("gt", gt), ("frustum", frustum), ("visible", visible)):
         if not pred.same_geometry(g):
             raise ValueError(f"{name} grid geometry differs from the prediction grid")
@@ -471,33 +488,17 @@ def compute_metrics(pred: VoxelGrid, gt: VoxelGrid, frustum: VoxelGrid,
     p = pred.values.reshape(-1)
     g = gt.values.reshape(-1)
     mf = frustum.values.reshape(-1)
-    inv = ~visible.values.reshape(-1) & mf
 
-    tp = int(np.sum(p & g & mf))
-    fp = int(np.sum(p & ~g & mf))
-    fn = int(np.sum(~p & g & mf))
-    tn = int(np.sum(~p & ~g & mf))
+    def confusion(region) -> tuple:
+        positive = p & region
+        tp = int(np.count_nonzero(positive & g))
+        fp = int(np.count_nonzero(positive)) - tp
+        del positive
+        fn = int(np.count_nonzero(g & region)) - tp
+        return tp, fp, fn, int(np.count_nonzero(region)) - tp - fp - fn
 
-    # Invisible region, empty as the positive class.
-    e_tp = int(np.sum(~p & ~g & inv))
-    e_fp = int(np.sum(~p & g & inv))
-    e_fn = int(np.sum(p & ~g & inv))
-    e_tn = int(np.sum(p & g & inv))
-
-    counts = {"frustum_tp": tp, "frustum_fp": fp, "frustum_fn": fn, "frustum_tn": tn,
-              "invisible_empty_tp": e_tp, "invisible_empty_fp": e_fp,
-              "invisible_empty_fn": e_fn, "invisible_empty_tn": e_tn,
-              "frustum_total": tp + fp + fn + tn,
-              "invisible_total": e_tp + e_fp + e_fn + e_tn}
-
-    return MetricsReport(
-        o_acc=_ratio(tp + tn, tp + fp + fn + tn),
-        o_pre=_ratio(tp, tp + fp),
-        o_rec=_ratio(tp, tp + fn),
-        ie_acc=_ratio(e_tp + e_tn, e_tp + e_fp + e_fn + e_tn),
-        ie_pre=_ratio(e_tp, e_tp + e_fp),
-        ie_rec=_ratio(e_tp, e_tp + e_fn),
-        iou=_ratio(tp, tp + fp + fn),
-        counts=counts,
-    )
-
+    o = confusion(mf)
+    ie = confusion(mf & ~visible.values.reshape(-1))[::-1]   # empty as the positive class
+    tp, fp, fn, _ = o
+    return MetricsReport(*_scores(*o), *_scores(*ie), iou=_ratio(tp, tp + fp + fn),
+                         counts=dict(zip(COUNT_NAMES, (*o, *ie, sum(o), sum(ie)))))

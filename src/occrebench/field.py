@@ -25,7 +25,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .geometry import CameraView, Pose, check_int, check_real
+from .geometry import CameraView, Pose, all_pixel_coords, check_int, check_real
 from .grids import VoxelGrid, lattice
 
 
@@ -274,10 +274,7 @@ def render_reference_image(scene: AnalyticScene, view: CameraView) -> np.ndarray
     Overlaps at the hit point resolve by primitive list order.
     """
     intr = view.intrinsics
-    us, vs = np.meshgrid(np.arange(intr.width, dtype=np.float64),
-                         np.arange(intr.height, dtype=np.float64), indexing="xy")
-    pixels = np.stack([us, vs], axis=-1)
-    _, dirs = view.world_rays(pixels)
+    _, dirs = view.world_rays(all_pixel_coords(intr).transpose(1, 0, 2))
     flat_d = dirs.reshape(-1, 3)
     o = view.position
 

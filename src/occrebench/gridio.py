@@ -61,23 +61,17 @@ class PayloadValueError(GridFormatError):
     pass
 
 
-def _payload_bytes(grid: VoxelGrid) -> tuple[int, bytes]:
-    if grid.values.dtype == bool:
-        code = DTYPE_BOOL
-        arr = grid.values.astype(np.uint8)
-    else:
-        code = DTYPE_F32
-        arr = grid.values.astype("<f4")
-    # x fastest: transpose to (z, y, x) C-order
-    return code, np.ascontiguousarray(arr.transpose(2, 1, 0)).tobytes()
-
-
 def grid_to_bytes(grid: VoxelGrid) -> bytes:
-    code, payload = _payload_bytes(grid)
+    """The header and the payload, converted in one copy: the file's bytes
+    are its only other copy (``test_gridio.py::test_write_holds_two_payloads``)."""
+    code = DTYPE_BOOL if grid.values.dtype == bool else DTYPE_F32
+    # x fastest: (z, y, x) in C order
+    payload = np.ascontiguousarray(grid.values.transpose(2, 1, 0),
+                                   dtype=np.uint8 if code == DTYPE_BOOL else "<f4")
     nx, ny, nz = grid.counts
     header = HEADER.pack(MAGIC, FORMAT_VERSION, _FRAME_CODES[grid.frame], code,
                          nx, ny, nz, *grid.origin, *grid.resolution)
-    return header + payload
+    return header + payload.data
 
 
 def grid_from_bytes(data: bytes) -> VoxelGrid:

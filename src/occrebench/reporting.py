@@ -8,16 +8,11 @@ produce byte-identical files.
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 
-from .benchmark import MetricsReport
+from .benchmark import COUNT_NAMES, MetricsReport
 
-METRIC_COLUMNS = list(MetricsReport.METRIC_NAMES)
-COUNT_COLUMNS = ["frustum_tp", "frustum_fp", "frustum_fn", "frustum_tn",
-                 "invisible_empty_tp", "invisible_empty_fp",
-                 "invisible_empty_fn", "invisible_empty_tn",
-                 "frustum_total", "invisible_total"]
+METRIC_COLUMNS = MetricsReport.METRIC_NAMES
 
 
 def config_fingerprint(payload: dict) -> str:
@@ -30,7 +25,7 @@ def metrics_to_json(report: MetricsReport, fingerprint: str = "",
                     seed: int | None = None) -> str:
     doc = {
         "metrics": {name: getattr(report, name) for name in METRIC_COLUMNS},
-        "counts": {k: report.counts[k] for k in COUNT_COLUMNS},
+        "counts": {k: report.counts[k] for k in COUNT_NAMES},
         "undefined": list(report.undefined),
         "config_fingerprint": fingerprint,
         "seed": seed,
@@ -38,23 +33,11 @@ def metrics_to_json(report: MetricsReport, fingerprint: str = "",
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def metrics_csv_header(label: str = "label") -> str:
-    return ",".join([label] + METRIC_COLUMNS + COUNT_COLUMNS)
-
-
-def metrics_to_csv_row(report: MetricsReport, label: str) -> str:
-    cells = [label]
-    for name in METRIC_COLUMNS:
-        value = getattr(report, name)
-        cells.append("" if value is None else repr(value))
-    cells += [str(report.counts[k]) for k in COUNT_COLUMNS]
-    return ",".join(cells)
-
-
 def metrics_csv(rows, label: str = "label") -> str:
     """rows: iterable of (label, MetricsReport)."""
-    out = io.StringIO()
-    out.write(metrics_csv_header(label) + "\n")
+    lines = [[label, *METRIC_COLUMNS, *COUNT_NAMES]]
     for name, report in rows:
-        out.write(metrics_to_csv_row(report, str(name)) + "\n")
-    return out.getvalue()
+        metrics = (getattr(report, m) for m in METRIC_COLUMNS)
+        lines.append([str(name), *("" if v is None else repr(v) for v in metrics),
+                      *(str(report.counts[k]) for k in COUNT_NAMES)])
+    return "".join(",".join(cells) + "\n" for cells in lines)

@@ -124,11 +124,10 @@ def _vec3(node, path, item=_number):
 
 
 def _pose(node, path) -> Pose:
-    _check_keys(node, path, {"position", "translation", "yaw_deg", "rotation"})
+    _check_keys(node, path, {"position", "yaw_deg", "rotation"})
     if "rotation" in node and "yaw_deg" in node:
         raise SceneSpecError(f"{path}: give rotation or yaw_deg, not both")
-    pos_key = "position" if "position" in node else "translation"
-    translation = _vec3(node.get(pos_key, (0.0, 0.0, 0.0)), f"{path}.{pos_key}")
+    translation = _vec3(node.get("position", (0.0, 0.0, 0.0)), f"{path}.position")
     if "rotation" in node:
         rot = _vec3(node["rotation"], f"{path}.rotation", _vec3)
     elif "yaw_deg" in node:
@@ -158,7 +157,7 @@ def _camera(node, path) -> CameraView:
 def _primitive(node, path):
     _require_mapping(node, path)
     shape = _get(node, path, "shape")
-    if shape not in ("box", "sphere", "ground", "halfspace"):
+    if shape not in ("box", "sphere", "ground"):
         raise SceneSpecError(f"{path}.shape: unknown shape {shape!r}")
     common = {"shape", "density", "albedo"}
     with _at(path):

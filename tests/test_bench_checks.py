@@ -59,3 +59,16 @@ def test_street_voxels_match_the_all_at_once_oracles(workloads, tmp_path, cell_t
     assert np.array_equal(gt, ground_truth_all_at_once(spec.scene, spec.grid,
                                                        spec.grid_to_world))
     assert pred.any() and gt.any() and not gt.all()
+
+
+@pytest.mark.parametrize("name, occupied", [("eval_occluder", 1_332),
+                                            ("eval_kitti360", 307_023)])
+def test_every_occupied_frustum_voxel_is_invisible(workloads, name, occupied, tmp_path):
+    """The march never marks an occupied voxel visible, so the IE_* table's
+    occupied voxels, its fp and tn, are all of gt & m_f."""
+    wl = workloads.WORKLOADS[name]
+    state = wl.setup(workloads.DEFAULT_SEED, str(tmp_path))
+    out = wl.op(state)
+    masks = state.masks if name == "eval_occluder" else out.grids
+    assert np.count_nonzero(masks["gt"].values & masks["frustum"].values) == occupied
+    assert out.counts["invisible_empty_fp"] + out.counts["invisible_empty_tn"] == occupied

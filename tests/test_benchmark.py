@@ -27,6 +27,7 @@ from occrebench.rendering import SamplingConfig, interval_lengths, opacity, \
     sample_distances
 
 from conftest import IntervalScaledField, rotation_about
+from test_center_blocks import excess_peak
 
 
 def eval_cfg(n=64, near=3.0, far=20.0):
@@ -653,6 +654,17 @@ class TestMetrics:
         grids[name] = grids[name].like(np.zeros((2, 2, 2)))
         with pytest.raises(ValueError, match=f"boolean grids; {name} is float64"):
             compute_metrics(**grids)
+
+    def test_peak_memory_is_three_boolean_grids(self):
+        """Counts hold one boolean temporary at a time: over the invisible
+        region, the region, the predicted positives in it and their overlap
+        with the ground truth (1 KiB of slack for small objects)."""
+        rng = np.random.default_rng(8)
+        grids = [VoxelGrid([0, 0, 0], (128, 128, 32), 0.2, rng.random((128, 128, 32)) < 0.5)
+                 for _ in range(4)]
+        n = grids[0].num_voxels
+        peak = excess_peak(lambda: compute_metrics(*grids), 0)
+        assert peak <= 3 * n + 1024, peak / n
 
     def test_geometry_mismatch_rejected(self):
         a = self.make([0] * 8)

@@ -17,6 +17,8 @@ from occrebench.gridio import (HEADER, BadMagicError, GridFormatError,
                                read_voxel_grid, write_voxel_grid)
 from occrebench.grids import VoxelGrid
 
+from test_center_blocks import excess_peak
+
 DATA = Path(__file__).with_name("data")
 
 
@@ -74,6 +76,16 @@ def test_write_read_round_trip(tmp_path):
         path = tmp_path / "grid.ogrd"
         write_voxel_grid(path, grid)
         assert_same_grid(read_voxel_grid(path), grid)
+
+
+def test_write_holds_two_payloads(tmp_path):
+    """Writing a 2 MiB boolean grid holds the converted payload and the
+    file's bytes, and no third copy (1 KiB of slack for small objects)."""
+    grid = VoxelGrid([0.0, 0.0, 0.0], (128, 128, 128), 0.2,
+                     np.random.default_rng(5).random((128, 128, 128)) < 0.5)
+    peak = excess_peak(lambda: write_voxel_grid(tmp_path / "g.ogrd", grid), 0)
+    assert peak <= 2 * grid.num_voxels + 1024, peak / grid.num_voxels
+    assert np.array_equal(read_voxel_grid(tmp_path / "g.ogrd").values, grid.values)
 
 
 def patched(data: bytes, offset: int, new: bytes) -> bytes:

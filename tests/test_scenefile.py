@@ -23,6 +23,7 @@ def test_minimal_spec_parses():
 @pytest.mark.parametrize("text, path", [
     (spec("colour: [1, 0, 0]\n"), "spec.colour"),
     (spec(camera=CAMERA[:-1] + ", zoom: 2}"), r"spec.cameras\[0\].zoom"),
+    (spec(camera=CAMERA[:-1] + ", translation: [0, 0, 0]}"), r"spec.cameras\[0\].translation"),
     (spec("primitives:\n  - {shape: box, min: [0, 0, 5], max: [1, 1, 6], "
           "density: 1, albedo: [1, 0, 0], size: 3}\n"), r"spec.primitives\[0\].size"),
     (spec("grid: {preset: desk, spacing: 1}\n"), "spec.grid.spacing"),
@@ -44,11 +45,12 @@ def test_missing_required_key(text, path):
         parse_scene_spec(text)
 
 
-def test_unknown_shape_is_reported_before_its_keys():
+@pytest.mark.parametrize("shape", ["cube", "halfspace"])
+def test_unknown_shape_is_reported_before_its_keys(shape):
     """A box with a misspelt shape reported its missing density."""
     with pytest.raises(SceneSpecError,
-                       match=r"spec.primitives\[0\].shape: unknown shape 'cube'"):
-        parse_scene_spec(spec("primitives:\n  - {shape: cube, min: [0, 0, 5], "
+                       match=rf"spec.primitives\[0\].shape: unknown shape '{shape}'"):
+        parse_scene_spec(spec(f"primitives:\n  - {{shape: {shape}, min: [0, 0, 5], "
                               "max: [1, 1, 6]}\n"))
 
 
