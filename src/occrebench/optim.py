@@ -11,6 +11,7 @@ so a (config, seed) pair reproduces parameters bit for bit.
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import dataclass
 
 import numpy as np
@@ -271,15 +272,46 @@ def evaluate_field(density_field, scene: AnalyticScene, views,
     about 6% of them) and gives the bits of the dense map
     (``test_voxelize_field.py``).  Unread nodes are never computed, so a
     NaN or negative density raises only where a read node samples it.
+
+    Only the prediction depends on the field.  The ground truth, frustum
+    and visibility grids and ``t_vc`` are the last call's when its scene,
+    evaluated view, grid origin, counts and resolution and ``grid_to_world``
+    pickle to the same bytes as this call's, and are built afresh
+    otherwise: an input changed in place, or equal but another object, is
+    keyed by its content.  Between calls, those three boolean grids, the
+    pose and the key stay allocated, and nothing of the field
+    (``test_voxelize_field.py``).
     """
     if setup.view_index >= len(views):
         raise ValueError(f"view_index {setup.view_index} is out of range "
                          f"for {len(views)} views")
     view = views[setup.view_index]
-    t_vc = setup.t_vc(view)
+    t_vc, gt, mf, mv = _eval_plan(scene, view, setup)
     eval_cfg = SamplingConfig(setup.num_samples, cfg.near, cfg.far, MODE_EVAL)
     pred = voxelize_field(density_field, view, eval_cfg, setup.grid, t_vc)
-    gt = ground_truth_occupancy(scene, setup.grid, setup.grid_to_world)
-    mf = frustum_mask(setup.grid, t_vc, view.intrinsics)
-    mv = visibility_mask(gt, view, t_vc)
     return compute_metrics(pred, gt, mf, mv)
+
+
+# The last evaluation plan, (key, (t_vc, gt, frustum, visible)); see
+# ``evaluate_field``.
+_last_plan = None
+
+
+def _eval_plan(scene: AnalyticScene, view, setup: EvalSetup) -> tuple:
+    """``t_vc`` and the ground truth, frustum and visibility grids of
+    ``view`` on ``setup``: the last call's if its inputs pickle to the same
+    bytes, else built afresh.  The grids keep copies of the grid's origin
+    and resolution, so that no array of the plan is the caller's."""
+    global _last_plan
+    grid = setup.grid
+    key = pickle.dumps((scene, view, grid.origin, grid.counts, grid.resolution,
+                        setup.grid_to_world))
+    if _last_plan is None or _last_plan[0] != key:
+        _last_plan = None   # the last plan's grids go before this one's are built
+        grid = VoxelGrid(grid.origin.copy(), grid.counts, grid.resolution.copy(),
+                         grid.values)
+        t_vc = setup.t_vc(view)
+        gt = ground_truth_occupancy(scene, grid, setup.grid_to_world)
+        _last_plan = key, (t_vc, gt, frustum_mask(grid, t_vc, view.intrinsics),
+                           visibility_mask(gt, view, t_vc))
+    return _last_plan[1]

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from occrebench import benchmark, field
+from occrebench import benchmark, field, optim
 from occrebench.field import AnalyticScene, Box, HalfSpace, Sphere
 from occrebench.geometry import CameraIntrinsics, CameraView, FrustumSpec, Pose
 from occrebench.rendering import composite, opacity, sample_points_batch
@@ -124,6 +124,13 @@ def render_rays(density_field, color_source, dirs, cfg) -> SimpleNamespace:
     assert np.all(np.diff(trans, axis=-1) <= 0)
     return SimpleNamespace(t=t, delta=delta, sigma=sigma, alpha=alpha, trans=trans,
                            colors=colors, miss=~hit, color=color, residual=residual)
+
+
+@pytest.fixture(autouse=True)
+def no_eval_plan(monkeypatch):
+    """Every test starts with no evaluation plan left by another:
+    ``optim.evaluate_field`` builds its masks afresh on its first call."""
+    monkeypatch.setattr(optim, "_last_plan", None)
 
 
 @pytest.fixture

@@ -40,10 +40,13 @@ def workloads():
 
 @pytest.mark.parametrize("name", ["train_occluder", "eval_occluder", "eval_kitti360"])
 def test_default_seed_matches_reference(workloads, name, tmp_path):
+    """Two operations, as a benchmark run makes: the second
+    ``eval_occluder`` operation reuses the evaluation plan of the first."""
     wl = workloads.WORKLOADS[name]
     state = wl.setup(workloads.DEFAULT_SEED, str(tmp_path))
     state.expected = workloads.reference(name)
-    assert wl.check(state, wl.op(state)) == []
+    for _ in range(2):
+        assert wl.check(state, wl.op(state)) == []
 
 
 def test_street_voxels_match_the_all_at_once_oracles(workloads, tmp_path, cell_table_builds):

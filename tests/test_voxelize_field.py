@@ -7,11 +7,16 @@ voxels behind the camera, on a grid wholly behind it, and through the cell
 table over a partly filled map.  It must also do the work it claims (about
 6% of the occluder map's density lookups), hold no more memory than the
 dense pass, and still fail on a NaN density wherever it reads one.
+``optim.evaluate_field`` builds the field-independent masks once per
+setup, rebuilds them when an input changes by content, and keeps only
+them between calls.
 """
 
 from __future__ import annotations
 
+import copy
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -272,3 +277,101 @@ def test_nan_density_fails_only_where_it_is_read():
     assert report.counts == expected.counts
     with pytest.raises(ValueError, match="density"):
         build_opacity_map(nan_unread, VIEW, EVAL_CFG)
+
+
+# ---------------------------------------------------------------------------
+# The field-independent plan of evaluate_field
+# ---------------------------------------------------------------------------
+
+MASK_BUILDERS = ("ground_truth_occupancy", "frustum_mask", "visibility_mask")
+
+
+def count_mask_builds(monkeypatch) -> dict:
+    """Calls of each of ``MASK_BUILDERS`` that ``optim`` makes from now on."""
+    builds = dict.fromkeys(MASK_BUILDERS, 0)
+
+    def counted(name):
+        real = getattr(optim, name)
+
+        def counting(*args):
+            builds[name] += 1
+            return real(*args)
+        return counting
+
+    for name in MASK_BUILDERS:
+        monkeypatch.setattr(optim, name, counted(name))
+    return builds
+
+
+def test_one_setup_builds_its_masks_once(monkeypatch):
+    """Three fields scored on one setup, the last on an equal copy of its
+    inputs: the masks are built on the first call alone, and every count
+    table is the dense pass's."""
+    builds = count_mask_builds(monkeypatch)
+    inputs = [(OCCLUDER.scene, OCCLUDER.views, SETUP)] * 2
+    inputs.append(copy.deepcopy(inputs[0]))
+    tables = []
+    for seed, (scene, views, setup) in zip((0, 3, 7), inputs):
+        fld = occluder_field(seed)
+        report = optim.evaluate_field(fld, scene, views, setup, CFG)
+        assert report.counts == evaluate_field_dense(fld, scene, views, setup, CFG).counts
+        tables.append(tuple(report.counts.values()))
+    assert builds == dict.fromkeys(MASK_BUILDERS, 1)
+    assert len(set(tables)) == 3
+
+
+def move_box_corner(fix):
+    fix.scene.primitives[0].max_corner[2] += 0.6
+
+
+def move_view(fix):
+    fix.views[0].pose.translation[0] += 0.3
+
+
+def move_grid_origin(fix):
+    fix.eval_setup.grid.origin[2] += 0.15
+
+
+def move_grid_to_world(fix):
+    fix.eval_setup.grid_to_world.translation[1] += 0.2
+
+
+def push_near(fix):
+    """Another view object: the frustum is frozen.  The prediction samples
+    from ``cfg.near``, so only the visibility march sees this."""
+    fix.views[0] = replace(fix.views[0], frustum=FrustumSpec(4.0, 12.0))
+
+
+@pytest.mark.parametrize("change", [move_box_corner, move_view, move_grid_origin,
+                                    move_grid_to_world, push_near])
+def test_a_changed_input_rebuilds_the_plan(monkeypatch, change):
+    """Each input the masks read is part of the plan's key by content, so a
+    change made in place rebuilds the masks, and the counts are a fresh
+    evaluation's."""
+    fix = copy.deepcopy(OCCLUDER)
+    fld = occluder_field(0)
+    args = fld, fix.scene, fix.views, fix.eval_setup, CFG
+    before = optim.evaluate_field(*args).counts
+    builds = count_mask_builds(monkeypatch)
+    change(fix)
+    report = optim.evaluate_field(*args)
+    assert builds == dict.fromkeys(MASK_BUILDERS, 1)
+    assert report.counts == evaluate_field_dense(*args).counts != before
+
+
+def test_a_call_leaves_three_grids_allocated(monkeypatch):
+    """Between calls only the plan stays: three boolean grids, a pose and
+    the key, within 64 KiB.  A kept opacity map (3 MiB) or read-node list
+    (0.19 MiB) would show."""
+    args = occluder_field(0), OCCLUDER.scene, OCCLUDER.views, SETUP, CFG
+    optim.evaluate_field(*args)   # warm caches
+    monkeypatch.setattr(optim, "_last_plan", None)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        optim.evaluate_field(*args)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert optim._last_plan is not None
+    assert held <= 3 * SETUP.grid.num_voxels + 64 * 1024
