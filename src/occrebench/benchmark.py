@@ -27,7 +27,7 @@ import numpy as np
 from .field import VoxelDensityField, slab_intervals, trilinear_corners
 from .geometry import CameraIntrinsics, CameraView, FrustumSpec, Pose, ccs_to_tcs, \
     all_pixel_coords, in_image, pixel_directions, project
-from .grids import VoxelGrid
+from .grids import BLOCK_VOXELS, VoxelGrid
 from .rendering import MODE_EVAL, SamplingConfig, interval_lengths, opacity, \
     sample_distances
 
@@ -89,56 +89,41 @@ def _node_strides(counts) -> tuple:
     return (h, 1, w * h)
 
 
-def _fill_map(density_field, view: CameraView, cfg: SamplingConfig, nodes) -> OpacityMap:
-    """The eval-mode opacity map, one ray per pixel, at the flat depth-major
-    ``nodes`` (in increasing order) and zero elsewhere; at every node if
-    ``nodes`` is None.
-
-    Nodes are computed one image's worth at a time, so memory beyond the
-    map is O(pixels), independent of N
-    (``test_benchmark.py::TestOpacityMap::test_peak_memory_is_the_map_plus_per_ray_state``).
-    A point is formed one coordinate at a time, ``t * d[a] + o[a]``, the
-    same bits as ``origins + t * dirs``, and its opacity depends on its own
-    sample alone, so a node has the same bits in either map.  A sparse map
-    is allocated only once its nodes' opacities exist, and neither they nor
-    the node list outlive the scatter into it
-    (``test_voxelize_field.py::test_evaluate_field_peaks_no_higher_than_the_dense_pass``).
-    """
+def _eval_rays(view: CameraView, cfg: SamplingConfig) -> tuple:
+    """Each pixel ray's world direction as three rows (3, w * h), in the
+    map's (u, v) order, and the eval-mode depths and interval lengths of
+    ``cfg``."""
     if cfg.mode != MODE_EVAL:
         raise ValueError("opacity maps must be built with eval-mode sampling")
-    intr = view.intrinsics
-    _, dirs = view.world_rays(all_pixel_coords(intr).reshape(-1, 2))
-    dir_cols = np.ascontiguousarray(dirs.T)
+    _, dirs = view.world_rays(all_pixel_coords(view.intrinsics).reshape(-1, 2))
     t = sample_distances(cfg)
-    delta = interval_lengths(t, cfg.far)
-    density = _density_lookup(density_field)
-    pixels = intr.width * intr.height
-    size = cfg.num_samples * pixels if nodes is None else len(nodes)
-    alpha = np.empty(size)
-    for k in range(0, size, pixels):
-        if nodes is None:           # one whole depth bin: t[i] is a scalar
-            i, pix = k // pixels, slice(None)
-        else:
-            i, pix = divmod(nodes[k:k + pixels], pixels)
-        pts = np.empty((3, min(pixels, size - k)))
-        for a in range(3):
-            np.multiply(t[i], dir_cols[a, pix], out=pts[a])
-            pts[a] += view.position[a]
-        alpha[k:k + pixels] = opacity(density(pts.T), delta[i])
-        del pts
-    if nodes is not None:
-        read, alpha = alpha, np.zeros(cfg.num_samples * pixels)
-        alpha[nodes] = read
-        del nodes, read
-    values = alpha.reshape(cfg.num_samples, intr.width, intr.height).transpose(1, 2, 0)
-    return OpacityMap(values, intr, FrustumSpec(cfg.near, cfg.far))
+    return np.ascontiguousarray(dirs.T), t, interval_lengths(t, cfg.far)
 
 
 def build_opacity_map(density_field, view: CameraView,
                       cfg: SamplingConfig) -> OpacityMap:
     """One eval-mode ray per pixel; N opacities per ray, filled one depth
-    bin at a time into the depth-major map."""
-    return _fill_map(density_field, view, cfg, None)
+    bin at a time into the depth-major map.
+
+    Memory beyond the map is O(pixels), independent of N
+    (``test_benchmark.py::TestOpacityMap::test_peak_memory_is_the_map_plus_per_ray_state``).
+    A point is formed one coordinate at a time, ``t * d[a] + o[a]``, the
+    same bits as ``origins + t * dirs``, and its opacity depends on its own
+    sample alone, so :class:`_ReadPlan` gives a node the same bits.
+    """
+    dir_cols, t, delta = _eval_rays(view, cfg)
+    density = _density_lookup(density_field)
+    intr = view.intrinsics
+    alpha = np.empty((cfg.num_samples, intr.width * intr.height))
+    for i in range(cfg.num_samples):
+        pts = np.empty(dir_cols.shape)
+        for a in range(3):
+            np.multiply(t[i], dir_cols[a], out=pts[a])
+            pts[a] += view.position[a]
+        alpha[i] = opacity(density(pts.T), delta[i])
+        del pts
+    values = alpha.reshape(cfg.num_samples, intr.width, intr.height).transpose(1, 2, 0)
+    return OpacityMap(values, intr, FrustumSpec(cfg.near, cfg.far))
 
 
 def _map_cells(counts, pts: np.ndarray):
@@ -294,40 +279,123 @@ def voxelize_occupancy(omap: OpacityMap, grid: VoxelGrid, t_vc: Pose) -> VoxelGr
     return grid.map_centers(occupied, t_vc)
 
 
-def _read_nodes(view: CameraView, cfg: SamplingConfig, grid: VoxelGrid,
-                t_vc: Pose) -> np.ndarray:
-    """Flat indices, in increasing order, of the nodes of the depth-major
-    map of ``view`` and ``cfg`` that :func:`voxelize_occupancy` reads over
-    ``grid``: the eight corners of each front voxel's cell, found as it
-    finds them, marked in one byte per node."""
-    intr, fr = view.intrinsics, FrustumSpec(cfg.near, cfg.far)
-    counts = (intr.width, intr.height, cfg.num_samples)
-    read = np.zeros((cfg.num_samples, intr.width, intr.height), dtype=bool)
-    for _, centers_cam in grid.center_blocks(t_vc):
-        base, _ = _map_cells(counts, _front_tcs(centers_cam, intr, fr)[1])
-        read.reshape(-1)[base] = True
-    # Lower corners to whole cells.  _map_cells keeps each lower corner one
-    # node short of the last on every axis, so no corner leaves the map.
-    read[1:] |= read[:-1]
-    read[:, 1:] |= read[:, :-1]
-    read[:, :, 1:] |= read[:, :, :-1]
-    return np.flatnonzero(read)
+def _batches(size: int):
+    """Slices of ``range(size)`` of ``BLOCK_VOXELS`` each, the last shorter."""
+    return (slice(k, min(k + BLOCK_VOXELS, size)) for k in range(0, size, BLOCK_VOXELS))
+
+
+class _ReadPlan:
+    """The part of :func:`voxelize_field` that does not depend on the field:
+    which nodes of the opacity map of ``view`` and ``cfg`` the voxels of
+    ``grid`` read, and how each voxel weighs them.
+
+    - ``points`` (3, R) and ``delta`` (R,): the world point and interval
+      length of each read node, in the map's depth-major order, formed as
+      :func:`build_opacity_map` forms them.  The read nodes are the eight
+      corners of each front voxel's cell, found as
+      :func:`voxelize_occupancy` finds them.
+    - ``front``: grid-shaped, True where the voxel center is in front of
+      the camera.
+    - ``ranks`` (4, F) int32: for each front voxel, in C order, the ranks
+      in the read-node list of its cell's corners (du, di) = (0, 0),
+      (0, 1), (1, 0), (1, 1) at dv = 0.  The dv = 1 corner of a read node
+      is read too and is the next map node, so its rank is one more.
+    - ``frac`` (3, F): each front voxel's offsets within its cell
+      (:func:`_map_cells`).
+
+    Held: 32 B per read node, 40 B per front voxel and 1 B per voxel.
+    Nothing of a field is kept.
+    """
+
+    def __init__(self, view: CameraView, cfg: SamplingConfig, grid: VoxelGrid, t_vc: Pose):
+        intr, fr = view.intrinsics, FrustumSpec(cfg.near, cfg.far)
+        counts = (intr.width, intr.height, cfg.num_samples)
+        image = intr.width * intr.height
+        if image * cfg.num_samples > np.iinfo(np.int32).max:
+            raise ValueError("a read plan indexes the map in int32: at most 2**31 - 1 nodes")
+        dir_cols, t, delta = _eval_rays(view, cfg)
+        self.front = np.zeros(grid.counts, dtype=bool)
+        # ranks[0] holds each front voxel's lower corner, a flat map index,
+        # until the read nodes are known.
+        ranks = np.empty((4, grid.num_voxels), dtype=np.int32)
+        frac = np.empty((3, grid.num_voxels))
+        read = np.zeros((cfg.num_samples, intr.width, intr.height), dtype=bool)
+        n = 0
+        for xs, centers_cam in grid.center_blocks(t_vc):
+            ahead, tcs = _front_tcs(centers_cam, intr, fr)
+            self.front[xs].reshape(-1)[ahead] = True   # a run of x-slices is contiguous
+            base, offsets = _map_cells(counts, tcs)
+            read.reshape(-1)[base] = True
+            ranks[0, n:n + len(base)] = base
+            frac[:, n:n + len(base)] = offsets
+            n += len(base)
+        if n < grid.num_voxels:
+            ranks, frac = ranks[:, :n].copy(), frac[:, :n].copy()
+        self.ranks, self.frac = ranks, frac
+        # Lower corners to whole cells.  _map_cells keeps each lower corner
+        # one node short of the last on every axis, so no corner leaves the map.
+        read[1:] |= read[:-1]
+        read[:, 1:] |= read[:, :-1]
+        read[:, :, 1:] |= read[:, :, :-1]
+        read = read.reshape(-1)
+        rank = read.astype(np.int32)    # then, in place, one more than a read node's rank
+        np.cumsum(rank, out=rank)       # (a cast in the cumsum would copy the map twice)
+        for batch in _batches(n):
+            base = self.ranks[0, batch]
+            # (du, di) = (1, 1), (1, 0), (0, 1), then (0, 0) over the base
+            for row, offset in zip(self.ranks[::-1, batch], (intr.height + image,
+                                                             intr.height, image, 0)):
+                np.subtract(rank[base + offset], 1, out=row)
+        del rank
+        nodes = np.flatnonzero(read)
+        del read
+        self.points = np.empty((3, len(nodes)))
+        self.delta = np.empty(len(nodes))
+        for batch in _batches(len(nodes)):
+            i, pix = np.divmod(nodes[batch], image)
+            pts = self.points[:, batch]
+            np.multiply(dir_cols[:, pix], t[i], out=pts)   # t * d[a] + o[a], as the map's
+            pts += view.position[:, None]
+            self.delta[batch] = delta[i]
+
+    def occupancy(self, density_field) -> np.ndarray:
+        """The prediction's values: the read nodes' opacities, then each
+        front voxel's trilinear sample of them, in :func:`_interpolate`'s
+        corner order, thresholded.  Both run in batches of ``BLOCK_VOXELS``,
+        so memory beyond the plan, the opacities and the output is
+        O(``BLOCK_VOXELS``)."""
+        density = _density_lookup(density_field)
+        alpha = np.empty(len(self.delta))
+        for batch in _batches(len(alpha)):
+            alpha[batch] = opacity(density(self.points[:, batch].T), self.delta[batch])
+        occ_front = np.empty(self.frac.shape[1], dtype=bool)
+        for batch in _batches(len(occ_front)):
+            sampled = np.zeros(batch.stop - batch.start)
+            # With base 0 and strides (2, 4, 1) each corner's index is
+            # 2 du + 4 dv + di: its row of ``ranks``, plus 4 if it is one rank on.
+            for corner, wgt in trilinear_corners(0, self.frac[:, batch], (2, 4, 1)):
+                ranks = self.ranks[corner & 3, batch]
+                wgt *= alpha[ranks + 1 if corner & 4 else ranks]
+                sampled += wgt
+                del ranks, wgt      # before the generator makes the next corner
+            occ_front[batch] = sampled > OCCUPANCY_THRESHOLD
+        occ = np.zeros(self.front.shape, dtype=bool)
+        occ[self.front] = occ_front
+        return occ
 
 
 def voxelize_field(density_field, view: CameraView, cfg: SamplingConfig,
                    grid: VoxelGrid, t_vc: Pose) -> VoxelGrid:
     """``voxelize_occupancy(build_opacity_map(density_field, view, cfg), grid,
-    t_vc)``, bit for bit, computing only the map nodes the voxels read.
+    t_vc)``, bit for bit, computing only the map nodes the voxels read: a
+    :class:`_ReadPlan` of the view, scored for the field.
 
-    A voxel reads only the eight corners of its cell, so only the nodes of
-    the front voxels' cells are computed, in batches of one image's worth
-    across depth bins, and the rest of the map is left at zero.  A cell
-    table built over that map may classify cells from zeros, but no voxel
-    looks those cells up.  A NaN or negative density at an unread node is
+    No map and no cell table is built: every front voxel is interpolated
+    over the read nodes' opacities, which the cell table's proof shows is
+    what the table decides.  A NaN or negative density at an unread node is
     never seen; at a read node it raises as in :func:`build_opacity_map`.
     """
-    return voxelize_occupancy(
-        _fill_map(density_field, view, cfg, _read_nodes(view, cfg, grid, t_vc)), grid, t_vc)
+    return grid.like(_ReadPlan(view, cfg, grid, t_vc).occupancy(density_field))
 
 
 def conventional_voxelize(density_field, grid: VoxelGrid, t_vc: Pose) -> VoxelGrid:

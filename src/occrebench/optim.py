@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .benchmark import compute_metrics, frustum_mask, visibility_mask, voxelize_field
+from .benchmark import _ReadPlan, compute_metrics, frustum_mask, visibility_mask
 # not called here; bench/tracing.py wraps them
 from .benchmark import build_opacity_map, voxelize_occupancy  # noqa: F401
 from .field import (AnalyticScene, VoxelDensityField, ground_truth_occupancy,
@@ -267,41 +267,47 @@ def evaluate_field(density_field, scene: AnalyticScene, views,
                    setup: EvalSetup, cfg: TrainConfig):
     """Full benchmark pass: opacity map, voxelize, masks, metrics.
 
-    The prediction is ``benchmark.voxelize_field``, which fills the opacity
-    map only at the nodes the grid's voxels read (on the occluder's grid,
-    about 6% of them) and gives the bits of the dense map
-    (``test_voxelize_field.py``).  Unread nodes are never computed, so a
+    The prediction is ``benchmark.voxelize_field``'s, bit for bit: the
+    field's opacity at the map nodes the grid's voxels read (about 6% on
+    the occluder), interpolated at each voxel in front of the camera.  A
     NaN or negative density raises only where a read node samples it.
 
-    Only the prediction depends on the field.  The ground truth, frustum
-    and visibility grids and ``t_vc`` are the last call's when its scene,
-    evaluated view, grid origin, counts and resolution and ``grid_to_world``
-    pickle to the same bytes as this call's, and are built afresh
-    otherwise: an input changed in place, or equal but another object, is
-    keyed by its content.  Between calls, those three boolean grids, the
-    pose and the key stay allocated, and nothing of the field
+    Only that score depends on the field.  The rest is the last call's
+    plan, keyed by content (an input changed in place, or equal but another
+    object, counts as the same input):
+
+    - ``t_vc`` and the ground truth, frustum and visibility grids, while
+      the scene, the evaluated view, the grid's origin, counts and
+      resolution and ``grid_to_world`` pickle to the same bytes;
+    - the read plan (``benchmark._ReadPlan``), while those do and
+      ``setup.num_samples``, ``cfg.near`` and ``cfg.far`` are equal, so a
+      change of the sampling config alone rebuilds only it.
+
+    Between calls the plan stays allocated, at the bytes the read plan
+    states plus three boolean grids, and nothing of the field
     (``test_voxelize_field.py``).
     """
     if setup.view_index >= len(views):
         raise ValueError(f"view_index {setup.view_index} is out of range "
                          f"for {len(views)} views")
     view = views[setup.view_index]
-    t_vc, gt, mf, mv = _eval_plan(scene, view, setup)
     eval_cfg = SamplingConfig(setup.num_samples, cfg.near, cfg.far, MODE_EVAL)
-    pred = voxelize_field(density_field, view, eval_cfg, setup.grid, t_vc)
+    (t_vc, gt, mf, mv), reads = _eval_plan(scene, view, setup, eval_cfg)
+    pred = setup.grid.like(reads.occupancy(density_field))
     return compute_metrics(pred, gt, mf, mv)
 
 
-# The last evaluation plan, (key, (t_vc, gt, frustum, visible)); see
-# ``evaluate_field``.
+# The last evaluation plan, (mask key, (t_vc, gt, frustum, visible),
+# sampling config, read plan); see ``evaluate_field``.
 _last_plan = None
 
 
-def _eval_plan(scene: AnalyticScene, view, setup: EvalSetup) -> tuple:
-    """``t_vc`` and the ground truth, frustum and visibility grids of
-    ``view`` on ``setup``: the last call's if its inputs pickle to the same
-    bytes, else built afresh.  The grids keep copies of the grid's origin
-    and resolution, so that no array of the plan is the caller's."""
+def _eval_plan(scene: AnalyticScene, view, setup: EvalSetup, eval_cfg: SamplingConfig):
+    """``(t_vc, gt, frustum, visible)`` of ``view`` on ``setup``, and the
+    read plan of ``view`` and ``eval_cfg`` over its grid: the last call's
+    where their inputs are, else built afresh.  The grids keep copies of
+    the grid's origin and resolution, so that no array of the plan is the
+    caller's."""
     global _last_plan
     grid = setup.grid
     key = pickle.dumps((scene, view, grid.origin, grid.counts, grid.resolution,
@@ -313,5 +319,11 @@ def _eval_plan(scene: AnalyticScene, view, setup: EvalSetup) -> tuple:
         t_vc = setup.t_vc(view)
         gt = ground_truth_occupancy(scene, grid, setup.grid_to_world)
         _last_plan = key, (t_vc, gt, frustum_mask(grid, t_vc, view.intrinsics),
-                           visibility_mask(gt, view, t_vc))
-    return _last_plan[1]
+                           visibility_mask(gt, view, t_vc)), None, None
+    key, masks, sampling, reads = _last_plan
+    if sampling != eval_cfg:
+        reads = None
+        _last_plan = key, masks, None, None   # the last read plan goes before this one is built
+        reads = _ReadPlan(view, eval_cfg, masks[1], masks[0])
+        _last_plan = key, masks, eval_cfg, reads
+    return masks, reads

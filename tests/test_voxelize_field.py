@@ -1,15 +1,18 @@
-"""The evaluation pass's voxelization over the read nodes of the opacity map.
+"""The evaluation pass's voxelization through a per-view read plan.
 
-``voxelize_field`` computes the map only at the nodes its voxels read and
-must equal the dense formula, ``voxelize_occupancy(build_opacity_map(...))``,
+``voxelize_field`` builds a ``benchmark._ReadPlan`` (the map nodes its
+voxels read, each front voxel's cell) and scores the field against it: the
+read nodes' opacities, then each front voxel's trilinear sample of them.
+It must equal the dense formula, ``voxelize_occupancy(build_opacity_map(...))``,
 bit for bit: on the occluder's evaluation setup, over random poses with
-voxels behind the camera, on a grid wholly behind it, and through the cell
-table over a partly filled map.  It must also do the work it claims (about
-6% of the occluder map's density lookups), hold no more memory than the
-dense pass, and still fail on a NaN density wherever it reads one.
-``optim.evaluate_field`` builds the field-independent masks once per
-setup, rebuilds them when an input changes by content, and keeps only
-them between calls.
+voxels behind the camera, on a grid wholly behind it, against a dense pass
+that decides through its cell table, and on a setup large enough to split
+the density lookup and the center blocks.  It must also do the work it
+claims (one lookup of about 6% of the occluder map's nodes) and still fail
+on a NaN density wherever it reads one.  ``optim.evaluate_field`` keeps
+the field-independent masks and the read plan between calls, rebuilds
+each when an input of it changes by content, holds the bytes the plan
+states and nothing of the field, and peaks no higher than the dense pass.
 """
 
 from __future__ import annotations
@@ -22,12 +25,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from occrebench import benchmark, fixtures, optim
+from occrebench import fixtures, optim
 from occrebench.benchmark import (build_opacity_map, compute_metrics, frustum_mask,
                                   visibility_mask, voxelize_field, voxelize_occupancy)
 from occrebench.field import VoxelDensityField, ground_truth_occupancy, inverse_softplus
 from occrebench.geometry import CameraIntrinsics, CameraView, FrustumSpec, Pose
-from occrebench.grids import VoxelGrid
+from occrebench.grids import BLOCK_VOXELS, VoxelGrid
 from occrebench.rendering import MODE_EVAL, SamplingConfig
 
 from conftest import random_pose
@@ -150,24 +153,53 @@ def test_grid_behind_the_camera_reads_nothing(monkeypatch):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_cell_table_over_a_partly_filled_map(seed, cell_table_builds):
-    """5,832 voxels against 10,368 nodes: the cell table is built over the
-    read nodes' map, whose zeroed nodes classify some cells differently
-    from the dense map; no voxel looks those cells up."""
+    """5,832 voxels against 10,368 nodes: the dense pass decides most voxels
+    through its cell table, the read plan interpolates every front voxel
+    and builds no table."""
     rng = np.random.default_rng(seed)
     fld, grid, t_vc = random_field(rng), grid_around((18, 18, 18)), straddling_pose(rng)
     assert 2 * grid.num_voxels >= SMALL_NODES
     got = voxelize_field(fld, SMALL_VIEW, SMALL_CFG, grid, t_vc).values
-    assert cell_table_builds == [SMALL_NODES]
+    assert cell_table_builds == []
     assert got.any() and not got.all()
     assert np.array_equal(got, dense(fld, SMALL_VIEW, SMALL_CFG, grid, t_vc))
+    assert cell_table_builds == [SMALL_NODES]
 
-    nodes = benchmark._read_nodes(SMALL_VIEW, SMALL_CFG, grid, t_vc)
-    sparse_map = benchmark._fill_map(fld, SMALL_VIEW, SMALL_CFG, nodes)
-    dense_map = build_opacity_map(fld, SMALL_VIEW, SMALL_CFG)
-    equal = sparse_map.values == dense_map.values
-    assert equal.any() and not equal.all()
-    tables = benchmark.cell_table(sparse_map), benchmark.cell_table(dense_map)
-    assert not np.array_equal(*tables)
+
+def fine_occluder_setup():
+    """The occluder's evaluation setup on a grid of a third the voxel edge
+    over the same box: 124,740 voxels."""
+    grid = SETUP.grid
+    fine = VoxelGrid.filled(grid.origin, np.multiply(grid.counts, 3), grid.resolution / 3,
+                            False, dtype=bool, frame=grid.frame)
+    return replace(SETUP, grid=fine)
+
+
+def test_a_multi_batch_setup_matches_the_dense_map(monkeypatch):
+    """Read nodes beyond one density batch and front voxels in two center
+    blocks, which the occluder's setup (one of each) does not split."""
+    setup = fine_occluder_setup()
+    fronts = [np.count_nonzero(c[:, 2] > 0) for _, c in setup.grid.center_blocks(T_VC)]
+    assert len(fronts) >= 2 and all(fronts)
+    fld = occluder_field(3)
+    looked_up = count_located_points(monkeypatch)
+    got = voxelize_field(fld, VIEW, EVAL_CFG, setup.grid, T_VC).values
+    assert len(looked_up) >= 2 and looked_up[:-1] == [BLOCK_VOXELS] * (len(looked_up) - 1)
+    assert got.any() and not got.all()
+    assert np.array_equal(got, dense(fld, VIEW, EVAL_CFG, setup.grid, T_VC))
+    report = optim.evaluate_field(fld, OCCLUDER.scene, OCCLUDER.views, setup, CFG)
+    expected = evaluate_field_dense(fld, OCCLUDER.scene, OCCLUDER.views, setup, CFG)
+    assert report.counts == expected.counts
+
+
+def test_a_map_beyond_int32_is_rejected():
+    """The plan's ranks and corner indices are int32."""
+    wide = CameraIntrinsics(100.0, 100.0, 16383.5, 0.5, 2 ** 15, 2)
+    view = CameraView(wide, Pose.identity(), FrustumSpec(2.0, 14.0))
+    cfg = SamplingConfig(2 ** 15, 2.0, 14.0, MODE_EVAL)
+    with pytest.raises(ValueError, match="int32"):
+        voxelize_field(random_field(np.random.default_rng(0)), view, cfg,
+                       grid_around((2, 2, 2)), Pose.identity())
 
 
 # ---------------------------------------------------------------------------
@@ -187,16 +219,13 @@ def count_located_points(monkeypatch) -> list:
 
 
 def test_evaluate_field_looks_up_only_the_read_nodes(monkeypatch):
-    """The read nodes in lookups of one image's worth across depth bins,
-    and the dense map in one lookup per depth bin."""
+    """The read nodes in one lookup, and the dense map in one lookup per
+    depth bin."""
     fld = occluder_field(0)
     pixels = VIEW.intrinsics.width * VIEW.intrinsics.height
     looked_up = count_located_points(monkeypatch)
     optim.evaluate_field(fld, OCCLUDER.scene, OCCLUDER.views, SETUP, CFG)
-    read = sum(looked_up)
-    assert 0 < read <= 0.07 * MAP_NODES
-    calls = -(-read // pixels)
-    assert len(looked_up) == calls and looked_up[:-1] == [pixels] * (calls - 1)
+    assert len(looked_up) == 1 and 0 < looked_up[0] <= 0.07 * MAP_NODES
     looked_up.clear()
     build_opacity_map(fld, VIEW, EVAL_CFG)
     assert sum(looked_up) == MAP_NODES
@@ -225,9 +254,9 @@ OBJECT_NOISE = 4096
 
 
 def test_evaluate_field_peaks_no_higher_than_the_dense_pass():
-    """Both peak in the voxelization over a map of the same size, so
-    nothing per read node may outlive the read-node pass: the node list or
-    its opacities (about 0.19 MiB each here) would show."""
+    """The warm-up call builds the plan, so this is a score's peak: the
+    read nodes' opacities and one batch's lookup, against the dense map
+    and its voxelization."""
     fld = occluder_field(0)
     args = fld, OCCLUDER.scene, OCCLUDER.views, SETUP, CFG
     peak = least_traced_peak(lambda: optim.evaluate_field(*args))
@@ -284,11 +313,12 @@ def test_nan_density_fails_only_where_it_is_read():
 # ---------------------------------------------------------------------------
 
 MASK_BUILDERS = ("ground_truth_occupancy", "frustum_mask", "visibility_mask")
+PLAN_BUILDERS = MASK_BUILDERS + ("_ReadPlan",)
 
 
-def count_mask_builds(monkeypatch) -> dict:
-    """Calls of each of ``MASK_BUILDERS`` that ``optim`` makes from now on."""
-    builds = dict.fromkeys(MASK_BUILDERS, 0)
+def count_plan_builds(monkeypatch) -> dict:
+    """Calls of each of ``PLAN_BUILDERS`` that ``optim`` makes from now on."""
+    builds = dict.fromkeys(PLAN_BUILDERS, 0)
 
     def counted(name):
         real = getattr(optim, name)
@@ -298,25 +328,25 @@ def count_mask_builds(monkeypatch) -> dict:
             return real(*args)
         return counting
 
-    for name in MASK_BUILDERS:
+    for name in PLAN_BUILDERS:
         monkeypatch.setattr(optim, name, counted(name))
     return builds
 
 
 def test_one_setup_builds_its_masks_once(monkeypatch):
     """Three fields scored on one setup, the last on an equal copy of its
-    inputs: the masks are built on the first call alone, and every count
-    table is the dense pass's."""
-    builds = count_mask_builds(monkeypatch)
-    inputs = [(OCCLUDER.scene, OCCLUDER.views, SETUP)] * 2
+    inputs: the masks and the read plan are built on the first call alone,
+    and every count table is the dense pass's."""
+    builds = count_plan_builds(monkeypatch)
+    inputs = [(OCCLUDER.scene, OCCLUDER.views, SETUP, CFG)] * 2
     inputs.append(copy.deepcopy(inputs[0]))
     tables = []
-    for seed, (scene, views, setup) in zip((0, 3, 7), inputs):
+    for seed, args in zip((0, 3, 7), inputs):
         fld = occluder_field(seed)
-        report = optim.evaluate_field(fld, scene, views, setup, CFG)
-        assert report.counts == evaluate_field_dense(fld, scene, views, setup, CFG).counts
+        report = optim.evaluate_field(fld, *args)
+        assert report.counts == evaluate_field_dense(fld, *args).counts
         tables.append(tuple(report.counts.values()))
-    assert builds == dict.fromkeys(MASK_BUILDERS, 1)
+    assert builds == dict.fromkeys(PLAN_BUILDERS, 1)
     assert len(set(tables)) == 3
 
 
@@ -342,36 +372,70 @@ def push_near(fix):
     fix.views[0] = replace(fix.views[0], frustum=FrustumSpec(4.0, 12.0))
 
 
-@pytest.mark.parametrize("change", [move_box_corner, move_view, move_grid_origin,
-                                    move_grid_to_world, push_near])
-def test_a_changed_input_rebuilds_the_plan(monkeypatch, change):
-    """Each input the masks read is part of the plan's key by content, so a
-    change made in place rebuilds the masks, and the counts are a fresh
+def change_num_samples(fix):
+    fix.eval_setup = replace(fix.eval_setup, num_samples=96)
+
+
+def change_far(fix):
+    fix.train_config = replace(fix.train_config, far=9.0)
+
+
+@pytest.mark.parametrize("change, masks_rebuilt", [
+    (move_box_corner, True), (move_view, True), (move_grid_origin, True),
+    (move_grid_to_world, True), (push_near, True),
+    (change_num_samples, False), (change_far, False)])
+def test_a_changed_input_rebuilds_the_plan(monkeypatch, change, masks_rebuilt):
+    """Each input the masks read is part of both keys by content, so a
+    change made in place rebuilds the masks and the read plan.  The
+    sampling config is part of the read plan's key alone, so a change of
+    it rebuilds only the read plan.  Either way the counts are a fresh
     evaluation's."""
     fix = copy.deepcopy(OCCLUDER)
     fld = occluder_field(0)
-    args = fld, fix.scene, fix.views, fix.eval_setup, CFG
-    before = optim.evaluate_field(*args).counts
-    builds = count_mask_builds(monkeypatch)
+
+    def args():
+        return fld, fix.scene, fix.views, fix.eval_setup, fix.train_config
+
+    before = optim.evaluate_field(*args()).counts
+    builds = count_plan_builds(monkeypatch)
     change(fix)
-    report = optim.evaluate_field(*args)
-    assert builds == dict.fromkeys(MASK_BUILDERS, 1)
-    assert report.counts == evaluate_field_dense(*args).counts != before
+    report = optim.evaluate_field(*args())
+    assert builds == {**dict.fromkeys(MASK_BUILDERS, int(masks_rebuilt)), "_ReadPlan": 1}
+    assert report.counts == evaluate_field_dense(*args()).counts != before
 
 
-def test_a_call_leaves_three_grids_allocated(monkeypatch):
-    """Between calls only the plan stays: three boolean grids, a pose and
-    the key, within 64 KiB.  A kept opacity map (3 MiB) or read-node list
-    (0.19 MiB) would show."""
-    args = occluder_field(0), OCCLUDER.scene, OCCLUDER.views, SETUP, CFG
-    optim.evaluate_field(*args)   # warm caches
+def held_after_a_cold_call(monkeypatch, args) -> int:
+    """Bytes that one ``evaluate_field`` call on a fresh plan leaves
+    allocated, after an earlier call has warmed caches."""
+    optim.evaluate_field(*args)
     monkeypatch.setattr(optim, "_last_plan", None)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         optim.evaluate_field(*args)
-        held = tracemalloc.get_traced_memory()[0] - before
+        return tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert optim._last_plan is not None
-    assert held <= 3 * SETUP.grid.num_voxels + 64 * 1024
+
+
+def test_a_call_leaves_three_grids_allocated(monkeypatch):
+    """Between calls only the plan stays: the three mask grids, a pose and
+    the key, and the read plan at the bytes ``_ReadPlan`` states (32 per
+    read node, 40 per front voxel and 1 per voxel), within 64 KiB.  A kept
+    opacity map (3 MiB) or opacity per read node (0.19 MiB) would show.
+    Fields on lattices of different shapes leave the same bytes, within the
+    few that Python's own objects vary by, so nothing of the field is kept."""
+    inputs = OCCLUDER.scene, OCCLUDER.views, SETUP, CFG
+    fld = occluder_field(0)
+    held = held_after_a_cold_call(monkeypatch, (fld,) + inputs)
+    reads = optim._last_plan[3]
+    nodes, front = len(reads.delta), reads.frac.shape[1]
+    assert 0 < nodes <= 0.07 * MAP_NODES and 0 < front == np.count_nonzero(reads.front)
+    voxels = SETUP.grid.num_voxels
+    assert held <= 4 * voxels + 32 * nodes + 40 * front + 64 * 1024
+
+    coarse = OCCLUDER.base_field
+    other = VoxelDensityField(coarse.origin, 2 * coarse.resolution,
+                              coarse.theta[::2, ::2, ::2])
+    assert fld.theta.nbytes - other.theta.nbytes > 4 * OBJECT_NOISE
+    assert abs(held_after_a_cold_call(monkeypatch, (other,) + inputs) - held) <= OBJECT_NOISE
