@@ -285,53 +285,52 @@ def _batches(size: int):
 
 
 class _ReadPlan:
-    """The part of :func:`voxelize_field` that does not depend on the field:
-    which nodes of the opacity map of ``view`` and ``cfg`` the voxels of
-    ``grid`` read, and how each voxel weighs them.
+    """The part of the opacity protocol's voxelization that does not depend
+    on the field, over the voxels of a ``frustum`` mask alone: which nodes
+    of the opacity map of ``view`` and ``cfg`` they read, and how each of
+    them weighs those nodes.
 
     - ``points`` (3, R) and ``delta`` (R,): the world point and interval
       length of each read node, in the map's depth-major order, formed as
       :func:`build_opacity_map` forms them.  The read nodes are the eight
-      corners of each front voxel's cell, found as
+      corners of each frustum voxel's cell, found as
       :func:`voxelize_occupancy` finds them.
-    - ``front``: grid-shaped, True where the voxel center is in front of
-      the camera.
-    - ``ranks`` (4, F) int32: for each front voxel, in C order, the ranks
+    - ``frustum``: the mask's values, the voxels the plan scores.
+    - ``ranks`` (4, F) int32: for each frustum voxel, in C order, the ranks
       in the read-node list of its cell's corners (du, di) = (0, 0),
       (0, 1), (1, 0), (1, 1) at dv = 0.  The dv = 1 corner of a read node
       is read too and is the next map node, so its rank is one more.
-    - ``frac`` (3, F): each front voxel's offsets within its cell
+    - ``frac`` (3, F): each frustum voxel's offsets within its cell
       (:func:`_map_cells`).
 
-    Held: 32 B per read node, 40 B per front voxel and 1 B per voxel.
-    Nothing of a field is kept.
+    Held: 32 B per read node and 40 B per frustum voxel; the mask is the
+    caller's.  Nothing of a field is kept.
     """
 
-    def __init__(self, view: CameraView, cfg: SamplingConfig, grid: VoxelGrid, t_vc: Pose):
+    def __init__(self, view: CameraView, cfg: SamplingConfig, frustum: VoxelGrid, t_vc: Pose):
         intr, fr = view.intrinsics, FrustumSpec(cfg.near, cfg.far)
         counts = (intr.width, intr.height, cfg.num_samples)
         image = intr.width * intr.height
         if image * cfg.num_samples > np.iinfo(np.int32).max:
             raise ValueError("a read plan indexes the map in int32: at most 2**31 - 1 nodes")
         dir_cols, t, delta = _eval_rays(view, cfg)
-        self.front = np.zeros(grid.counts, dtype=bool)
-        # ranks[0] holds each front voxel's lower corner, a flat map index,
-        # until the read nodes are known.
-        ranks = np.empty((4, grid.num_voxels), dtype=np.int32)
-        frac = np.empty((3, grid.num_voxels))
+        self.frustum = frustum.values
+        m = int(np.count_nonzero(self.frustum))
+        # ranks[0] holds each frustum voxel's lower corner, a flat map
+        # index, until the read nodes are known.
+        self.ranks = np.empty((4, m), dtype=np.int32)
+        self.frac = np.empty((3, m))
         read = np.zeros((cfg.num_samples, intr.width, intr.height), dtype=bool)
         n = 0
-        for xs, centers_cam in grid.center_blocks(t_vc):
-            ahead, tcs = _front_tcs(centers_cam, intr, fr)
-            self.front[xs].reshape(-1)[ahead] = True   # a run of x-slices is contiguous
+        for xs, centers_cam in frustum.center_blocks(t_vc):
+            # every frustum center has z > 0 (geometry.in_image)
+            inside = self.frustum[xs].reshape(-1)   # a run of x-slices is contiguous
+            tcs = ccs_to_tcs(np.compress(inside, centers_cam, axis=0), intr, fr)
             base, offsets = _map_cells(counts, tcs)
             read.reshape(-1)[base] = True
-            ranks[0, n:n + len(base)] = base
-            frac[:, n:n + len(base)] = offsets
+            self.ranks[0, n:n + len(base)] = base
+            self.frac[:, n:n + len(base)] = offsets
             n += len(base)
-        if n < grid.num_voxels:
-            ranks, frac = ranks[:, :n].copy(), frac[:, :n].copy()
-        self.ranks, self.frac = ranks, frac
         # Lower corners to whole cells.  _map_cells keeps each lower corner
         # one node short of the last on every axis, so no corner leaves the map.
         read[1:] |= read[:-1]
@@ -340,7 +339,7 @@ class _ReadPlan:
         read = read.reshape(-1)
         rank = read.astype(np.int32)    # then, in place, one more than a read node's rank
         np.cumsum(rank, out=rank)       # (a cast in the cumsum would copy the map twice)
-        for batch in _batches(n):
+        for batch in _batches(m):
             base = self.ranks[0, batch]
             # (du, di) = (1, 1), (1, 0), (0, 1), then (0, 0) over the base
             for row, offset in zip(self.ranks[::-1, batch], (intr.height + image,
@@ -360,16 +359,22 @@ class _ReadPlan:
 
     def occupancy(self, density_field) -> np.ndarray:
         """The prediction's values: the read nodes' opacities, then each
-        front voxel's trilinear sample of them, in :func:`_interpolate`'s
-        corner order, thresholded.  Both run in batches of ``BLOCK_VOXELS``,
-        so memory beyond the plan, the opacities and the output is
-        O(``BLOCK_VOXELS``)."""
+        frustum voxel's trilinear sample of them, in :func:`_interpolate`'s
+        corner order, thresholded; False outside the frustum.  Both run in
+        batches of ``BLOCK_VOXELS``, so memory beyond the plan, the
+        opacities and the output is O(``BLOCK_VOXELS``).
+
+        In the frustum this is :func:`voxelize_occupancy` over
+        :func:`build_opacity_map`, bit for bit, as :func:`cell_table`'s
+        proof shows for a voxel the table decides.  A NaN or negative
+        density raises as in :func:`build_opacity_map` at a read node alone.
+        """
         density = _density_lookup(density_field)
         alpha = np.empty(len(self.delta))
         for batch in _batches(len(alpha)):
             alpha[batch] = opacity(density(self.points[:, batch].T), self.delta[batch])
-        occ_front = np.empty(self.frac.shape[1], dtype=bool)
-        for batch in _batches(len(occ_front)):
+        occ_in = np.empty(self.frac.shape[1], dtype=bool)
+        for batch in _batches(len(occ_in)):
             sampled = np.zeros(batch.stop - batch.start)
             # With base 0 and strides (2, 4, 1) each corner's index is
             # 2 du + 4 dv + di: its row of ``ranks``, plus 4 if it is one rank on.
@@ -378,24 +383,10 @@ class _ReadPlan:
                 wgt *= alpha[ranks + 1 if corner & 4 else ranks]
                 sampled += wgt
                 del ranks, wgt      # before the generator makes the next corner
-            occ_front[batch] = sampled > OCCUPANCY_THRESHOLD
-        occ = np.zeros(self.front.shape, dtype=bool)
-        occ[self.front] = occ_front
+            occ_in[batch] = sampled > OCCUPANCY_THRESHOLD
+        occ = np.zeros(self.frustum.shape, dtype=bool)
+        occ[self.frustum] = occ_in
         return occ
-
-
-def voxelize_field(density_field, view: CameraView, cfg: SamplingConfig,
-                   grid: VoxelGrid, t_vc: Pose) -> VoxelGrid:
-    """``voxelize_occupancy(build_opacity_map(density_field, view, cfg), grid,
-    t_vc)``, bit for bit, computing only the map nodes the voxels read: a
-    :class:`_ReadPlan` of the view, scored for the field.
-
-    No map and no cell table is built: every front voxel is interpolated
-    over the read nodes' opacities, which the cell table's proof shows is
-    what the table decides.  A NaN or negative density at an unread node is
-    never seen; at a read node it raises as in :func:`build_opacity_map`.
-    """
-    return grid.like(_ReadPlan(view, cfg, grid, t_vc).occupancy(density_field))
 
 
 def conventional_voxelize(density_field, grid: VoxelGrid, t_vc: Pose) -> VoxelGrid:
@@ -540,7 +531,7 @@ def _scores(tp: int, fp: int, fn: int, tn: int) -> tuple:
 
 def compute_metrics(pred: VoxelGrid, gt: VoxelGrid, frustum: VoxelGrid,
                     visible: VoxelGrid) -> MetricsReport:
-    """Exact count-ratio metrics from four same-geometry boolean grids.
+    """Exact count-ratio metrics from four boolean grids of one geometry and frame.
 
     One rule counts a region's (tp, fp, fn, tn), occupied positive: over
     the frustum for O_*, and reversed over its invisible part for IE_*.
@@ -550,6 +541,8 @@ def compute_metrics(pred: VoxelGrid, gt: VoxelGrid, frustum: VoxelGrid,
     for name, g in (("pred", pred), ("gt", gt), ("frustum", frustum), ("visible", visible)):
         if not pred.same_geometry(g):
             raise ValueError(f"{name} grid geometry differs from the prediction grid")
+        if g.frame != pred.frame:
+            raise ValueError(f"{name} grid frame {g.frame!r} differs from the prediction's")
         if g.values.dtype != bool:
             raise ValueError(f"metrics require boolean grids; {name} is {g.values.dtype}")
 

@@ -17,6 +17,7 @@ All math is float64; round-trip contracts are asserted at 1e-9.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,12 +40,15 @@ def check_int(name: str, value, least: int) -> None:
 
 
 def check_real(name: str, value, least=None, above=None) -> None:
-    """Raise, naming the field, unless ``value`` (a number, or an array
-    checked entry by entry) is finite and, where a bound is given, at
-    least ``least`` or strictly above ``above``.  Python numbers compare in
-    Python: a config is checked on every set-up, and numpy calls cost more
-    than the comparisons."""
+    """Raise, naming the field, unless ``value`` (a real number, not a
+    bool, or an array checked entry by entry) is finite and, where a bound
+    is given, at least ``least`` or strictly above ``above``.  Python
+    numbers compare in Python: a config is checked on every set-up, and
+    numpy calls cost more than the comparisons."""
     for x in (value.ravel().tolist() if isinstance(value, np.ndarray) else (value,)):
+        # a float, the common case, skips the slower ABC check
+        if type(x) is not float and (isinstance(x, bool) or not isinstance(x, numbers.Real)):
+            raise ValueError(f"{name} must be a real number, got {value!r}")
         if not (math.isfinite(x) and (least is None or x >= least)
                 and (above is None or x > above)):
             bound = (f" and >= {least}" if least is not None

@@ -65,6 +65,7 @@ class TrainConfig:
         for name in ("learning_rate", "lr_decay_factor", "eps"):
             check_real(name, getattr(self, name), above=0)
         for name in ("beta1", "beta2"):  # Adam's bias correction divides by 1 - beta**t
+            check_real(name, getattr(self, name))
             if not 0 < getattr(self, name) < 1:
                 raise ValueError(f"{name} must lie in (0, 1)")
         FrustumSpec(self.near, self.far)   # the one depth range rule
@@ -267,10 +268,10 @@ def evaluate_field(density_field, scene: AnalyticScene, views,
                    setup: EvalSetup, cfg: TrainConfig):
     """Full benchmark pass: opacity map, voxelize, masks, metrics.
 
-    The prediction is ``benchmark.voxelize_field``'s, bit for bit: the
-    field's opacity at the map nodes the grid's voxels read (about 6% on
-    the occluder), interpolated at each voxel in front of the camera.  A
-    NaN or negative density raises only where a read node samples it.
+    The prediction is ``benchmark._ReadPlan.occupancy``: the field's
+    opacity at the map nodes the frustum voxels read (about 6% on the
+    occluder), interpolated at each frustum voxel, the only voxels counted,
+    and False elsewhere.  A NaN or negative density raises only at a read node.
 
     Only that score depends on the field.  The rest is the last call's
     plan, keyed by content (an input changed in place, or equal but another
@@ -315,7 +316,7 @@ def _eval_plan(scene: AnalyticScene, view, setup: EvalSetup, eval_cfg: SamplingC
     if _last_plan is None or _last_plan[0] != key:
         _last_plan = None   # the last plan's grids go before this one's are built
         grid = VoxelGrid(grid.origin.copy(), grid.counts, grid.resolution.copy(),
-                         grid.values)
+                         grid.values, grid.frame)
         t_vc = setup.t_vc(view)
         gt = ground_truth_occupancy(scene, grid, setup.grid_to_world)
         _last_plan = key, (t_vc, gt, frustum_mask(grid, t_vc, view.intrinsics),
@@ -324,6 +325,6 @@ def _eval_plan(scene: AnalyticScene, view, setup: EvalSetup, eval_cfg: SamplingC
     if sampling != eval_cfg:
         reads = None
         _last_plan = key, masks, None, None   # the last read plan goes before this one is built
-        reads = _ReadPlan(view, eval_cfg, masks[1], masks[0])
+        reads = _ReadPlan(view, eval_cfg, masks[2], masks[0])
         _last_plan = key, masks, eval_cfg, reads
     return masks, reads

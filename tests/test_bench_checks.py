@@ -5,7 +5,8 @@ bit-for-bit agreement with ``bench/reference/`` that refactors of the
 trainer and the evaluation protocol rely on is checked here too, not only
 in benchmark runs.  The street of the kitti workload, at a seed other than
 the default, also checks the voxel stages that decide from bounds against
-their all-at-once oracles on realistic data.
+their all-at-once oracles on realistic data, and at the default seed the
+evaluation plan's held bytes at full benchmark scale.
 """
 
 from __future__ import annotations
@@ -17,9 +18,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from occrebench import benchmark, field
+from occrebench import benchmark, field, optim
 
 from test_center_blocks import ground_truth_all_at_once, voxelize_all_at_once
+from test_voxelize_field import held_after_a_cold_call, plan_bound
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -62,6 +64,21 @@ def test_street_voxels_match_the_all_at_once_oracles(workloads, tmp_path, cell_t
     assert np.array_equal(gt, ground_truth_all_at_once(spec.scene, spec.grid,
                                                        spec.grid_to_world))
     assert pred.any() and gt.any() and not gt.all()
+
+
+def test_street_evaluation_holds_the_plan_it_states(workloads, monkeypatch, tmp_path):
+    """``optim.evaluate_field`` on the default-seed street, 2.1M voxels of
+    which 1.6M are in the frustum: the reference count table, and between
+    calls no more than the plan states (:func:`plan_bound`), so memory stays
+    bounded at full benchmark scale.  A kept front grid (2 MiB) would show."""
+    st = workloads.kitti_setup(workloads.DEFAULT_SEED, str(tmp_path))
+    spec, view = st.spec, st.spec.views[0]
+    setup = optim.EvalSetup(spec.grid, spec.grid_to_world, 0, workloads.KITTI_SAMPLES)
+    cfg = optim.TrainConfig(near=view.frustum.near, far=view.frustum.far)
+    args = st.field, spec.scene, spec.views, setup, cfg
+    held = held_after_a_cold_call(monkeypatch, args)
+    assert held <= plan_bound(spec.grid)
+    assert optim.evaluate_field(*args).counts == workloads.reference("eval_kitti360")
 
 
 @pytest.mark.parametrize("name, occupied", [("eval_occluder", 1_332),

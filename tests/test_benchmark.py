@@ -672,3 +672,13 @@ class TestMetrics:
         with pytest.raises(ValueError):
             compute_metrics(a, a, a, b)
 
+    @pytest.mark.parametrize("name", ["gt", "frustum", "visible"])
+    def test_frame_mismatch_is_named(self, name):
+        """Same geometry in another frame is another grid: a camera-frame
+        prediction against a voxel-frame mask was counted."""
+        grids = {n: self.make([0] * 8) for n in ("pred", "gt", "frustum", "visible")}
+        g = grids[name]
+        grids[name] = VoxelGrid(g.origin, g.counts, g.resolution, g.values, "camera")
+        with pytest.raises(ValueError, match=f"{name} grid frame 'camera'"):
+            compute_metrics(**grids)
+

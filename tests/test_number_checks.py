@@ -94,3 +94,19 @@ def test_non_finite_number_names_its_field(field, error, make, bad):
     TrainConfig an infinite learning_rate, lr_decay_factor or eps."""
     with pytest.raises(error, match=field):
         make(bad)
+
+
+SCALAR_CASES = [(f"{cls.__name__}.{f.name}", f.name,
+                 lambda bad, cls=cls, name=f.name: construct(cls, name, bad))
+                for cls in VALID for f in dataclasses.fields(cls) if f.type == "float"]
+
+
+@pytest.mark.parametrize("bad", ["0.5", None, True], ids=["str", "None", "bool"])
+@pytest.mark.parametrize("field, make", [case[1:] for case in SCALAR_CASES],
+                         ids=[case[0] for case in SCALAR_CASES])
+def test_non_number_names_its_field(field, make, bad):
+    """A string, None or a bool in a scalar float field raises a ValueError
+    that names the field.  A string or None used to raise numpy's bare
+    TypeError, which names no field, and True passed as 1.0."""
+    with pytest.raises(ValueError, match=field):
+        make(bad)

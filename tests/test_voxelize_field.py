@@ -1,18 +1,21 @@
 """The evaluation pass's voxelization through a per-view read plan.
 
-``voxelize_field`` builds a ``benchmark._ReadPlan`` (the map nodes its
-voxels read, each front voxel's cell) and scores the field against it: the
-read nodes' opacities, then each front voxel's trilinear sample of them.
-It must equal the dense formula, ``voxelize_occupancy(build_opacity_map(...))``,
+A ``benchmark._ReadPlan`` takes the frustum mask and scores only its
+voxels: it finds the map nodes their cells read, and each voxel's cell, and
+scores a field as the read nodes' opacities, then each frustum voxel's
+trilinear sample of them.  Within the frustum, the only voxels the counts
+read, it must equal the dense formula, ``voxelize_occupancy(build_opacity_map(...))``,
 bit for bit: on the occluder's evaluation setup, over random poses with
-voxels behind the camera, on a grid wholly behind it, against a dense pass
-that decides through its cell table, and on a setup large enough to split
-the density lookup and the center blocks.  It must also do the work it
-claims (one lookup of about 6% of the occluder map's nodes) and still fail
-on a NaN density wherever it reads one.  ``optim.evaluate_field`` keeps
-the field-independent masks and the read plan between calls, rebuilds
-each when an input of it changes by content, holds the bytes the plan
-states and nothing of the field, and peaks no higher than the dense pass.
+voxels behind the camera and outside the image, on a grid wholly behind it,
+against a dense pass that decides through its cell table, and on a setup
+large enough to split the density lookup and the center blocks.  It must
+also do the work it claims (one lookup of about 6% of the occluder map's
+nodes, one score per frustum voxel) and still fail on a NaN density
+wherever it reads one.  ``optim.evaluate_field`` keeps the
+field-independent masks and the read plan between calls, rebuilds each
+when an input of it changes by content, keeps the grid's frame, holds the
+bytes the plan states and nothing of the field, and peaks no higher than
+the dense pass.
 """
 
 from __future__ import annotations
@@ -26,8 +29,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from occrebench import fixtures, optim
-from occrebench.benchmark import (build_opacity_map, compute_metrics, frustum_mask,
-                                  visibility_mask, voxelize_field, voxelize_occupancy)
+from occrebench.benchmark import (_ReadPlan, build_opacity_map, compute_metrics,
+                                  frustum_mask, visibility_mask, voxelize_occupancy)
 from occrebench.field import VoxelDensityField, ground_truth_occupancy, inverse_softplus
 from occrebench.geometry import CameraIntrinsics, CameraView, FrustumSpec, Pose
 from occrebench.grids import BLOCK_VOXELS, VoxelGrid
@@ -69,8 +72,19 @@ def occluder_field(seed: int) -> VoxelDensityField:
                            float(base.resolution[0]))
 
 
+def plan(view, cfg, grid, t_vc) -> _ReadPlan:
+    """The read plan of ``view`` and ``cfg`` over ``grid``'s frustum voxels."""
+    return _ReadPlan(view, cfg, frustum_mask(grid, t_vc, view.intrinsics), t_vc)
+
+
+def scored(density_field, view, cfg, grid, t_vc) -> np.ndarray:
+    return plan(view, cfg, grid, t_vc).occupancy(density_field)
+
+
 def dense(density_field, view, cfg, grid, t_vc) -> np.ndarray:
-    return voxelize_occupancy(build_opacity_map(density_field, view, cfg), grid, t_vc).values
+    """The dense formula within the frustum, False outside it."""
+    pred = voxelize_occupancy(build_opacity_map(density_field, view, cfg), grid, t_vc)
+    return pred.values & frustum_mask(grid, t_vc, view.intrinsics).values
 
 
 def evaluate_field_dense(density_field, scene, views, setup, cfg):
@@ -91,7 +105,7 @@ def evaluate_field_dense(density_field, scene, views, setup, cfg):
 @pytest.mark.parametrize("seed", [0, 3, 7])
 def test_occluder_setup_matches_the_dense_map(seed):
     fld = occluder_field(seed)
-    got = voxelize_field(fld, VIEW, EVAL_CFG, SETUP.grid, T_VC).values
+    got = scored(fld, VIEW, EVAL_CFG, SETUP.grid, T_VC)
     assert got.any() and not got.all()
     assert np.array_equal(got, dense(fld, VIEW, EVAL_CFG, SETUP.grid, T_VC))
     report = optim.evaluate_field(fld, OCCLUDER.scene, OCCLUDER.views, SETUP, CFG)
@@ -127,41 +141,45 @@ def straddling_pose(rng) -> Pose:
     return Pose(random_pose(rng).rotation, [0.0, 0.0, 4.0] + rng.uniform(-1.0, 1.0, 3))
 
 
-def behind_and_in_front(grid, t_vc) -> bool:
-    z = t_vc.apply(grid.centers_flat())[:, 2]
-    return bool(np.any(z > 0) and np.any(z <= 0))
-
-
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1))
 def test_random_poses_match_the_dense_map(seed):
+    """Voxels lie behind the camera and, in front of it, mostly outside the
+    image: the plan keeps a cell and offsets for the frustum voxels alone."""
     rng = np.random.default_rng(seed)
     fld, grid, t_vc = random_field(rng), grid_around((9, 8, 10)), straddling_pose(rng)
-    assert behind_and_in_front(grid, t_vc)
-    got = voxelize_field(fld, SMALL_VIEW, SMALL_CFG, grid, t_vc).values
+    inside = np.count_nonzero(frustum_mask(grid, t_vc, INTR).values)
+    front = np.count_nonzero(t_vc.apply(grid.centers_flat())[:, 2] > 0)
+    assert 0 < inside < front < grid.num_voxels
+    reads = plan(SMALL_VIEW, SMALL_CFG, grid, t_vc)
+    assert reads.ranks.shape == (4, inside) and reads.frac.shape == (3, inside)
+    got = reads.occupancy(fld)
     assert np.array_equal(got, dense(fld, SMALL_VIEW, SMALL_CFG, grid, t_vc))
 
 
 def test_grid_behind_the_camera_reads_nothing(monkeypatch):
     fld = random_field(np.random.default_rng(1))
     grid = VoxelGrid.filled([-3.0, -3.0, -9.0], (6, 6, 6), 1.0, False, dtype=bool)
+    assert not frustum_mask(grid, Pose.identity(), INTR).values.any()
     looked_up = count_located_points(monkeypatch)
-    got = voxelize_field(fld, SMALL_VIEW, SMALL_CFG, grid, Pose.identity()).values
-    assert not got.any()
+    reads = plan(SMALL_VIEW, SMALL_CFG, grid, Pose.identity())
+    assert len(reads.delta) == 0
+    assert not reads.occupancy(fld).any()
     assert looked_up == []
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_cell_table_over_a_partly_filled_map(seed, cell_table_builds):
     """5,832 voxels against 10,368 nodes: the dense pass decides most voxels
-    through its cell table, the read plan interpolates every front voxel
+    through its cell table, the read plan interpolates every frustum voxel
     and builds no table."""
     rng = np.random.default_rng(seed)
     fld, grid, t_vc = random_field(rng), grid_around((18, 18, 18)), straddling_pose(rng)
     assert 2 * grid.num_voxels >= SMALL_NODES
-    got = voxelize_field(fld, SMALL_VIEW, SMALL_CFG, grid, t_vc).values
+    inside = frustum_mask(grid, t_vc, INTR).values
+    got = scored(fld, SMALL_VIEW, SMALL_CFG, grid, t_vc)
     assert cell_table_builds == []
-    assert got.any() and not got.all()
+    assert got[inside].any() and not got[inside].all()
     assert np.array_equal(got, dense(fld, SMALL_VIEW, SMALL_CFG, grid, t_vc))
     assert cell_table_builds == [SMALL_NODES]
 
@@ -176,14 +194,15 @@ def fine_occluder_setup():
 
 
 def test_a_multi_batch_setup_matches_the_dense_map(monkeypatch):
-    """Read nodes beyond one density batch and front voxels in two center
+    """Read nodes beyond one density batch and frustum voxels in two center
     blocks, which the occluder's setup (one of each) does not split."""
     setup = fine_occluder_setup()
-    fronts = [np.count_nonzero(c[:, 2] > 0) for _, c in setup.grid.center_blocks(T_VC)]
-    assert len(fronts) >= 2 and all(fronts)
+    inside = frustum_mask(setup.grid, T_VC, VIEW.intrinsics).values
+    per_block = [np.count_nonzero(inside[xs]) for xs, _ in setup.grid.center_blocks()]
+    assert len(per_block) >= 2 and all(per_block)
     fld = occluder_field(3)
     looked_up = count_located_points(monkeypatch)
-    got = voxelize_field(fld, VIEW, EVAL_CFG, setup.grid, T_VC).values
+    got = scored(fld, VIEW, EVAL_CFG, setup.grid, T_VC)
     assert len(looked_up) >= 2 and looked_up[:-1] == [BLOCK_VOXELS] * (len(looked_up) - 1)
     assert got.any() and not got.all()
     assert np.array_equal(got, dense(fld, VIEW, EVAL_CFG, setup.grid, T_VC))
@@ -198,8 +217,7 @@ def test_a_map_beyond_int32_is_rejected():
     view = CameraView(wide, Pose.identity(), FrustumSpec(2.0, 14.0))
     cfg = SamplingConfig(2 ** 15, 2.0, 14.0, MODE_EVAL)
     with pytest.raises(ValueError, match="int32"):
-        voxelize_field(random_field(np.random.default_rng(0)), view, cfg,
-                       grid_around((2, 2, 2)), Pose.identity())
+        plan(view, cfg, grid_around((2, 2, 2)), Pose.identity())
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +309,7 @@ class NanWhere:
 def test_nan_density_fails_only_where_it_is_read():
     fld = occluder_field(0)
     rec = Recording(fld)
-    voxelize_field(rec, VIEW, EVAL_CFG, SETUP.grid, T_VC)
+    scored(rec, VIEW, EVAL_CFG, SETUP.grid, T_VC)
     points = np.concatenate(rec.points)
     read = {p.tobytes() for p in points}
     one = points[len(points) // 2].tobytes()
@@ -418,24 +436,39 @@ def held_after_a_cold_call(monkeypatch, args) -> int:
         tracemalloc.stop()
 
 
+def plan_bound(grid: VoxelGrid) -> int:
+    """The bytes ``evaluate_field``'s last plan may hold over ``grid``: the
+    three mask grids (1 B per voxel each) and the read plan at the bytes
+    ``_ReadPlan`` states (32 per read node, 40 per frustum voxel), within
+    64 KiB for a pose, the key and Python's objects."""
+    frustum, reads = optim._last_plan[1][2], optim._last_plan[3]
+    inside = np.count_nonzero(frustum.values)
+    return 3 * grid.num_voxels + 32 * len(reads.delta) + 40 * inside + 64 * 1024
+
+
 def test_a_call_leaves_three_grids_allocated(monkeypatch):
-    """Between calls only the plan stays: the three mask grids, a pose and
-    the key, and the read plan at the bytes ``_ReadPlan`` states (32 per
-    read node, 40 per front voxel and 1 per voxel), within 64 KiB.  A kept
+    """Between calls only the plan stays, within :func:`plan_bound`.  A kept
     opacity map (3 MiB) or opacity per read node (0.19 MiB) would show.
     Fields on lattices of different shapes leave the same bytes, within the
     few that Python's own objects vary by, so nothing of the field is kept."""
     inputs = OCCLUDER.scene, OCCLUDER.views, SETUP, CFG
     fld = occluder_field(0)
     held = held_after_a_cold_call(monkeypatch, (fld,) + inputs)
-    reads = optim._last_plan[3]
-    nodes, front = len(reads.delta), reads.frac.shape[1]
-    assert 0 < nodes <= 0.07 * MAP_NODES and 0 < front == np.count_nonzero(reads.front)
-    voxels = SETUP.grid.num_voxels
-    assert held <= 4 * voxels + 32 * nodes + 40 * front + 64 * 1024
+    frustum, reads = optim._last_plan[1][2], optim._last_plan[3]
+    assert reads.frustum is frustum.values
+    assert 0 < len(reads.delta) <= 0.07 * MAP_NODES
+    assert held <= plan_bound(SETUP.grid)
 
     coarse = OCCLUDER.base_field
     other = VoxelDensityField(coarse.origin, 2 * coarse.resolution,
                               coarse.theta[::2, ::2, ::2])
     assert fld.theta.nbytes - other.theta.nbytes > 4 * OBJECT_NOISE
     assert abs(held_after_a_cold_call(monkeypatch, (other,) + inputs) - held) <= OBJECT_NOISE
+
+
+def test_the_plan_keeps_the_grid_frame():
+    """The occluder's grid lives in the camera frame, and so do the ground
+    truth, frustum and visibility grids the plan keeps for it."""
+    assert SETUP.grid.frame == "camera"
+    optim.evaluate_field(occluder_field(0), OCCLUDER.scene, OCCLUDER.views, SETUP, CFG)
+    assert [g.frame for g in optim._last_plan[1][1:]] == [SETUP.grid.frame] * 3
