@@ -423,13 +423,19 @@ def visibility_mask(gt: VoxelGrid, view: CameraView, t_vc: Pose) -> VoxelGrid:
     ray fall in unoccupied voxels; a voxel is visible iff any visible sample
     lands in it.  Voxels never sampled default to invisible, and the result
     is clipped to the frustum mask so m_v = 1 implies m_f = 1 (rays can clip
-    voxels whose centers project just outside the image).  All live rays
-    advance one step per pass, so memory is O(pixels) plus a few boolean
-    voxel grids, independent of the march length.  A ray leaves the pass
-    set once its march ends or its first occupied sample is taken, since
-    nothing after that changes the mask: the work is O(samples up to each
-    ray's first occupied voxel) (``test_benchmark.py::TestRayRetirement``,
-    ``TestVisibilityMask::test_peak_memory_independent_of_march_length``).
+    voxels whose centers project just outside the image).  Each pass takes
+    every live ray a window of K steps, one (K, live rays) tile, with K =
+    (rays entering the grid) // (live rays), capped at the longest march a
+    live ray has left: K is 1 while every ray is live, and no pass holds
+    more samples than the first, so memory is O(pixels) plus a few boolean
+    voxel grids, independent of the march length
+    (``TestVisibilityMask::test_peak_memory_independent_of_march_length``).
+    Samples past a ray's own step count are masked.  A ray leaves the pass
+    set between windows, once its march ends or it has taken an occupied
+    sample, since nothing after that changes the mask: the work is the
+    samples up to each ray's first occupied one, plus at most the rest of
+    that window (``test_benchmark.py::TestRayRetirement``;
+    ``test_center_blocks.py::test_visibility_march_on_the_line_grid_takes_few_passes``).
     """
     if gt.values.dtype != bool:
         raise ValueError("visibility mask needs a boolean ground-truth grid")
@@ -437,9 +443,7 @@ def visibility_mask(gt: VoxelGrid, view: CameraView, t_vc: Pose) -> VoxelGrid:
     intr = view.intrinsics
     cam_to_voxel = t_vc.inverse()
     origin_v = cam_to_voxel.translation
-    dirs_cam = pixel_directions(intr, all_pixel_coords(intr).reshape(-1, 2))
-    dirs_v = cam_to_voxel.rotate(dirs_cam)
-
+    dirs_v = cam_to_voxel.rotate(pixel_directions(intr, all_pixel_coords(intr).reshape(-1, 2)))
     te, tx = slab_intervals(gt.origin, gt.max_corner, origin_v, dirs_v)
     start = np.maximum(view.frustum.near, te)
     span = tx - start
@@ -447,26 +451,31 @@ def visibility_mask(gt: VoxelGrid, view: CameraView, t_vc: Pose) -> VoxelGrid:
 
     visible_flat = np.zeros(gt.num_voxels, dtype=bool)
     occ_flat = gt.values.reshape(-1)
-    # Per-ray state of the rays still marching, compacted as rays retire.
+    # Per-ray state of the rays still marching, compacted as rays retire;
+    # the directions as one contiguous row per axis.
     live = num_steps > 0
-    start, dirs_v, num_steps = start[live], dirs_v[live], num_steps[live]
-    clear = np.ones(len(dirs_v), dtype=bool)
+    start, num_steps, dirs_v = start[live], num_steps[live], dirs_v[live].T.copy()
+    entering = len(start)
     k = 0
-    while len(dirs_v):
-        dist = start + k * step
-        pts = np.empty(dirs_v.shape)
-        for a in range(3):   # per column, as origin_v + dist[:, None] * dirs_v
-            np.multiply(dist, dirs_v[:, a], out=pts[:, a])
-            pts[:, a] += origin_v[a]
-        idx, valid = gt.point_to_index(pts)
-        flat = (idx[:, 0] * gt.counts[1] + idx[:, 1]) * gt.counts[2] + idx[:, 2]
-        clear &= ~(valid & occ_flat[flat])
-        visible_flat[flat[valid & clear]] = True
-        k += 1
-        keep = (k < num_steps) & clear
+    while len(start):
+        window = min(entering // len(start), int(num_steps.max()) - k)
+        ks = np.arange(k, k + window)
+        dist = start + ks[:, None] * step
+        cols = [np.multiply(dist, dirs_v[a], out=dist if a == 2 else None)
+                for a in range(3)]   # per axis, as origin_v + dist * dirs_v
+        for a in range(3):
+            cols[a] += origin_v[a]
+        flat, valid = gt.flat_index(cols)
+        del cols, dist
+        valid &= ks[:, None] < num_steps
+        blocked = valid & occ_flat.take(flat, mode="clip")   # flat is arbitrary outside
+        for j in range(1, window):   # a ray is blocked from its first occupied sample on
+            blocked[j] |= blocked[j - 1]
+        visible_flat[flat[valid & ~blocked]] = True
+        k += window
+        keep = (k < num_steps) & ~blocked[-1]
         if not keep.all():
-            start, dirs_v, num_steps, clear = (start[keep], dirs_v[keep],
-                                               num_steps[keep], clear[keep])
+            start, num_steps, dirs_v = start[keep], num_steps[keep], dirs_v.compress(keep, 1)
     visible_flat &= frustum_mask(gt, t_vc, intr).values.reshape(-1)
     return gt.like(visible_flat.reshape(gt.counts))
 

@@ -77,7 +77,7 @@ class Box:
         p = np.asarray(pts, dtype=np.float64)
         lo, hi = self.min_corner, self.max_corner
         inside = (p[..., 0] >= lo[0]) & (p[..., 0] <= hi[0])
-        for a in (1, 2):  # per column; see VoxelGrid.point_to_index
+        for a in (1, 2):  # per column; see VoxelGrid.flat_index
             inside &= (p[..., a] >= lo[a]) & (p[..., a] <= hi[a])
         return inside
 
@@ -384,7 +384,7 @@ class VoxelDensityField:
         n = self.shape
         rel = [(p[..., a] - self.origin[a]) / self.resolution[a] for a in range(3)]
         inside = (rel[0] >= 0.0) & (rel[0] <= n[0] - 1)
-        for a in (1, 2):  # per column; see VoxelGrid.point_to_index
+        for a in (1, 2):  # per column; see VoxelGrid.flat_index
             inside &= (rel[a] >= 0.0) & (rel[a] <= n[a] - 1)
         base = 0
         frac = np.empty((3, np.count_nonzero(inside)))

@@ -142,23 +142,30 @@ class VoxelGrid:
             out[xs] = block
         return self.like(out)
 
-    def point_to_index(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Map points (..., 3) to integer voxel indices and an in-bounds mask.
+    def flat_index(self, columns) -> tuple[np.ndarray, np.ndarray]:
+        """Flat voxel index (x slowest) and in-grid mask of points given as
+        their three float64 coordinate columns, which are overwritten.
 
-        Points exactly on the max face are out of bounds (half-open boxes).
-        Out-of-bounds indices are clipped so they can be used for masked
-        gather without fancy handling.
+        Per axis, q = (p - origin) / resolution in place; a point is inside
+        iff 0 <= q < count on every axis, tested on the float (half-open
+        boxes; NaN and infinite coordinates are outside), and its index is
+        trunc(q) there, which is its floor.  Outside, the index is arbitrary.
+        Working one column at a time, in place, is several times faster than
+        across (..., 3) arrays.
         """
-        pts = np.asarray(points, dtype=np.float64)
-        # One column at a time: working across (..., 3) arrays, and reducing
-        # their booleans along the last axis, is several times slower.
-        idx = np.empty(pts.shape, dtype=np.int64)
-        inside = True
-        for a in range(3):
-            col = np.floor((pts[..., a] - self.origin[a]) / self.resolution[a]).astype(np.int64)
-            inside = inside & (col >= 0) & (col < self.counts[a])
-            np.clip(col, 0, self.counts[a] - 1, out=idx[..., a])
-        return idx, inside
+        inside = flat = None
+        for a, q in enumerate(columns):
+            q -= self.origin[a]
+            q /= self.resolution[a]
+            ok = q >= 0
+            ok &= q < self.counts[a]
+            if flat is None:
+                inside, flat = ok, q.astype(np.int64)
+            else:
+                inside &= ok
+                flat *= self.counts[a]
+                flat += q.astype(np.int64)
+        return flat, inside
 
     def same_geometry(self, other: "VoxelGrid") -> bool:
         """Equal counts, and origin and resolution equal exactly."""

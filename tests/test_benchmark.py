@@ -460,11 +460,14 @@ def full_march(gt, view, t_vc):
     visible_flat = np.zeros(gt.num_voxels, dtype=bool)
     covered_flat = np.zeros(gt.num_voxels, dtype=bool)
     occ_flat = gt.values.reshape(-1)
+    counts = np.asarray(gt.counts)
     clear = np.ones(len(dirs_v), dtype=bool)
     for k in range(num_steps.max(initial=0)):
         pts = origin_v + (start + k * step)[:, None] * dirs_v
-        idx, in_grid = gt.point_to_index(pts)
-        flat = (idx[:, 0] * gt.counts[1] + idx[:, 1]) * gt.counts[2] + idx[:, 2]
+        idx = np.floor((pts - gt.origin) / gt.resolution).astype(np.int64)
+        in_grid = np.all((idx >= 0) & (idx < counts), axis=-1)
+        idx = np.clip(idx, 0, counts - 1)
+        flat = (idx[:, 0] * counts[1] + idx[:, 1]) * counts[2] + idx[:, 2]
         valid = (k < num_steps) & in_grid
         blocked = clear & valid & occ_flat[flat]
         used[blocked] = k + 1
@@ -554,8 +557,11 @@ class TestRayRetirement:
 
     @GRIDS
     def test_work_is_the_samples_up_to_the_first_occupied_one(self, monkeypatch, counts, res):
-        """Count the sample rows the march looks up on a half wall: each
-        ray's steps up to and including its first occupied sample."""
+        """Count the samples the march looks up on a half wall: each ray's
+        steps up to and including its first occupied sample, plus at most the
+        rest of the window that sample falls in, so fewer than the full
+        march; no pass looks up more samples than the first, one per ray
+        that enters the grid; and the windows end with the longest march."""
         occ = np.zeros(counts, dtype=bool)
         occ[:8, :, counts[2] * 6 // 16] = True       # 1.5 m into the grid
         gt = VoxelGrid([-2.0, -2.0, 2.0], counts, res, occ)
@@ -563,16 +569,19 @@ class TestRayRetirement:
         _, _, num_steps, used = full_march(gt, view, pose)
         assert used.sum() < num_steps.sum() < len(num_steps) * num_steps.max()
 
-        rows = []
-        lookup = VoxelGrid.point_to_index
+        tiles = []      # (window, live rays) of each pass
+        lookup = VoxelGrid.flat_index
 
-        def counting(grid, points):
-            rows.append(len(points))
-            return lookup(grid, points)
+        def counting(grid, columns):
+            tiles.append(columns[0].shape)
+            return lookup(grid, columns)
 
-        monkeypatch.setattr(VoxelGrid, "point_to_index", counting)
+        monkeypatch.setattr(VoxelGrid, "flat_index", counting)
         visibility_mask(gt, view, pose)
-        assert sum(rows) == used.sum()
+        samples = [w * m for w, m in tiles]
+        assert used.sum() <= sum(samples) < num_steps.sum()
+        assert max(samples) == samples[0] == np.count_nonzero(num_steps)
+        assert sum(w for w, _ in tiles) == num_steps.max()
 
 
 class TestMetrics:

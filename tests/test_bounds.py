@@ -59,8 +59,13 @@ def test_box_contains_matches_the_reduction(seed):
     assert box.contains(LO) and box.contains(HI)   # closed faces
 
 
+def flat_index(grid, p):
+    """``grid.flat_index`` of points (..., 3), on copies of their columns."""
+    return grid.flat_index([np.array(p[..., a]) for a in range(3)])
+
+
 @pytest.mark.parametrize("seed", range(3))
-def test_point_to_index_matches_the_reduction(seed):
+def test_flat_index_matches_the_reduction(seed):
     grid = VoxelGrid(LO, (16, 6, 8), (0.25, 0.25, 0.5), np.zeros((16, 6, 8)))
     counts = np.asarray(grid.counts)
     pts = probe_points(seed, grid.origin, grid.max_corner)
@@ -68,15 +73,17 @@ def test_point_to_index_matches_the_reduction(seed):
         for p in shapes(pts):
             idx = np.floor((p - grid.origin) / grid.resolution).astype(np.int64)
             expect = np.all((idx >= 0) & (idx < counts), axis=-1)
-            got_idx, got = grid.point_to_index(p)
-            assert np.shape(got) == np.shape(expect)
+            got_flat, got = flat_index(grid, p)
+            assert np.shape(got) == np.shape(got_flat) == np.shape(expect)
             assert np.array_equal(got, expect)
-            assert np.array_equal(got_idx, np.clip(idx, 0, counts - 1))
-        inside = grid.point_to_index(pts)[1]
+            idx = np.where(expect[..., None], idx, 0)   # the index is arbitrary outside
+            flat = (idx[..., 0] * counts[1] + idx[..., 1]) * counts[2] + idx[..., 2]
+            assert np.array_equal(got_flat[got], flat[expect])
+        inside = flat_index(grid, pts)[1]
     assert inside.any() and not inside.all()
     # half-open: the min face is inside, the max face is not
-    assert grid.point_to_index(grid.origin)[1]
-    assert not grid.point_to_index(grid.max_corner)[1]
+    assert flat_index(grid, grid.origin) == (0, True)
+    assert not flat_index(grid, grid.max_corner)[1]
 
 
 @pytest.mark.parametrize("seed", range(3))
