@@ -2,7 +2,7 @@
 
 Submodules:
 
-* ``geometry``  - cameras, poses, rays, frustum-cube coordinate transform
+* ``geometry``  - cameras, poses, rays, frustum-cube coordinate transform, workspaces
 * ``grids``     - axis-aligned voxel grids
 * ``field``     - analytic scene oracle and the learnable voxel density field
 * ``rendering`` - point sampling, opacity/transmittance, compositing

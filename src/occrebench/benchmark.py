@@ -157,7 +157,6 @@ def _interpolate(omap: OpacityMap, base, frac) -> np.ndarray:
     for flat, wgt in trilinear_corners(base, frac, _node_strides(omap.values.shape)):
         wgt *= values[flat]
         out += wgt
-        del flat, wgt               # before the generator makes the next corner
     return out
 
 
@@ -382,7 +381,7 @@ class _ReadPlan:
                 ranks = self.ranks[corner & 3, batch]
                 wgt *= alpha[ranks + 1 if corner & 4 else ranks]
                 sampled += wgt
-                del ranks, wgt      # before the generator makes the next corner
+                del ranks           # before the next corner's are gathered
             occ_in[batch] = sampled > OCCUPANCY_THRESHOLD
         occ = np.zeros(self.frustum.shape, dtype=bool)
         occ[self.frustum] = occ_in

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .geometry import CameraView, Pose, all_pixel_coords, check_int, check_real
+from .geometry import CameraView, Pose, Workspace, all_pixel_coords, check_int, check_real
 from .grids import VoxelGrid, lattice
 
 
@@ -293,7 +293,7 @@ def render_reference_image(scene: AnalyticScene, view: CameraView) -> np.ndarray
     return image.reshape(intr.height, intr.width, 3)
 
 
-def trilinear_corners(base: np.ndarray, frac, strides):
+def trilinear_corners(base: np.ndarray, frac, strides, out=None):
     """The eight corners of trilinear interpolation, one at a time.
 
     ``base`` (...) holds the flat index, into a node array with element
@@ -302,29 +302,23 @@ def trilinear_corners(base: np.ndarray, frac, strides):
     axis, in [0, 1].  Yields (flat index, weight) per corner (dx, dy, dz)
     in lexicographic order; the weight is (wx * wy) * wz, where each factor
     is frac or 1 - frac.  wx * wy is taken once per (dx, dy) and each
-    corner's index is one addition to ``base``.  A 1 - frac factor is
-    made only while its half of the corners needs it, and no (..., 8)
-    array is built.  Each yielded array is new, so the caller may work in
-    it in place; a caller that drops both before it asks for the next
-    corner holds one corner's arrays at a time and, here, at most two
-    per-query weight arrays (wx and wx * wy) besides: four 8 B arrays a
-    query.
+    corner's index is one addition to ``base``; no (..., 8) array is
+    built.  It holds four 8 B arrays a query, ``out`` if given (int64 of
+    ``base``'s shape, then three of a ``frac`` row's): the yielded index
+    and weight, which each corner overwrites, wx and wx * wy.  A caller
+    may work in a yielded array until it asks for the next corner.
     """
     sx, sy, sz = strides
     fx, fy, fz = frac
+    flat, w, wx_buf, wxy = out if out is not None else (
+        np.empty(np.shape(base), np.int64), *(np.empty(np.shape(fx)) for _ in range(3)))
     for dx in (0, 1):
-        wx = fx if dx else 1 - fx
-        for dy in (0, 1):
-            wxy = wx * (fy if dy else 1 - fy)
+        wx = fx if dx else np.subtract(1, fx, out=wx_buf)
+        for dy in (0, 1):       # a 1 - f factor is made in the product's own array
+            np.multiply(wx, fy if dy else np.subtract(1, fy, out=wxy), out=wxy)
             for dz in (0, 1):
-                if dz:
-                    w = wxy * fz
-                else:               # (1 - fz) * wxy with no temporary: the same product
-                    w = np.subtract(1, fz)
-                    w *= wxy
-                yield base + (dx * sx + dy * sy + dz * sz), w
-                del w               # the caller's drop frees this corner
-            del wxy                 # before the next (dx, dy)'s is made
+                np.multiply(wxy, fz if dz else np.subtract(1, fz, out=w), out=w)
+                yield np.add(base, dx * sx + dy * sy + dz * sz, out=flat), w
 
 
 # ---------------------------------------------------------------------------
@@ -374,26 +368,43 @@ class VoxelDensityField:
         return VoxelDensityField(self.origin.copy(), self.resolution.copy(),
                                  self.theta.copy())
 
-    def locate(self, pts: np.ndarray) -> "Located":
+    def locate(self, pts: np.ndarray, ws: Workspace | None = None) -> "Located":
         """Where points (..., 3) fall in the node lattice; see :class:`Located`.
 
         Each coordinate is scaled to node units as its own column.  Points
         in the hull have coordinates >= 0, so truncation is their floor.
+        The result's arrays are taken from ``ws``, which it keeps, sized for
+        all the points so that batches of one size reuse them (else they
+        fit the inside points).  The scratch is three 8 B arrays a point
+        from ``ws`` and, allocated, the index of the inside points.
         """
         p = np.asarray(pts, dtype=np.float64)
-        n = self.shape
-        rel = [(p[..., a] - self.origin[a]) / self.resolution[a] for a in range(3)]
-        inside = (rel[0] >= 0.0) & (rel[0] <= n[0] - 1)
-        for a in (1, 2):  # per column; see VoxelGrid.flat_index
-            inside &= (rel[a] >= 0.0) & (rel[a] <= n[a] - 1)
-        base = 0
-        frac = np.empty((3, np.count_nonzero(inside)))
-        for a in range(3):
-            r, rel[a] = rel[a][inside], None
-            cell = np.minimum(r.astype(np.int64), n[a] - 2)
-            np.subtract(r, cell, out=frac[a])
-            base = base * n[a] + cell
-        return Located(inside, base, frac)
+        n, size = self.shape, p.size // 3
+        kept, ws = ws, Workspace() if ws is None else ws
+        arrays = kept and (ws.take(size, np.int64), ws.take(3 * size))
+        inside = ws.take(p.shape[:-1], bool)
+        with ws:
+            rel, test = [ws.take(inside.shape) for _ in range(3)], ws.take(inside.shape, bool)
+            inside.fill(True)
+            for a in range(3):      # per column; see VoxelGrid.flat_index
+                np.subtract(p[..., a], self.origin[a], out=rel[a])
+                rel[a] /= self.resolution[a]
+                inside &= np.greater_equal(rel[a], 0.0, out=test)
+                inside &= np.less_equal(rel[a], n[a] - 1, out=test)
+            index = np.flatnonzero(inside)
+            m = len(index)
+            base, frac = arrays or (np.empty(m, np.int64), np.empty(3 * m))
+            base, frac = base[:m], frac[:3 * m].reshape(3, m)
+            base.fill(0)
+            for a in range(3):
+                np.take(rel[a].reshape(-1), index, out=frac[a], mode="clip")
+                cell = rel[a].reshape(-1)[:m].view(np.int64)    # rel[a] is read by now
+                np.copyto(cell, frac[a], casting="unsafe")
+                np.minimum(cell, n[a] - 2, out=cell)
+                frac[a] -= cell
+                base *= n[a]
+                base += cell
+        return Located(inside, base, frac, kept)
 
     def density_at(self, pts: np.ndarray) -> np.ndarray:
         return self.density_from(self.locate(pts), self.node_density())
@@ -403,20 +414,28 @@ class VoxelDensityField:
         :meth:`density_from`, valid until ``theta`` changes."""
         return softplus(self.theta).reshape(-1)
 
-    def density_from(self, loc: "Located", nodes: np.ndarray) -> np.ndarray:
-        """Density at located points, in their shape; zero outside the hull.
+    def density_from(self, loc: "Located", nodes: np.ndarray,
+                     out: np.ndarray | None = None) -> np.ndarray:
+        """Density at located points, in ``out`` (their shape, any layout)
+        or a new array; zero outside the hull.
 
         ``nodes`` is :meth:`node_density` of the current ``theta``.  At its
-        peak this holds six 8 B arrays per inside point: the sum, one
-        corner's gathered node values and the four arrays
-        :func:`trilinear_corners` names.  The output is made after them.
+        peak this holds six 8 B arrays per point from ``loc.ws`` (or its
+        own, which go before a new ``out`` is made): the sum, one corner's
+        gathered node values and the four :func:`trilinear_corners` names.
         """
-        inner = np.zeros(len(loc.base))
-        for flat, w in trilinear_corners(loc.base, loc.frac, self.node_strides):
-            w *= nodes[flat]
-            inner += w
-            del flat, w             # before the generator makes the next corner
-        out = np.zeros(loc.inside.shape)
+        with (loc.ws or Workspace()) as ws:
+            m, dtypes = len(loc.base), (float, float, np.int64, float, float, float)
+            cap = m if loc.ws is None else loc.inside.size      # a reused one: all the points'
+            inner, gathered, flat, *corners = (ws.take(cap, t)[:m] for t in dtypes)
+            inner.fill(0.0)
+            for flat, w in trilinear_corners(loc.base, loc.frac, self.node_strides,
+                                             (flat, *corners)):
+                w *= nodes.take(flat, out=gathered, mode="clip")   # every index is in range
+                inner += w
+        del ws, gathered, flat, w, corners      # inner stays: nothing more is taken
+        out = np.empty(loc.inside.shape) if out is None else out
+        out.fill(0.0)
         out[loc.inside] = inner
         return out
 
@@ -440,24 +459,23 @@ class VoxelDensityField:
         Memory: the rows, 8 per node (64 B a node), span the batch; per
         point, only the current part's.  A part is dropped before the next
         is drawn, so a generator of parts holds one at a time.  Beyond the
-        parts, the scatter holds the part's coefficients and the four
-        arrays :func:`trilinear_corners` names: five 8 B arrays per inside
-        point of the part.
+        parts, the scatter holds five 8 B arrays per inside point of the
+        part: its coefficients, allocated, and the four arrays
+        :func:`trilinear_corners` names, from ``loc.ws`` or its own.
         """
-        size, strides = self.theta.size, self.node_strides
+        size, strides, own = self.theta.size, self.node_strides, Workspace()
         sums = np.zeros((8, size))
         for loc, dloss_dsigma in parts:
             coeff = np.asarray(dloss_dsigma, dtype=np.float64).reshape(loc.inside.shape)
             coeff = coeff[loc.inside]
-            # next() rather than enumerate or zip, whose cached result
-            # tuple would keep the previous corner alive
-            corners = trilinear_corners(loc.base, loc.frac, strides)
-            for row in sums:
-                flat, w = next(corners)
-                w *= coeff
-                np.add.at(row, flat, w)
-                del flat, w         # before the generator makes the next corner
-            del loc, dloss_dsigma, coeff, corners   # before the next part is drawn
+            with (loc.ws or own) as ws:
+                cap = len(coeff) if loc.ws is None else loc.inside.size     # as density_from's
+                buffers = [ws.take(cap, t)[:len(coeff)] for t in (np.int64, float, float, float)]
+                for row, (flat, w) in zip(sums, trilinear_corners(loc.base, loc.frac, strides,
+                                                                  buffers)):
+                    w *= coeff
+                    np.add.at(row, flat, w)
+            del loc, dloss_dsigma, coeff   # before the next part is drawn
         grad_flat = np.zeros(size)
         for row in sums:
             grad_flat += row
@@ -474,9 +492,10 @@ class Located:
     ``frac`` (3, M) its offset within the cell along each axis: the inputs
     of :func:`trilinear_corners`.  Locating once lets the density gather
     and the gradient scatter of a training step share the work, and
-    neither walks the corners of points outside the hull.
-    """
+    neither walks the corners of points outside the hull; both take their
+    scratch from ``ws``, the workspace these arrays came from, if any."""
 
     inside: np.ndarray
     base: np.ndarray
     frac: np.ndarray
+    ws: Workspace | None = None

@@ -1,4 +1,4 @@
-"""Pinhole cameras, rigid poses, rays, and the frustum-normalizing coordinate map.
+"""Pinhole cameras, rigid poses, rays, the frustum-normalizing coordinate map, workspaces.
 
 Conventions used throughout the package:
 
@@ -23,6 +23,36 @@ from dataclasses import dataclass, field
 import numpy as np
 
 _ORTHO_TOL = 1e-9
+
+
+class Workspace:
+    """A stack of byte buffers: :meth:`take` views the next as an array,
+    growing it if too small, and a ``with`` block gives back on exit what
+    it took, so arrays whose lifetimes do not overlap share memory, and a
+    pass taking the same arrays every call allocates on its first only."""
+
+    def __init__(self):
+        self._slots, self._frames, self._top = [], [], 0   # slot: buffer, (shape, dtype), array
+
+    def take(self, shape, dtype=np.float64) -> np.ndarray:
+        if self._top == len(self._slots):
+            self._slots.append((np.empty(0, np.uint8), None, None))
+        buf, key, array = self._slots[self._top]
+        if key != (shape, dtype):   # else the array taken here last serves again
+            count = shape if isinstance(shape, (int, np.integer)) else math.prod(shape)
+            nbytes = int(count) * np.dtype(dtype).itemsize
+            buf = buf if buf.size >= nbytes else np.empty(nbytes, np.uint8)
+            array = buf[:nbytes].view(dtype).reshape(shape)
+            self._slots[self._top] = buf, (shape, dtype), array
+        self._top += 1
+        return array
+
+    def __enter__(self):
+        self._frames.append(self._top)
+        return self
+
+    def __exit__(self, *exc):
+        self._top = self._frames.pop()
 
 
 def rotation_y(angle_rad: float) -> np.ndarray:
@@ -109,12 +139,13 @@ class Pose:
     def identity() -> "Pose":
         return Pose(np.eye(3), np.zeros(3))
 
-    def apply(self, points: np.ndarray) -> np.ndarray:
+    def apply(self, points: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Transform points of shape (..., 3) into a column-major result of
         that shape: ``out[..., a]`` is contiguous, as its readers walk it.
-        ``R @ points.T`` is faster than ``points @ R.T``, with the same bits."""
+        ``R @ points.T`` is faster than ``points @ R.T``, with the same bits;
+        ``out`` may give the (3, points) columns."""
         pts = np.asarray(points, dtype=np.float64)
-        cols = self.rotation @ pts.reshape(-1, 3).T
+        cols = np.matmul(self.rotation, pts.reshape(-1, 3).T, out=out)
         cols += self.translation[:, None]
         return cols.T.reshape(pts.shape)
 
@@ -190,18 +221,20 @@ def all_pixel_coords(intr: CameraIntrinsics) -> np.ndarray:
     return np.stack([uu, vv], axis=-1)
 
 
-def project(intr: CameraIntrinsics, points_cam: np.ndarray):
+def project(intr: CameraIntrinsics, points_cam: np.ndarray, out=None):
     """Perspective-project camera-frame points (..., 3) to (u, v, z).
 
     z is returned unmodified so callers can classify behind-camera points
     (z <= 0); z == 0 yields non-finite (u, v).  :func:`in_image` treats
-    both as outside the image.
+    both as outside the image.  ``out`` may give the arrays for u and v,
+    which may be the points' x and y.
     """
     pts = np.asarray(points_cam, dtype=np.float64)
     z = pts[..., 2]
+    u, v = (None, None) if out is None else out
     with np.errstate(divide="ignore", invalid="ignore"):
-        u = intr.fx * pts[..., 0] / z + intr.cx
-        v = intr.fy * pts[..., 1] / z + intr.cy
+        u = np.add(np.divide(np.multiply(intr.fx, pts[..., 0], out=u), z, out=u), intr.cx, out=u)
+        v = np.add(np.divide(np.multiply(intr.fy, pts[..., 1], out=v), z, out=v), intr.cy, out=v)
     return u, v, z
 
 

@@ -65,8 +65,9 @@ def grid_to_bytes(grid: VoxelGrid) -> bytes:
     """The header and the payload, converted in one copy: the file's bytes
     are its only other copy (``test_gridio.py::test_write_holds_two_payloads``)."""
     code = DTYPE_BOOL if grid.values.dtype == bool else DTYPE_F32
-    # x fastest: (z, y, x) in C order
-    payload = np.ascontiguousarray(grid.values.transpose(2, 1, 0),
+    # as bytes, a bool payload is copied, not cast; x fastest: (z, y, x) in C order
+    values = grid.values.view(np.uint8) if code == DTYPE_BOOL else grid.values
+    payload = np.ascontiguousarray(values.transpose(2, 1, 0),
                                    dtype=np.uint8 if code == DTYPE_BOOL else "<f4")
     nx, ny, nz = grid.counts
     header = HEADER.pack(MAGIC, FORMAT_VERSION, _FRAME_CODES[grid.frame], code,

@@ -30,10 +30,10 @@ sign(dsigma_i) - is computed once per ray by ``ray_terms``.
 ``view_loss`` does only the per-view work: compositing, the pairs' colour
 steps and the suffix recursion, which runs on (N, 3, rays) arrays so each
 step touches one contiguous slice.  Both take the block's arrays
-only, so their memory is O(block); the trainer scatters each block's
-dL/dsigma before it makes the next, so nothing per sample spans the
-batch.  Every per-ray sum
-is taken in the order a whole-batch, ray-major pass takes it, so results
+only, in arrays from the trainer's workspace, so their memory is
+O(block); the trainer scatters each block's dL/dsigma before it makes
+the next, so nothing per sample spans the batch.  Every per-ray sum is
+taken in the order a whole-batch, ray-major pass takes it, so results
 do not depend on the block size.
 
 ``total_loss`` is ``ray_terms`` and ``view_loss`` on one whole ray-major
@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import check_real
+from .geometry import Workspace, check_real
 from .rendering import SamplingConfig, opacity, sample_points_batch, transmittance
 from .rendering import composite  # noqa: F401 - not called here; bench/tracing.py wraps it
 
@@ -65,9 +65,12 @@ class LossConfig:
         for name in ("lambda_r", "lambda_p"):
             check_real(name, getattr(self, name), least=0)
 
-    def combine(self, recon, polar):
-        """lambda_r * recon + lambda_p * polar, for losses or their gradients."""
-        return self.lambda_r * recon + self.lambda_p * polar
+    def combine(self, recon, polar, out=(None, None)):
+        """lambda_r * recon + lambda_p * polar, for losses or gradients; the
+        products in ``out``'s two arrays (maybe the inputs), the sum in the first."""
+        total = np.multiply(self.lambda_r, recon, out=out[0])
+        total += np.multiply(self.lambda_p, polar, out=out[1])
+        return total
 
 
 @dataclass
@@ -130,46 +133,52 @@ def reconstruction_loss(c_hat: np.ndarray, c_gt: np.ndarray) -> np.ndarray:
                          - np.asarray(c_gt, dtype=np.float64)), axis=-1)
 
 
-def _pair_factors(alpha: np.ndarray, sigma: np.ndarray):
-    """Time-major max(alpha_i, alpha_{i+1}), exp(-|dsigma_i|), sign(dsigma_i)."""
-    dsigma = np.diff(sigma, axis=0)
-    return np.maximum(alpha[:-1], alpha[1:]), np.exp(-np.abs(dsigma)), np.sign(dsigma)
-
-
-def ray_terms(alpha: np.ndarray, sigma: np.ndarray, delta: np.ndarray) -> RayTerms:
-    """The view-independent loss factors of time-major (N, ...) samples."""
+def ray_terms(alpha: np.ndarray, sigma: np.ndarray, delta: np.ndarray,
+              ws: Workspace | None = None) -> RayTerms:
+    """The view-independent loss factors of time-major (N, ...) samples,
+    in seven arrays taken from ``ws``."""
     a = np.ascontiguousarray(alpha, dtype=np.float64)
-    if not (np.all(a >= 0) and np.all(a <= 1)):
+    # Written so that NaN fails too: a NaN extremum compares false.
+    if not (a.min(initial=np.inf) >= 0 and a.max(initial=-np.inf) <= 1):
         raise ValueError("alphas must lie in [0, 1]")
     if len(a) < 2:
         raise ValueError("polarization needs at least two samples per ray")
     sig = np.ascontiguousarray(sigma, dtype=np.float64)
     dlt = np.ascontiguousarray(delta, dtype=np.float64)
-    one_minus_alpha = 1.0 - a
-    trans = transmittance(one_minus_alpha)
-    return RayTerms(a, sig, dlt, one_minus_alpha, trans, a * trans,
-                    np.exp(-sig * dlt), *_pair_factors(a, sig))
+    ws = Workspace() if ws is None else ws
+    rays = RayTerms(a, sig, dlt, *(ws.take(a.shape) for _ in range(4)),
+                    *(ws.take((len(a) - 1,) + a.shape[1:]) for _ in range(3)))
+    np.subtract(1.0, a, out=rays.one_minus_alpha)
+    np.multiply(a, transmittance(rays.one_minus_alpha, out=rays.trans), out=rays.weights)
+    survival = np.negative(np.multiply(sig, dlt, out=rays.survival), out=rays.survival)
+    np.exp(survival, out=survival)
+    np.maximum(a[:-1], a[1:], out=rays.pair_weight)
+    dsigma = np.subtract(sig[1:], sig[:-1], out=rays.decay)
+    np.sign(dsigma, out=rays.pull_sign)
+    np.exp(np.negative(np.abs(dsigma, out=dsigma), out=dsigma), out=dsigma)
+    return rays
 
 
-def _recon_wrt_alpha(alpha, one_minus_alpha, trans, planes, sign, hit):
+def _recon_wrt_alpha(alpha, one_minus_alpha, trans, planes, sign, hit, grad, ws):
     """dL_r/dalpha = sign . T_i (c_i - G_i), (N, ...), by the suffix
-    recursion on time-major arrays; ``planes`` (C, N, ...) are the colour
-    channels."""
-    suffix = np.empty(alpha.shape[:1] + planes.shape[:1] + alpha.shape[1:])   # G_i, (N, C, ...)
-    suffix[-1] = 0.0
-    for i in range(len(alpha) - 2, -1, -1):
-        g = suffix[i]
-        np.multiply(one_minus_alpha[i + 1], suffix[i + 1], out=g)
-        g += alpha[i + 1] * planes[:, i + 1]
-    grad = None
-    for c, plane in enumerate(planes):
-        g = suffix[:, c]
-        np.subtract(plane, g, out=g)
-        g *= sign[..., c]
-        grad = g if grad is None else grad + g   # the channel sum's left fold
-    grad *= trans
-    if hit is not None:
-        np.copyto(grad, 0.0, where=~hit)
+    recursion on time-major arrays, in ``grad``; ``planes`` (C, N, ...) are
+    the colour channels.  C 8 B arrays a sample come from ``ws``."""
+    with ws:
+        suffix = ws.take(alpha.shape[:1] + planes.shape[:1] + alpha.shape[1:])   # G_i, (N, C, ...)
+        step = ws.take(planes.shape[:1] + alpha.shape[1:])
+        suffix[-1] = 0.0
+        colors = np.moveaxis(planes, 0, 1)      # (N, C, ...)
+        # alpha_{i+1} c_{i+1} for every i at once; the recursion adds
+        # (1 - alpha_{i+1}) G_{i+1} to it, the same sum in the other order
+        np.multiply(alpha[1:, None], colors[1:], out=suffix[:-1])
+        for g, below, keep in zip(suffix[-2::-1], suffix[:0:-1], one_minus_alpha[:0:-1]):
+            g += np.multiply(keep, below, out=step)
+        np.subtract(colors, suffix, out=suffix)
+        suffix *= np.moveaxis(sign, -1, 0)
+        np.add.reduce(suffix, axis=1, out=grad)     # the channel sum's left fold
+        grad *= trans
+        if hit is not None:
+            np.copyto(grad, 0.0, where=np.logical_not(hit, out=ws.take(hit.shape, bool)))
     return grad
 
 
@@ -183,66 +192,70 @@ def grad_reconstruction_wrt_alpha(alpha: np.ndarray, colors: np.ndarray,
     hit = None if miss is None else ~np.moveaxis(np.asarray(miss), -1, 0)
     planes = np.moveaxis(np.asarray(colors, dtype=np.float64), (-1, -2), (0, 1))
     grad = _recon_wrt_alpha(a, one_minus_alpha, transmittance(one_minus_alpha),
-                            planes, sign, hit)
+                            planes, sign, hit, np.empty(a.shape), Workspace())
     return np.moveaxis(grad, 0, -1)
 
 
-def _abs_steps(planes: np.ndarray) -> np.ndarray:
-    """Channel-summed |c_{i+1} - c_i|, (N-1, ...), of colour planes
-    (C, N, ...), summed in the left fold ``np.sum(axis=-1)`` takes."""
-    total = None
-    for plane in planes:
-        step = plane[1:] - plane[:-1]
-        np.abs(step, out=step)
-        if total is None:
-            total = step
-        else:
-            total += step
-    return total
-
-
-def _polarization(pair_weight, decay, pull_sign, dcolor, pair_valid):
-    """Time-major L_p (...) and dL_p/dsigma (N, ...) from the pair factors
-    and the pairs' colour steps, zero at pairs that are not ``pair_valid``.
-    Pair i adds +/- M_i |dc_i| exp(-|dsigma_i|) to its two endpoints, signed
-    so that growing |dsigma| lowers the loss (subgradient 0 at dsigma = 0)."""
-    terms = pair_weight * dcolor * decay
-    np.copyto(terms, 0.0, where=~pair_valid)
-    pull = terms * pull_sign
-    grad = np.zeros((len(terms) + 1,) + terms.shape[1:])
-    grad[:-1] += pull
-    grad[1:] -= pull
-    # Summed along contiguous rows, so each ray's sum takes the same order
-    # whatever the layout and the number of rays.
-    return np.sum(np.ascontiguousarray(np.moveaxis(terms, 0, -1)), axis=-1), grad
+def _polarization(rays: RayTerms, planes: np.ndarray, hit: np.ndarray, out, ws):
+    """Time-major L_p (...), returned, and dL_p/dsigma (N, ...), in ``out``,
+    from colour planes (C, N, ...), zero at pairs with a sample not
+    ``hit``.  Pair i adds +/- M_i |dc_i| exp(-|dsigma_i|) to its two
+    endpoints, signed so that growing |dsigma| lowers the loss (subgradient
+    0 at dsigma = 0); |dc_i| sums the channels in the left fold
+    ``np.sum(axis=-1)`` takes.  Two 8 B arrays a pair are taken from ``ws``."""
+    terms, step = (ws.take((planes.shape[1] - 1,) + planes.shape[2:]) for _ in range(2))
+    for c, plane in enumerate(planes):
+        d = step if c else terms
+        np.abs(np.subtract(plane[1:], plane[:-1], out=d), out=d)
+        if c:
+            terms += d
+    terms *= rays.pair_weight
+    terms *= rays.decay
+    missed = np.logical_and(hit[:-1], hit[1:], out=ws.take(terms.shape, bool))
+    np.copyto(terms, 0.0, where=np.logical_not(missed, out=missed))
+    pull = np.multiply(terms, rays.pull_sign, out=step)
+    out.fill(0.0)
+    out[:-1] += pull
+    out[1:] -= pull
+    # Summed along contiguous rows (in the pull's array, read by now), so
+    # each ray's sum takes the same order whatever the layout and the
+    # number of rays.
+    rows = step.reshape(terms.shape[1:] + terms.shape[:1])
+    np.copyto(rows, np.moveaxis(terms, 0, -1))
+    return np.sum(rows, axis=-1)
 
 
 def view_loss(rays: RayTerms, colors: np.ndarray, hit: np.ndarray,
-              c_gt: np.ndarray) -> ViewLoss:
+              c_gt: np.ndarray, ws: Workspace | None = None) -> ViewLoss:
     """One source view's loss terms over a block of rays.
 
     ``colors`` (N, ..., 3) and ``hit`` (N, ...) are the view's time-major
     sampled colors (zero at misses) and hit mask, ``c_gt`` (..., 3) the
     target colors.  Only the view-dependent work runs here: compositing
     with the shared weights, the suffix recursion and the colour
-    differences of the pairs.  Its memory is O(the block).
+    differences of the pairs.  Its gradients and scratch (three and at
+    most three 8 B arrays a sample) come from ``ws``.
     """
+    ws = Workspace() if ws is None else ws
     planes = np.moveaxis(colors, -1, 0)
-    # One reduce down the sample axis of a C-contiguous (N, 3, ...) product
-    # adds whole sample rows in sample order, as the whole-batch (rays, N,
-    # 3) sum does; a reduce over (N, rays) would sum a one-ray block
-    # pairwise.
-    weighted = np.empty(colors.shape[:1] + colors.shape[-1:] + colors.shape[1:-1])
-    np.multiply(rays.weights[:, None], np.moveaxis(colors, -1, 1), out=weighted)
-    c_hat = np.moveaxis(np.add.reduce(weighted, axis=0), 0, -1)
-    recon = reconstruction_loss(c_hat, c_gt)
-    polar, polar_wrt_sigma = _polarization(rays.pair_weight, rays.decay, rays.pull_sign,
-                                           _abs_steps(planes), hit[:-1] & hit[1:])
+    terms = ViewLoss(None, None, *(ws.take(rays.alpha.shape) for _ in range(3)))
+    with ws:
+        # One reduce down the sample axis of a C-contiguous (N, 3, ...)
+        # product adds whole sample rows in sample order, as the
+        # whole-batch (rays, N, 3) sum does; a reduce over (N, rays) would
+        # sum a one-ray block pairwise.
+        weighted = ws.take(colors.shape[:1] + colors.shape[-1:] + colors.shape[1:-1])
+        np.multiply(rays.weights[:, None], np.moveaxis(colors, -1, 1), out=weighted)
+        c_hat = np.moveaxis(np.add.reduce(weighted, axis=0), 0, -1)
+    terms.recon = reconstruction_loss(c_hat, c_gt)
+    with ws:
+        terms.polar = _polarization(rays, planes, hit, terms.polar_wrt_sigma, ws)
     sign = np.sign(c_hat - np.asarray(c_gt, dtype=np.float64))
-    recon_wrt_alpha = _recon_wrt_alpha(rays.alpha, rays.one_minus_alpha, rays.trans,
-                                       planes, sign, hit)
-    return ViewLoss(recon, polar, recon_wrt_alpha,
-                    recon_wrt_alpha * rays.delta * rays.survival, polar_wrt_sigma)
+    _recon_wrt_alpha(rays.alpha, rays.one_minus_alpha, rays.trans, planes, sign, hit,
+                     terms.recon_wrt_alpha, ws)
+    np.multiply(terms.recon_wrt_alpha, rays.delta, out=terms.recon_wrt_sigma)
+    terms.recon_wrt_sigma *= rays.survival
+    return terms
 
 
 def total_loss(alpha: np.ndarray, colors: np.ndarray, sigma: np.ndarray,

@@ -21,7 +21,7 @@ from .benchmark import _ReadPlan, compute_metrics, frustum_mask, visibility_mask
 from .benchmark import build_opacity_map, voxelize_occupancy  # noqa: F401
 from .field import (AnalyticScene, VoxelDensityField, ground_truth_occupancy,
                     render_reference_image)
-from .geometry import FrustumSpec, Pose, check_int, check_real, in_image, project
+from .geometry import FrustumSpec, Pose, Workspace, check_int, check_real, in_image, project
 from .grids import VoxelGrid
 from .losses import LossConfig, ray_terms, view_loss
 from .losses import total_loss  # noqa: F401 - not called here; bench/tracing.py wraps it
@@ -76,7 +76,8 @@ class TrainConfig:
 
 
 class AdamOptimizer:
-    """Adaptive-moment update with bias correction, canonical constants."""
+    """Adaptive-moment update with bias correction, canonical constants; a
+    step works in place, in the allocating formula's order (``test_optim``)."""
 
     def __init__(self, shape, beta1=0.9, beta2=0.999, eps=1e-8):
         self.beta1 = beta1
@@ -84,15 +85,20 @@ class AdamOptimizer:
         self.eps = eps
         self.m = np.zeros(shape)
         self.v = np.zeros(shape)
+        self._m_hat, self._v_hat = np.empty(shape), np.empty(shape)
         self.step_count = 0
 
     def step(self, theta: np.ndarray, grad: np.ndarray, lr: float) -> None:
         self.step_count += 1
-        self.m = self.beta1 * self.m + (1 - self.beta1) * grad
-        self.v = self.beta2 * self.v + (1 - self.beta2) * grad ** 2
-        m_hat = self.m / (1 - self.beta1 ** self.step_count)
-        v_hat = self.v / (1 - self.beta2 ** self.step_count)
-        theta -= lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        m, v, m_hat, v_hat = self.m, self.v, self._m_hat, self._v_hat
+        m *= self.beta1             # m = beta1 m + (1 - beta1) g, v alike with g^2
+        m += np.multiply(1 - self.beta1, grad, out=m_hat)
+        v *= self.beta2
+        v += np.multiply(1 - self.beta2, np.square(grad, out=v_hat), out=v_hat)
+        np.divide(m, 1 - self.beta1 ** self.step_count, out=m_hat)
+        np.sqrt(np.divide(v, 1 - self.beta2 ** self.step_count, out=v_hat), out=v_hat)
+        m_hat *= lr                 # theta -= lr m_hat / (sqrt(v_hat) + eps)
+        theta -= np.divide(m_hat, np.add(v_hat, self.eps, out=v_hat), out=m_hat)
 
 
 @dataclass
@@ -163,13 +169,16 @@ def train(field: VoxelDensityField, scene: AnalyticScene, views,
     its per-corner sums before the next block is made.  Per-ray L_r and
     L_p are kept, and the batch means and the scatter's sums are taken in
     the order a whole-batch pass takes them, so results do not depend on
-    the block size.  Nothing per sample spans the batch: every per-sample
-    array is O(block), the scatter's sums are 64 B a node, and none of an
-    iteration's arrays outlive it.
+    the block size.  Nothing per sample spans the batch: blocks take their
+    arrays from one :class:`Workspace`, made here and gone on return, which
+    holds 31 8 B arrays a sample of a block (5.8 MiB at ``RAY_BLOCK`` rays
+    of 48 samples); a block allocates only its lattice index and the
+    scatter's coefficients, 8 B a sample (``test_optim.py``).
     """
     check_view_overlap(views)
     images = [render_reference_image(scene, v) for v in views]
-    samplers = [SourceViewSampler(img, v) for img, v in zip(images, views)]
+    ws = Workspace()
+    samplers = [SourceViewSampler(img, v, ws) for img, v in zip(images, views)]
     adam = AdamOptimizer(field.theta.shape, cfg.beta1, cfg.beta2, cfg.eps)
     loss_cfg = cfg.loss_config()
     scfg = SamplingConfig(cfg.num_samples, cfg.near, cfg.far, MODE_TRAIN)
@@ -182,7 +191,7 @@ def train(field: VoxelDensityField, scene: AnalyticScene, views,
         sources = [s for j, s in enumerate(samplers) if j != target_idx]
         grad_theta, traces = _batch_gradient(
             field, views[target_idx], images[target_idx], sources,
-            iteration_rng(cfg.seed, it), cfg, scfg, loss_cfg)
+            iteration_rng(cfg.seed, it), cfg, scfg, loss_cfg, ws)
         trace_total[it], trace_recon[it], trace_polar[it] = traces
         lr = cfg.learning_rate
         if it >= cfg.lr_decay_start:
@@ -193,11 +202,10 @@ def train(field: VoxelDensityField, scene: AnalyticScene, views,
                        loss_recon=trace_recon, loss_polar=trace_polar)
 
 
-def _batch_gradient(field, target, image, sources, rng, cfg, scfg, loss_cfg):
+def _batch_gradient(field, target, image, sources, rng, cfg, scfg, loss_cfg, ws):
     """dL/dtheta for one iteration's ray batch on ``target``, and the
     source-view means of its loss total, L_r and L_p; see :func:`train`.
-    The blocks are made one at a time as the scatter draws them, and each
-    goes once it is scattered, so nothing per sample spans the batch."""
+    The scatter draws the blocks one at a time, each in a frame of ``ws``."""
     batch = sample_patch_rays(target, rng, cfg.patch_count, cfg.patch_size)
     pix = batch.pixels.astype(np.int64)
     c_gt = image[pix[:, 1], pix[:, 0]]
@@ -207,38 +215,51 @@ def _batch_gradient(field, target, image, sources, rng, cfg, scfg, loss_cfg):
     n_rays, n_src = len(dirs), len(sources)
     recon = np.zeros((n_src, n_rays))
     polar = np.zeros((n_src, n_rays))
-    blocks = [slice(start, start + RAY_BLOCK) for start in range(0, n_rays, RAY_BLOCK)]
-    grad_theta = field.param_grad_from(
-        _block_gradient(field, nodes, sources, origins[b], dirs[b], c_gt[b], rng, scfg,
-                        loss_cfg, n_rays, recon[:, b], polar[:, b])
-        for b in blocks)
+
+    def parts():
+        for start in range(0, n_rays, RAY_BLOCK):
+            b = slice(start, start + RAY_BLOCK)
+            with ws:
+                yield _block_gradient(field, nodes, sources, origins[b], dirs[b], c_gt[b], rng,
+                                      scfg, loss_cfg, n_rays, recon[:, b], polar[:, b], ws)
+
+    grad_theta = field.param_grad_from(parts())
     means = [sum(float(np.mean(row)) for row in per_ray) / n_src
              for per_ray in (loss_cfg.combine(recon, polar), recon, polar)]
     return grad_theta, means
 
 
 def _block_gradient(field, nodes, sources, origins, dirs, c_gt, rng, scfg, loss_cfg,
-                    n_rays, recon, polar):
+                    n_rays, recon, polar, ws):
     """One block of :func:`_batch_gradient`'s rays: samples, locates and
     scores them against every source view, writing the block's rows of the
     per-view L_r and L_p.  Returns the located points and their dL/dsigma
-    (the source-view mean), the scatter's part; every other array here is
-    the block's and goes on return."""
-    pts, delta = sample_points_batch(origins, dirs, scfg, rng)[1:]
-    located = field.locate(pts)
-    sigma = field.density_from(located, nodes)
-    rays = ray_terms(opacity(sigma, delta).T, sigma.T, delta.T)
-    # time-major and flat: one (N * B, 3) pose transform per view
-    pts = pts.transpose(1, 0, 2).reshape(-1, 3)
-    grad_sigma = np.zeros(sigma.shape)
+    (the source-view mean), the scatter's part.  Its arrays come from
+    ``ws``; each stage gives its scratch back, and what the block keeps
+    (points, delta, sigma, alpha, :func:`ray_terms`, the location and
+    dL/dsigma, time-major (N, rays)) is 18 8 B arrays a sample.
+    """
+    shape = (scfg.num_samples, len(dirs))
+    pts, delta, sigma, alpha = ws.take(shape + (3,)), *(ws.take(shape) for _ in range(3))
+    with ws:                # t and delta ray-major, pts into a ray-major view
+        t, delta_rm = ws.take(shape[::-1]), ws.take(shape[::-1])
+        sample_points_batch(origins, dirs, scfg, rng, out=(t, pts.transpose(1, 0, 2), delta_rm))
+        np.copyto(delta, delta_rm.T)
+    located = field.locate(pts.transpose(1, 0, 2), ws)
+    field.density_from(located, nodes, out=sigma.T)
+    rays = ray_terms(opacity(sigma, delta, out=alpha), sigma, delta, ws)
+    pts = pts.reshape(-1, 3)        # one (N * B, 3) pose transform per view
+    grad_sigma = ws.take(shape[::-1])
+    grad_sigma.fill(0.0)
     grad_t = grad_sigma.T
     for v, sampler in enumerate(sources):
-        colors, hit = sampler.sample_colors(pts)
-        terms = view_loss(rays, colors.reshape(rays.alpha.shape + (3,)),
-                          hit.reshape(rays.alpha.shape), c_gt)
-        recon[v] = terms.recon
-        polar[v] = terms.polar
-        grad_t += loss_cfg.combine(terms.recon_wrt_sigma, terms.polar_wrt_sigma) / n_rays
+        with ws:
+            colors, hit = sampler.sample_colors(pts)
+            terms = view_loss(rays, colors.reshape(shape + (3,)), hit.reshape(shape), c_gt, ws=ws)
+            recon[v] = terms.recon
+            polar[v] = terms.polar
+            grads = terms.recon_wrt_sigma, terms.polar_wrt_sigma
+            grad_t += np.divide(loss_cfg.combine(*grads, out=grads), n_rays, out=grads[0])
     grad_sigma /= len(sources)
     return located, grad_sigma
 

@@ -21,12 +21,13 @@ prod_i (1 - alpha_i) is surfaced separately so energy conservation
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (CameraIntrinsics, CameraView, FrustumSpec, Pose, check_int, in_image,
-                       project)
+from .geometry import (CameraIntrinsics, CameraView, FrustumSpec, Pose, Workspace, check_int,
+                       in_image, project)
 
 MODE_TRAIN = "train"
 MODE_EVAL = "eval"
@@ -50,25 +51,33 @@ class SamplingConfig:
             raise ValueError(f"unknown sampling mode {self.mode!r}")
 
 
-def sample_distances(cfg: SamplingConfig, jitter: np.ndarray | None = None) -> np.ndarray:
-    """Distances t of shape (..., N); ``jitter`` supplies r (train mode)."""
+def sample_distances(cfg: SamplingConfig, jitter: np.ndarray | None = None,
+                     out=None) -> np.ndarray:
+    """Distances t of shape (..., N); ``jitter`` supplies r (train mode).
+    ``out`` may give arrays for t (maybe ``jitter``) and for s / far."""
     n = cfg.num_samples
     i = np.arange(n, dtype=np.float64)
-    s = (i + jitter) / n if jitter is not None else i / n
-    inv_t = (1.0 - s) / cfg.near + s / cfg.far
-    return 1.0 / inv_t
+    shape = np.broadcast_shapes(i.shape, np.shape(jitter))
+    s, s_far = out or (np.empty(shape), np.empty(shape))
+    np.divide(np.add(i, 0.0 if jitter is None else jitter, out=s), n, out=s)
+    np.divide(s, cfg.far, out=s_far)
+    np.divide(np.subtract(1.0, s, out=s), cfg.near, out=s)
+    return np.divide(1.0, np.add(s, s_far, out=s), out=s)     # 1/((1 - s)/near + s/far)
 
 
-def interval_lengths(t: np.ndarray, far: float) -> np.ndarray:
-    """delta_i = t_{i+1} - t_i, with the last interval ending at ``far``."""
+def interval_lengths(t: np.ndarray, far: float, out: np.ndarray | None = None) -> np.ndarray:
+    """delta_i = t_{i+1} - t_i, the last ending at ``far``; in ``out`` if given."""
     t = np.asarray(t, dtype=np.float64)
-    return np.concatenate(
-        [np.diff(t, axis=-1), far - t[..., -1:]], axis=-1)
+    out = np.empty(t.shape) if out is None else out
+    np.subtract(t[..., 1:], t[..., :-1], out=out[..., :-1])
+    np.subtract(far, t[..., -1:], out=out[..., -1:])
+    return out
 
 
 def sample_points_batch(origins: np.ndarray, dirs: np.ndarray,
-                        cfg: SamplingConfig, rng=None):
-    """Batched sampling: origins/dirs (R, 3) -> t (R, N), pts (R, N, 3), delta (R, N).
+                        cfg: SamplingConfig, rng=None, out=None):
+    """Batched sampling: origins/dirs (R, 3) -> t (R, N), pts (R, N, 3), delta (R, N),
+    written into ``out`` if given (t C-contiguous, the others any layout).
 
     Train mode needs ``rng``, a ``numpy.random.Generator``; its jitter is
     drawn in one call over the fixed ray order, so a given (generator
@@ -78,35 +87,42 @@ def sample_points_batch(origins: np.ndarray, dirs: np.ndarray,
     origins = np.asarray(origins, dtype=np.float64)
     dirs = np.asarray(dirs, dtype=np.float64)
     shape = (len(dirs), cfg.num_samples)
+    t, pts, delta = out or (np.empty(shape), np.empty(shape + (3,)), np.empty(shape))
     if cfg.mode == MODE_EVAL:
-        t = np.broadcast_to(sample_distances(cfg), shape).copy()
+        t[...] = sample_distances(cfg)
     elif rng is None:
         raise ValueError("train-mode sampling needs a generator: pass rng")
     else:
-        t = sample_distances(cfg, rng.uniform(-0.5, 0.5, size=shape))
-    pts = np.empty(t.shape + (3,))
+        rng.random(out=t)
+        t -= 0.5                    # the bits rng.uniform(-0.5, 0.5) draws
+        sample_distances(cfg, t, out=(t, delta))   # delta is free until the intervals
     for a in range(3):   # per column, as origins[:, None] + t[..., None] * dirs[:, None]
-        np.multiply(t, dirs[:, a, None], out=pts[..., a])
-        pts[..., a] += origins[:, a, None]
-    return t, pts, interval_lengths(t, cfg.far)
+        col = pts[..., a].T     # sample-major: a sample-major pts is written row by row
+        np.multiply(t.T, dirs[:, a], out=col)
+        col += origins[:, a]
+    return t, pts, interval_lengths(t, cfg.far, out=delta)
 
 
-def opacity(sigma, delta):
-    """alpha = 1 - exp(-sigma * delta); requires sigma >= 0 and delta > 0."""
+def opacity(sigma, delta, out: np.ndarray | None = None):
+    """alpha = 1 - exp(-sigma * delta), in ``out`` if given; requires
+    sigma >= 0 and delta > 0."""
     sigma = np.asarray(sigma, dtype=np.float64)
     delta = np.asarray(delta, dtype=np.float64)
-    # Written so that NaN fails too: NaN < 0 is false.
-    if not np.all(sigma >= 0):
+    # Written so that NaN fails too: a NaN minimum compares false.
+    if not sigma.min(initial=np.inf) >= 0:
         raise ValueError("density must be nonnegative and not NaN")
-    if not np.all(delta > 0):
+    if not delta.min(initial=np.inf) > 0:
         raise ValueError("interval lengths must be positive and not NaN")
-    return -np.expm1(-sigma * delta)
+    out = np.empty(np.broadcast_shapes(sigma.shape, delta.shape)) if out is None else out
+    np.negative(np.multiply(sigma, delta, out=out), out=out)
+    return np.negative(np.expm1(out, out=out), out=out)
 
 
-def transmittance(one_minus_alpha: np.ndarray) -> np.ndarray:
+def transmittance(one_minus_alpha: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """T_i = prod_{j<i} (1 - alpha_j) along the leading sample axis, from
-    (N, ...) values of 1 - alpha: the exclusive cumulative product, T_0 = 1."""
-    trans = np.empty(one_minus_alpha.shape)
+    (N, ...) values of 1 - alpha: the exclusive cumulative product, T_0 = 1,
+    in ``out`` if given."""
+    trans = np.empty(one_minus_alpha.shape) if out is None else out
     trans[0] = 1.0
     np.cumprod(one_minus_alpha[:-1], axis=0, out=trans[1:])
     return trans
@@ -140,55 +156,58 @@ def composite(alphas: np.ndarray, colors: np.ndarray):
 # Source-view color lookup
 # ---------------------------------------------------------------------------
 
-def bilinear_sample(image: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+def bilinear_sample(image: np.ndarray, u: np.ndarray, v: np.ndarray,
+                    out: np.ndarray | None = None, ws: Workspace | None = None) -> np.ndarray:
     """Bilinearly interpolate image (h, w, c) at pixel coords in [0, w-1] x [0, h-1].
 
-    Returns (..., c) values stored channel by channel.  Each channel is
-    gathered by flat pixel index from its own contiguous (h * w) plane; the
-    right and lower taps are the same index into the plane shifted by 1
-    and by w, and the four tap weights are computed once for all channels.
-    Beyond its inputs and output this holds at most six 8 B arrays a
-    point: the tap index, the four weights and one gather buffer.
+    Returns (..., c) values stored channel by channel, in ``out``, (c,
+    points) planes that may hold u and v, if given.  Each channel is
+    gathered by flat pixel index from its own contiguous (h * w) plane (an
+    image stored as planes is not copied); the right and lower taps are
+    the same index shifted by 1 and by w, and the four tap weights are
+    computed once for all channels.  This holds six 8 B arrays a point
+    from ``ws``: u and v clipped, the tap index and three of the weights.
     """
     h, w = image.shape[:2]
     shape = np.shape(u)
     planes = np.moveaxis(image, -1, 0).reshape(image.shape[-1], h * w)
-    u = np.array(u, dtype=np.float64).reshape(-1)
-    v = np.array(v, dtype=np.float64).reshape(-1)
-    np.clip(u, 0, w - 1, out=u)
-    np.clip(v, 0, h - 1, out=v)
-    # u, v >= 0 (or NaN) after the clip, so truncation is the floor
-    u0 = u.astype(np.int64)
-    np.clip(u0, 0, w - 2, out=u0)
-    tap = v.astype(np.int64)
-    np.clip(tap, 0, h - 2, out=tap)
-    fu = np.subtract(u, u0, out=u)     # the offsets within the cell
-    fv = np.subtract(v, tap, out=v)
-    tap *= w                           # the flat index of the upper-left tap
-    tap += u0
-    del u, v, u0
-    gv = 1 - fv
-    w10, w11 = fu * gv, fu * fv
-    gu = np.subtract(1, fu, out=fu)
-    weights = (np.multiply(gv, gu, out=gv), w10,      # products commute exactly
-               np.multiply(fv, gu, out=fv), w11)
-    del fu, fv, gu, gv, w10, w11
-    out = np.empty((len(planes), len(tap)))
-    tapped = np.empty(len(tap))
-    for col, plane in zip(out, planes):
-        # Every index is in range, so mode="clip" changes nothing; it only
-        # spares take(out=) the copy it makes under the default "raise".
-        plane.take(tap, out=col, mode="clip")
-        col *= weights[0]
-        for weight, shift in zip(weights[1:], (1, w, w + 1)):
-            plane[shift:].take(tap, out=tapped, mode="clip")
-            tapped *= weight
-            col += tapped
+    n, ws = math.prod(shape), Workspace() if ws is None else ws
+    out = (ws.take((len(planes), n)) if out is None else out).reshape(len(planes), n)
+    with ws:
+        fu, fv, tap = ws.take(n), ws.take(n), ws.take(n, np.int64)
+        np.clip(np.reshape(u, -1), 0, w - 1, out=fu)
+        np.clip(np.reshape(v, -1), 0, h - 1, out=fv)
+        with ws:
+            u0 = ws.take(n, np.int64)
+            # u, v >= 0 (or NaN) after the clip, so truncation is the floor
+            for x, cell, top in ((fu, u0, w - 2), (fv, tap, h - 2)):
+                np.copyto(cell, x, casting="unsafe")
+                np.clip(cell, 0, top, out=cell)
+                x -= cell           # the offsets within the cell
+            tap *= w                # the flat index of the upper-left tap
+            tap += u0
+        gv, w10, w11 = (ws.take(n) for _ in range(3))
+        np.multiply(fu, np.subtract(1, fv, out=gv), out=w10)
+        np.multiply(fu, fv, out=w11)
+        gu = np.subtract(1, fu, out=fu)
+        weights = (np.multiply(gv, gu, out=gv), w10,      # products commute exactly
+                   np.multiply(fv, gu, out=fv), w11)
+        tapped = fu                 # gu is spent
+        for col, plane in zip(out, planes):
+            # Every index is in range, so mode="clip" changes nothing; it only
+            # spares take(out=) the copy it makes under the default "raise".
+            plane.take(tap, out=col, mode="clip")
+            col *= weights[0]
+            for weight, shift in zip(weights[1:], (1, w, w + 1)):
+                plane[shift:].take(tap, out=tapped, mode="clip")
+                tapped *= weight
+                col += tapped
     return np.moveaxis(out, 0, -1).reshape(shape + (len(planes),))
 
 
 def sample_color_from_view(image: np.ndarray, intr: CameraIntrinsics,
-                           points_cam: np.ndarray, cam_to_source: Pose):
+                           points_cam: np.ndarray, cam_to_source: Pose,
+                           ws: Workspace | None = None):
     """Colors for target-camera-frame points (..., 3) seen from a source view.
 
     Points are mapped by ``cam_to_source``, projected, and bilinearly
@@ -196,33 +215,39 @@ def sample_color_from_view(image: np.ndarray, intr: CameraIntrinsics,
     image come back with hit=False and zero color; the caller decides how
     misses weigh into losses.  Every point is interpolated (a miss at a
     clamped position) and misses are zeroed in place, so no hit subset is
-    gathered and scattered back.  Work and memory are O(points): the
-    trainer calls it once per source view per block of rays, on the
-    block's points only.
+    gathered and scattered back.  The colours (channel planes, holding the
+    transformed points until the lookup) and the hit mask are taken from
+    ``ws``, and so is the scratch, six 8 B arrays a point.
     """
-    u, v, z = project(intr, cam_to_source.apply(points_cam))
-    hit = in_image(intr, u, v, z)
-    del z                                 # and with it the transformed points
-    with np.errstate(invalid="ignore"):   # NaN (u, v) at z == 0 cast to int64
-        colors = bilinear_sample(image, u, v)
-    np.copyto(colors, 0.0, where=~hit[..., None])
+    ws = Workspace() if ws is None else ws
+    shape, c = np.shape(points_cam)[:-1], image.shape[-1]
+    planes, hit = ws.take((max(c, 3), math.prod(shape))), ws.take(shape, bool)
+    with ws:
+        cam = cam_to_source.apply(points_cam, out=planes[:3])
+        u, v, z = project(intr, cam, out=(cam[..., 0], cam[..., 1]))   # in place of x and y
+        hit[...] = in_image(intr, u, v, z)
+        with np.errstate(invalid="ignore"):   # NaN (u, v) at z == 0 cast to int64
+            colors = bilinear_sample(image, u, v, out=planes[:c], ws=ws)
+        np.copyto(colors, 0.0, where=np.logical_not(hit, out=ws.take(shape, bool))[..., None])
     return colors, hit
 
 
 class SourceViewSampler:
     """ColorSource over a rendered source image; accepts world-frame points.
 
-    The view's pose is inverted once, here, not on every lookup.
+    The view's pose is inverted once, here, not on every lookup, and the
+    image is stored as channel planes; lookups take their arrays from ``ws``.
     """
 
-    def __init__(self, image: np.ndarray, view: CameraView):
-        self.image = image
+    def __init__(self, image: np.ndarray, view: CameraView, ws: Workspace | None = None):
+        self.image = np.moveaxis(np.ascontiguousarray(np.moveaxis(image, -1, 0)), 0, -1)
         self.view = view
         self.world_to_cam = view.pose.inverse()
+        self.ws = ws
 
     def sample_colors(self, points_world: np.ndarray):
         return sample_color_from_view(self.image, self.view.intrinsics,
-                                      points_world, self.world_to_cam)
+                                      points_world, self.world_to_cam, self.ws)
 
 
 # ---------------------------------------------------------------------------

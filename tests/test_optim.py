@@ -8,6 +8,7 @@ so is a rig whose views share no frustum, before anything is rendered."""
 
 from __future__ import annotations
 
+import copy
 import tracemalloc
 from dataclasses import replace
 
@@ -39,13 +40,15 @@ def train(fix, cfg):
 
 def recording(monkeypatch, name):
     """Replace ``optim.<name>`` by a wrapper that records each call's
-    arguments and result; returns the list of (args, kwargs, result)."""
+    arguments and result; returns the list of (args, kwargs, result).
+    The record is a deep copy: the trainer reuses its arrays from block to
+    block, so a stored reference would show every call as the last."""
     calls = []
     original = getattr(optim, name)
 
     def wrapper(*args, **kwargs):
         out = original(*args, **kwargs)
-        calls.append((args, kwargs, out))
+        calls.append(copy.deepcopy((args, kwargs, out)))
         return out
 
     monkeypatch.setattr(optim, name, wrapper)
@@ -214,7 +217,7 @@ def test_blocked_training_matches_whole_batch_oracle(occluder, monkeypatch, bloc
 
     def recorded(self, points):
         colors, hit = sample_colors(self, points)
-        hits.append(hit)
+        hits.append(hit.copy())     # the trainer reuses the array for the next lookup
         return colors, hit
 
     with monkeypatch.context() as m:
@@ -273,6 +276,93 @@ def test_training_memory_peak_grows_by_under_256_bytes_a_ray(monkeypatch):
     peak2 = peak(2 * block)
     assert parts_drawn == [2] * cfg.iterations
     assert peak4 - peak2 < 256 * 2 * block
+
+
+def full_blocks_config(blocks: int, iterations: int = 2):
+    """The fixture's training config at 48 samples a ray, with ``blocks``
+    full ray blocks per iteration."""
+    fix = standard_occluder()
+    cfg = replace(fix.train_config, iterations=iterations, patch_size=8, num_samples=48,
+                  patch_count=blocks * optim.RAY_BLOCK // 64)
+    return fix, cfg
+
+
+def test_a_block_allocates_one_8_byte_array_a_sample_at_most(monkeypatch):
+    """The block pass takes its per-sample arrays from a workspace that the
+    first block fills; from then on a block's traced peak rises above its
+    start by at most the lattice index of its inside points (8 B a
+    sample), with 64 KiB for per-ray arrays and numpy's cast buffers.
+    Allocating the pass's arrays afresh in every block rose by about
+    290 B a sample."""
+    fix, cfg = full_blocks_config(2)
+    block_gradient, rises = optim._block_gradient, []
+
+    def measured(*args, **kwargs):
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        part = block_gradient(*args, **kwargs)
+        rises.append(tracemalloc.get_traced_memory()[1] - start)
+        return part
+
+    train(fix, cfg)
+    monkeypatch.setattr(optim, "_block_gradient", measured)
+    tracemalloc.start()
+    try:
+        train(fix, cfg)
+    finally:
+        tracemalloc.stop()
+    samples = optim.RAY_BLOCK * cfg.num_samples
+    assert len(rises) == 2 * cfg.iterations
+    assert rises[0] > 16 * samples                  # the first block fills the workspace
+    assert max(rises[1:]) <= 8 * samples + 65536
+
+
+def test_no_workspace_outlives_a_train_call():
+    """What ``train`` leaves allocated is its result's loss traces: the
+    field's theta is updated in place, and the workspace, several MiB at
+    this size, goes with the call.  The untraced call before it has a
+    quarter of the samples, so a workspace kept as module state would
+    grow in the traced call and stay."""
+    fix, cfg = full_blocks_config(1)
+    field = fix.base_field.copy()
+    train(fix, replace(cfg, num_samples=12))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = optim.train(field, fix.scene, fix.views, cfg)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert result.field is field
+    assert kept <= field.theta.nbytes + 3 * result.loss_total.nbytes + 65536
+
+
+def allocating_adam(theta, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam as the allocating formula, kept as the oracle of the in-place
+    ``AdamOptimizer.step``: theta, m and v after the steps."""
+    m = v = np.zeros_like(theta)
+    for t, grad in enumerate(grads, 1):
+        m = beta1 * m + (1 - beta1) * grad
+        v = beta2 * v + (1 - beta2) * grad ** 2
+        m_hat = m / (1 - beta1 ** t)
+        v_hat = v / (1 - beta2 ** t)
+        theta = theta - lr * m_hat / (np.sqrt(v_hat) + eps)
+    return theta, m, v
+
+
+def test_adam_step_in_place_is_the_allocating_formula_bit_for_bit():
+    rng = np.random.default_rng(12)
+    shape = (6, 5, 4)
+    grads = [rng.normal(scale=10.0 ** rng.integers(-6, 2), size=shape) for _ in range(5)]
+    grads.append(np.zeros(shape))
+    theta0 = rng.normal(size=shape)
+    adam, theta = optim.AdamOptimizer(shape), theta0.copy()
+    for grad in grads:
+        adam.step(theta, grad, 0.05)
+    expected = allocating_adam(theta0, grads, 0.05)
+    for got, want in zip((theta, adam.m, adam.v), expected):
+        assert np.array_equal(got, want)
+    assert not np.array_equal(theta, theta0)
 
 
 # ---------------------------------------------------------------------------
