@@ -289,11 +289,13 @@ class _ReadPlan:
     of the opacity map of ``view`` and ``cfg`` they read, and how each of
     them weighs those nodes.
 
-    - ``points`` (3, R) and ``delta`` (R,): the world point and interval
-      length of each read node, in the map's depth-major order, formed as
-      :func:`build_opacity_map` forms them.  The read nodes are the eight
-      corners of each frustum voxel's cell, found as
-      :func:`voxelize_occupancy` finds them.
+    - ``pix`` (R,) int32: the pixel of each read node, in the map's
+      depth-major order, so the nodes of depth bin i are the run
+      ``starts[i]:starts[i + 1]``; ``t`` and ``delta`` hold each bin's
+      depth and interval length.  A node's world point is formed as
+      :func:`build_opacity_map` forms it, from ``dir_cols`` and
+      ``origin``.  The read nodes are the eight corners of each frustum
+      voxel's cell, found as :func:`voxelize_occupancy` finds them.
     - ``frustum``: the mask's values, the voxels the plan scores.
     - ``ranks`` (4, F) int32: for each frustum voxel, in C order, the ranks
       in the read-node list of its cell's corners (du, di) = (0, 0),
@@ -301,9 +303,14 @@ class _ReadPlan:
       is read too and is the next map node, so its rank is one more.
     - ``frac`` (3, F): each frustum voxel's offsets within its cell
       (:func:`_map_cells`).
+    - ``located``: the key of the last ``VoxelDensityField`` lattice
+      scored and the read nodes located in it (:meth:`_located`).
 
-    Held: 32 B per read node and 40 B per frustum voxel; the mask is the
-    caller's.  Nothing of a field is kept.
+    Held: 5 B per read node (its pixel and whether it is in the last
+    lattice's hull), 32 B more per one in that hull, 40 B per frustum
+    voxel, 24 B per pixel and per depth bin; the mask is the caller's.
+    Nothing of ``theta`` is kept
+    (``test_voxelize_field.py::test_a_call_leaves_three_grids_allocated``).
     """
 
     def __init__(self, view: CameraView, cfg: SamplingConfig, frustum: VoxelGrid, t_vc: Pose):
@@ -312,8 +319,10 @@ class _ReadPlan:
         image = intr.width * intr.height
         if image * cfg.num_samples > np.iinfo(np.int32).max:
             raise ValueError("a read plan indexes the map in int32: at most 2**31 - 1 nodes")
-        dir_cols, t, delta = _eval_rays(view, cfg)
+        self.dir_cols, self.t, self.delta = _eval_rays(view, cfg)
+        self.origin = np.array(view.position)
         self.frustum = frustum.values
+        self.located = None
         m = int(np.count_nonzero(self.frustum))
         # ranks[0] holds each frustum voxel's lower corner, a flat map
         # index, until the read nodes are known.
@@ -347,33 +356,51 @@ class _ReadPlan:
         del rank
         nodes = np.flatnonzero(read)
         del read
-        self.points = np.empty((3, len(nodes)))
-        self.delta = np.empty(len(nodes))
-        for batch in _batches(len(nodes)):
-            i, pix = np.divmod(nodes[batch], image)
-            pts = self.points[:, batch]
-            np.multiply(dir_cols[:, pix], t[i], out=pts)   # t * d[a] + o[a], as the map's
-            pts += view.position[:, None]
-            self.delta[batch] = delta[i]
+        self.starts = np.searchsorted(nodes, image * np.arange(cfg.num_samples + 1))
+        self.pix = (nodes % image).astype(np.int32)
 
-    def occupancy(self, density_field) -> np.ndarray:
-        """The prediction's values: the read nodes' opacities, then each
-        frustum voxel's trilinear sample of them, in :func:`_interpolate`'s
-        corner order, thresholded; False outside the frustum.  Both run in
-        batches of ``BLOCK_VOXELS``, so memory beyond the plan, the
-        opacities and the output is O(``BLOCK_VOXELS``).
+    def _per_node(self, values: np.ndarray, batch: slice) -> np.ndarray:
+        """``values`` (one per depth bin) at each read node of ``batch``."""
+        return np.repeat(values, np.diff(np.clip(self.starts, batch.start, batch.stop)))
 
-        In the frustum this is :func:`voxelize_occupancy` over
-        :func:`build_opacity_map`, bit for bit, as :func:`cell_table`'s
-        proof shows for a voxel the table decides.  A NaN or negative
-        density raises as in :func:`build_opacity_map` at a read node alone.
-        """
-        density = _density_lookup(density_field)
-        alpha = np.empty(len(self.delta))
-        for batch in _batches(len(alpha)):
-            alpha[batch] = opacity(density(self.points[:, batch].T), self.delta[batch])
-        occ_in = np.empty(self.frac.shape[1], dtype=bool)
-        for batch in _batches(len(occ_in)):
+    def _points(self, batch: slice) -> np.ndarray:
+        """The world points (3, B) of the read nodes of ``batch``: t * d[a] + o[a],
+        as the map's."""
+        pts = self.dir_cols[:, self.pix[batch]]
+        pts *= self._per_node(self.t, batch)
+        return np.add(pts, self.origin[:, None], out=pts)
+
+    def _located(self, fld: VoxelDensityField) -> list:
+        """The read nodes located in ``fld``'s lattice, one
+        :class:`~.field.Located` per batch: the kept ones if the lattice's
+        key, its origin and resolution bytes and ``theta``'s shape, is the
+        last one's, else located afresh."""
+        key = fld.origin.tobytes(), fld.resolution.tobytes(), fld.shape
+        if self.located is None or self.located[0] != key:
+            self.located = None     # the last lattice's go before these are made
+            self.located = key, [fld.locate(self._points(batch).T)
+                                 for batch in _batches(len(self.pix))]
+        return self.located[1]
+
+    def opacity(self, density_field):
+        """Yields each batch of frustum voxels, in C order, and their opacities:
+        the read nodes' opacities, then each voxel's trilinear sample of
+        them, in :func:`_interpolate`'s corner order, in batches of
+        ``BLOCK_VOXELS``; memory beyond the plan and the read nodes'
+        opacities is O(``BLOCK_VOXELS``).  A voxel field is read at the
+        :meth:`_located` nodes, another source through ``density_at`` at
+        their points.  A NaN or negative density raises as in
+        :func:`build_opacity_map` at a read node alone."""
+        alpha = np.empty(len(self.pix))
+        if isinstance(density_field, VoxelDensityField):
+            nodes = density_field.node_density()
+            sigma = (density_field.density_from(loc, nodes)
+                     for loc in self._located(density_field))
+        else:
+            sigma = (density_field.density_at(self._points(b).T) for b in _batches(len(alpha)))
+        for batch, s in zip(_batches(len(alpha)), sigma):
+            opacity(s, self._per_node(self.delta, batch), out=alpha[batch])
+        for batch in _batches(self.frac.shape[1]):
             sampled = np.zeros(batch.stop - batch.start)
             # With base 0 and strides (2, 4, 1) each corner's index is
             # 2 du + 4 dv + di: its row of ``ranks``, plus 4 if it is one rank on.
@@ -382,7 +409,19 @@ class _ReadPlan:
                 wgt *= alpha[ranks + 1 if corner & 4 else ranks]
                 sampled += wgt
                 del ranks           # before the next corner's are gathered
-            occ_in[batch] = sampled > OCCUPANCY_THRESHOLD
+            yield batch, sampled
+
+    def occupancy(self, density_field) -> np.ndarray:
+        """The prediction's values: :meth:`opacity` above the threshold in
+        the frustum, False outside it.
+
+        In the frustum this is :func:`voxelize_occupancy` over
+        :func:`build_opacity_map`, bit for bit, as :func:`cell_table`'s
+        proof shows for a voxel the table decides.
+        """
+        occ_in = np.empty(self.frac.shape[1], dtype=bool)
+        for batch, alpha in self.opacity(density_field):
+            occ_in[batch] = alpha > OCCUPANCY_THRESHOLD
         occ = np.zeros(self.frustum.shape, dtype=bool)
         occ[self.frustum] = occ_in
         return occ

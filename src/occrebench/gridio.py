@@ -61,8 +61,8 @@ class PayloadValueError(GridFormatError):
     pass
 
 
-def grid_to_bytes(grid: VoxelGrid) -> bytes:
-    """The header and the payload, converted in one copy: the file's bytes
+def _grid_parts(grid: VoxelGrid) -> tuple:
+    """The header, and the payload converted in one copy: the file's bytes
     are its only other copy (``test_gridio.py::test_write_holds_two_payloads``)."""
     code = DTYPE_BOOL if grid.values.dtype == bool else DTYPE_F32
     # as bytes, a bool payload is copied, not cast; x fastest: (z, y, x) in C order
@@ -72,10 +72,16 @@ def grid_to_bytes(grid: VoxelGrid) -> bytes:
     nx, ny, nz = grid.counts
     header = HEADER.pack(MAGIC, FORMAT_VERSION, _FRAME_CODES[grid.frame], code,
                          nx, ny, nz, *grid.origin, *grid.resolution)
-    return header + payload.data
+    return header, payload.data
 
 
-def grid_from_bytes(data: bytes) -> VoxelGrid:
+def grid_to_bytes(grid: VoxelGrid) -> bytes:
+    """The file's bytes, the parts :func:`write_voxel_grid` writes joined."""
+    return b"".join(_grid_parts(grid))
+
+
+def grid_from_bytes(data) -> VoxelGrid:
+    """The grid of a file's bytes; a boolean grid views them (writable if ``data`` is)."""
     if len(data) < HEADER.size:
         raise TruncatedFileError(
             f"file shorter than the {HEADER.size}-byte header")
@@ -108,23 +114,22 @@ def grid_from_bytes(data: bytes) -> VoxelGrid:
         raise PayloadValueError(
             f"payload: boolean byte {int(raw.max())} outside {{0, 1}}")
     values = raw.reshape(nz, ny, nx).transpose(2, 1, 0)
-    if dtype_code == DTYPE_BOOL:
-        values = values.astype(bool)
-    else:
-        values = values.astype(np.float64)
+    values = values.view(bool) if dtype_code == DTYPE_BOOL else values.astype(np.float64)
     return VoxelGrid(origin=origin, counts=(nx, ny, nz),
                      resolution=resolution, values=values,
                      frame=_FRAME_NAMES[frame_code])
 
 
-def atomic_write_bytes(path, data: bytes) -> None:
-    """Write via temp-file-then-rename so readers never see partial files."""
+def atomic_write_bytes(path, *parts) -> None:
+    """Write the bytes-like ``parts``, in order, via temp-file-then-rename
+    so readers never see partial files."""
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-ogrd-")
     try:
         with os.fdopen(fd, "wb") as f:
-            f.write(data)
+            for data in parts:
+                f.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -133,9 +138,10 @@ def atomic_write_bytes(path, data: bytes) -> None:
 
 
 def write_voxel_grid(path, grid: VoxelGrid) -> None:
-    atomic_write_bytes(path, grid_to_bytes(grid))
+    atomic_write_bytes(path, *_grid_parts(grid))
 
 
 def read_voxel_grid(path) -> VoxelGrid:
     with open(path, "rb") as f:
-        return grid_from_bytes(f.read())
+        data = bytearray(os.fstat(f.fileno()).st_size + 1)   # a byte more shows a grown file
+        return grid_from_bytes(memoryview(data)[:f.readinto(data)])

@@ -303,10 +303,13 @@ def evaluate_field(density_field, scene: AnalyticScene, views,
       resolution and ``grid_to_world`` pickle to the same bytes;
     - the read plan (``benchmark._ReadPlan``), while those do and
       ``setup.num_samples``, ``cfg.near`` and ``cfg.far`` are equal, so a
-      change of the sampling config alone rebuilds only it.
+      change of the sampling config alone rebuilds only it;
+    - within the read plan, its read nodes located in the last
+      ``VoxelDensityField``'s lattice, while a field's origin, resolution
+      and ``theta`` shape are that lattice's.
 
     Between calls the plan stays allocated, at the bytes the read plan
-    states plus three boolean grids, and nothing of the field
+    states plus three boolean grids, and nothing of ``theta``
     (``test_voxelize_field.py``).
     """
     if setup.view_index >= len(views):

@@ -3,6 +3,7 @@ atomic writer."""
 
 from __future__ import annotations
 
+import io
 import os
 import struct
 from pathlib import Path
@@ -158,3 +159,25 @@ def test_atomic_write_replaces_whole_file(tmp_path):
     atomic_write_bytes(path, b"second")
     assert path.read_bytes() == b"second"
     assert os.listdir(tmp_path) == ["out.bin"]
+
+
+def test_read_holds_one_payload(tmp_path):
+    """Reading a 2 MiB boolean grid holds the file's bytes, which the
+    grid's values view, and no second copy (slack: the file object's
+    buffer and 1 KiB)."""
+    grid = VoxelGrid([0.0, 0.0, 0.0], (128, 128, 128), 0.2,
+                     np.random.default_rng(5).random((128, 128, 128)) < 0.5)
+    write_voxel_grid(tmp_path / "g.ogrd", grid)
+    peak = excess_peak(lambda: read_voxel_grid(tmp_path / "g.ogrd"), 0)
+    assert peak <= grid.num_voxels + io.DEFAULT_BUFFER_SIZE + 1024, peak / grid.num_voxels
+    assert_same_grid(read_voxel_grid(tmp_path / "g.ogrd"), grid)
+
+
+def test_a_file_grown_or_cut_is_rejected(tmp_path):
+    """The read takes the file's bytes as it finds them: a byte more or
+    less than the header implies fails as a format error."""
+    path = tmp_path / "g.ogrd"
+    for data in (grid_to_bytes(bool_grid()) + b"\x00", grid_to_bytes(bool_grid())[:-1]):
+        path.write_bytes(data)
+        with pytest.raises(TruncatedFileError):
+            read_voxel_grid(path)

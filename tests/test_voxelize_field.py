@@ -3,7 +3,8 @@
 A ``benchmark._ReadPlan`` takes the frustum mask and scores only its
 voxels: it finds the map nodes their cells read, and each voxel's cell, and
 scores a field as the read nodes' opacities, then each frustum voxel's
-trilinear sample of them.  Within the frustum, the only voxels the counts
+trilinear sample of them, an opacity in [0, 1] that the occupancy
+thresholds.  Within the frustum, the only voxels the counts
 read, it must equal the dense formula, ``voxelize_occupancy(build_opacity_map(...))``,
 bit for bit: on the occluder's evaluation setup, over random poses with
 voxels behind the camera and outside the image, on a grid wholly behind it,
@@ -14,8 +15,12 @@ nodes, one score per frustum voxel) and still fail on a NaN density
 wherever it reads one.  ``optim.evaluate_field`` keeps the
 field-independent masks and the read plan between calls, rebuilds each
 when an input of it changes by content, keeps the grid's frame, holds the
-bytes the plan states and nothing of the field, and peaks no higher than
-the dense pass.
+bytes the plan states and nothing of ``theta``, and peaks no higher than
+the dense pass.  The read plan keeps its read nodes located in the last
+field's lattice: fields on one lattice locate them once, a field on
+another lattice or with its origin moved in place locates them again, a
+``theta`` changed in place is read afresh, and a source that is not a
+voxel field is read at the nodes' points and leaves them located.
 """
 
 from __future__ import annotations
@@ -155,6 +160,10 @@ def test_random_poses_match_the_dense_map(seed):
     assert reads.ranks.shape == (4, inside) and reads.frac.shape == (3, inside)
     got = reads.occupancy(fld)
     assert np.array_equal(got, dense(fld, SMALL_VIEW, SMALL_CFG, grid, t_vc))
+    # The score's opacities, which the occupancy thresholds in the frustum.
+    alpha = np.concatenate([batch_alpha for _, batch_alpha in reads.opacity(fld)])
+    assert alpha.shape == (inside,) and np.all((alpha >= 0) & (alpha <= 1))
+    assert np.array_equal(got[reads.frustum], alpha > 0.5)
 
 
 def test_grid_behind_the_camera_reads_nothing(monkeypatch):
@@ -163,7 +172,7 @@ def test_grid_behind_the_camera_reads_nothing(monkeypatch):
     assert not frustum_mask(grid, Pose.identity(), INTR).values.any()
     looked_up = count_located_points(monkeypatch)
     reads = plan(SMALL_VIEW, SMALL_CFG, grid, Pose.identity())
-    assert len(reads.delta) == 0
+    assert len(reads.pix) == 0
     assert not reads.occupancy(fld).any()
     assert looked_up == []
 
@@ -436,34 +445,50 @@ def held_after_a_cold_call(monkeypatch, args) -> int:
         tracemalloc.stop()
 
 
+def located_nodes(reads: _ReadPlan) -> int:
+    """The read nodes inside the hull of the lattice they were last located in."""
+    return sum(len(loc.base) for loc in reads.located[1])
+
+
 def plan_bound(grid: VoxelGrid) -> int:
     """The bytes ``evaluate_field``'s last plan may hold over ``grid``: the
     three mask grids (1 B per voxel each) and the read plan at the bytes
-    ``_ReadPlan`` states (32 per read node, 40 per frustum voxel), within
-    64 KiB for a pose, the key and Python's objects."""
+    ``_ReadPlan`` states (5 per read node, 32 more per located one, 40 per
+    frustum voxel, 24 per pixel and per depth bin), within 64 KiB for a
+    pose, the key and Python's objects."""
     frustum, reads = optim._last_plan[1][2], optim._last_plan[3]
     inside = np.count_nonzero(frustum.values)
-    return 3 * grid.num_voxels + 32 * len(reads.delta) + 40 * inside + 64 * 1024
+    rays = reads.dir_cols.shape[1] + len(reads.t)
+    return (3 * grid.num_voxels + 5 * len(reads.pix) + 32 * located_nodes(reads)
+            + 40 * inside + 24 * rays + 64 * 1024)
 
 
 def test_a_call_leaves_three_grids_allocated(monkeypatch):
     """Between calls only the plan stays, within :func:`plan_bound`.  A kept
     opacity map (3 MiB) or opacity per read node (0.19 MiB) would show.
-    Fields on lattices of different shapes leave the same bytes, within the
-    few that Python's own objects vary by, so nothing of the field is kept."""
+    Fields on one lattice with different theta leave the same bytes, within
+    the few that Python's own objects vary by, and a field on a lattice of
+    another shape leaves 32 B more per read node its hull holds, so nothing
+    of theta is kept."""
     inputs = OCCLUDER.scene, OCCLUDER.views, SETUP, CFG
     fld = occluder_field(0)
     held = held_after_a_cold_call(monkeypatch, (fld,) + inputs)
     frustum, reads = optim._last_plan[1][2], optim._last_plan[3]
     assert reads.frustum is frustum.values
-    assert 0 < len(reads.delta) <= 0.07 * MAP_NODES
+    assert 0 < len(reads.pix) <= 0.07 * MAP_NODES
     assert held <= plan_bound(SETUP.grid)
+    located = located_nodes(reads)
+
+    same = on_lattice_of(fld, occluder_field(3).theta)
+    assert abs(held_after_a_cold_call(monkeypatch, (same,) + inputs) - held) <= OBJECT_NOISE
 
     coarse = OCCLUDER.base_field
     other = VoxelDensityField(coarse.origin, 2 * coarse.resolution,
                               coarse.theta[::2, ::2, ::2])
     assert fld.theta.nbytes - other.theta.nbytes > 4 * OBJECT_NOISE
-    assert abs(held_after_a_cold_call(monkeypatch, (other,) + inputs) - held) <= OBJECT_NOISE
+    held_other = held_after_a_cold_call(monkeypatch, (other,) + inputs)
+    more = 32 * (located_nodes(optim._last_plan[3]) - located)
+    assert abs(held_other - held - more) <= OBJECT_NOISE
 
 
 def test_the_plan_keeps_the_grid_frame():
@@ -472,3 +497,82 @@ def test_the_plan_keeps_the_grid_frame():
     assert SETUP.grid.frame == "camera"
     optim.evaluate_field(occluder_field(0), OCCLUDER.scene, OCCLUDER.views, SETUP, CFG)
     assert [g.frame for g in optim._last_plan[1][1:]] == [SETUP.grid.frame] * 3
+
+
+# ---------------------------------------------------------------------------
+# Read nodes located once per lattice
+# ---------------------------------------------------------------------------
+
+INPUTS = OCCLUDER.scene, OCCLUDER.views, SETUP, CFG
+
+
+def on_lattice_of(fld: VoxelDensityField, theta) -> VoxelDensityField:
+    return VoxelDensityField(fld.origin.copy(), fld.resolution.copy(), theta)
+
+
+def score(looked_up: list, density_field) -> tuple:
+    """``evaluate_field``'s count table of ``density_field``, checked against
+    the dense pass's, and the points of each ``locate`` call it made."""
+    looked_up.clear()
+    report = optim.evaluate_field(density_field, *INPUTS)
+    located = list(looked_up)
+    assert report.counts == evaluate_field_dense(density_field, *INPUTS).counts
+    return tuple(report.counts.values()), located
+
+
+def read_nodes() -> list:
+    """The points of the one lookup that locates the occluder's read nodes."""
+    return [len(optim._last_plan[3].pix)]
+
+
+def test_fields_on_one_lattice_locate_the_read_nodes_once(monkeypatch):
+    looked_up = count_located_points(monkeypatch)
+    base = occluder_field(0)
+    scores = [score(looked_up, on_lattice_of(base, occluder_field(seed).theta))
+              for seed in (0, 3, 7)]
+    assert [located for _, located in scores] == [read_nodes(), [], []]
+    assert len({table for table, _ in scores}) == 3
+
+
+def test_a_field_on_another_lattice_relocates_once(monkeypatch):
+    """Only the last lattice's located nodes are kept."""
+    looked_up = count_located_points(monkeypatch)
+    fld, other = occluder_field(0), occluder_field(3)
+    assert score(looked_up, fld)[1] == read_nodes()
+    assert score(looked_up, other)[1] == read_nodes()
+    assert score(looked_up, other)[1] == []
+    assert score(looked_up, fld)[1] == read_nodes()
+
+
+@pytest.mark.parametrize("axis", [0, 2])
+def test_an_origin_moved_in_place_relocates(monkeypatch, axis):
+    """The located nodes are keyed by the lattice's content, not its
+    object."""
+    looked_up = count_located_points(monkeypatch)
+    fld = occluder_field(0)
+    before = score(looked_up, fld)[0]
+    fld.origin[axis] += 0.3 * fld.resolution[axis]
+    table, located = score(looked_up, fld)
+    assert located == read_nodes() and table != before
+
+
+def test_theta_changed_in_place_gives_a_fresh_table(monkeypatch):
+    """Nothing of theta is kept: the nodes stay located and the densities
+    are read afresh."""
+    looked_up = count_located_points(monkeypatch)
+    fld = occluder_field(0)
+    before = score(looked_up, fld)[0]
+    fld.theta[...] = occluder_field(3).theta
+    table, located = score(looked_up, fld)
+    assert located == [] and table != before
+
+
+def test_a_generic_source_leaves_the_located_nodes(monkeypatch):
+    """An analytic scene, scored between two fields on one lattice, is read
+    through ``density_at`` at the read nodes' points; the second field then
+    makes no lookup."""
+    looked_up = count_located_points(monkeypatch)
+    fld = occluder_field(0)
+    assert score(looked_up, fld)[1] == read_nodes()
+    assert score(looked_up, OCCLUDER.scene)[1] == []
+    assert score(looked_up, on_lattice_of(fld, occluder_field(7).theta))[1] == []
