@@ -154,8 +154,8 @@ def _interpolate(omap: OpacityMap, base, frac) -> np.ndarray:
     """Trilinear opacity at located points (see :func:`_map_cells`)."""
     values = omap.values.transpose(2, 0, 1).reshape(-1)
     out = np.zeros(frac.shape[1:])
-    for flat, wgt in trilinear_corners(base, frac, _node_strides(omap.values.shape)):
-        wgt *= values[flat]
+    for offset, wgt in trilinear_corners(frac, _node_strides(omap.values.shape)):
+        wgt *= values[offset:].take(base)
         out += wgt
     return out
 
@@ -278,6 +278,12 @@ def voxelize_occupancy(omap: OpacityMap, grid: VoxelGrid, t_vc: Pose) -> VoxelGr
     return grid.map_centers(occupied, t_vc)
 
 
+# Map nodes per block of a read plan's rank count: a block's count of read
+# nodes must fit the mask's byte.
+RANK_SHIFT = 7
+RANK_BLOCK = 1 << RANK_SHIFT
+
+
 def _batches(size: int):
     """Slices of ``range(size)`` of ``BLOCK_VOXELS`` each, the last shorter."""
     return (slice(k, min(k + BLOCK_VOXELS, size)) for k in range(0, size, BLOCK_VOXELS))
@@ -311,6 +317,14 @@ class _ReadPlan:
     voxel, 24 B per pixel and per depth bin; the mask is the caller's.
     Nothing of ``theta`` is kept
     (``test_voxelize_field.py::test_a_call_leaves_three_grids_allocated``).
+
+    A build takes no array a map node wider than the read mask's byte: the
+    mask counts its read nodes in place per ``RANK_BLOCK`` nodes, giving
+    an int32 cumsum's ranks bit for bit
+    (``test_voxelize_field.py::test_ranks_equal_the_cumsum_ranks``).
+    Beyond what stays held, a build holds the mask and 8 B per read node,
+    and a score at most 56 B per read node and per frustum voxel
+    (``test_voxelize_field.py::test_a_cold_call_peaks_at_a_byte_a_map_node``).
     """
 
     def __init__(self, view: CameraView, cfg: SamplingConfig, frustum: VoxelGrid, t_vc: Pose):
@@ -328,7 +342,10 @@ class _ReadPlan:
         # index, until the read nodes are known.
         self.ranks = np.empty((4, m), dtype=np.int32)
         self.frac = np.empty((3, m))
-        read = np.zeros((cfg.num_samples, intr.width, intr.height), dtype=bool)
+        # The read mask, one byte a map node, rounded up to whole rank blocks.
+        size = image * cfg.num_samples
+        mask = np.zeros(-(-size // RANK_BLOCK) * RANK_BLOCK, dtype=bool)
+        read = mask[:size].reshape(cfg.num_samples, intr.width, intr.height)
         n = 0
         for xs, centers_cam in frustum.center_blocks(t_vc):
             # every frustum center has z > 0 (geometry.in_image)
@@ -341,23 +358,37 @@ class _ReadPlan:
             n += len(base)
         # Lower corners to whole cells.  _map_cells keeps each lower corner
         # one node short of the last on every axis, so no corner leaves the map.
-        read[1:] |= read[:-1]
-        read[:, 1:] |= read[:, :-1]
-        read[:, :, 1:] |= read[:, :, :-1]
-        read = read.reshape(-1)
-        rank = read.astype(np.int32)    # then, in place, one more than a read node's rank
-        np.cumsum(rank, out=rank)       # (a cast in the cumsum would copy the map twice)
+        # One image at a time: numpy copies an operand that overlaps the
+        # output, and so copies one image, not the mask.
+        for img in read:
+            img[1:] |= img[:-1]
+            img[:, 1:] |= img[:, :-1]
+        for i in range(cfg.num_samples - 1, 0, -1):     # bin i - 1 is not dilated yet
+            read[i] |= read[i - 1]
+        nodes = np.flatnonzero(read)
+        self.starts = np.searchsorted(nodes, image * np.arange(cfg.num_samples + 1))
+        self.pix = np.remainder(nodes, image, out=nodes).astype(np.int32)
+        del nodes, read
+        # A read node's rank is the read nodes before its block, plus those
+        # up to it in the block, less one: ``before`` holds the first and the
+        # -1, and the mask's own bytes, counted in place, the second (a
+        # block holds at most RANK_BLOCK < 256 of them).
+        local = mask.view(np.uint8).reshape(-1, RANK_BLOCK)
+        np.cumsum(local, axis=1, dtype=np.uint8, out=local)
+        before = np.empty(len(local), dtype=np.int32)
+        before[0] = 0
+        np.cumsum(local[:-1, -1], dtype=np.int32, out=before[1:])
+        before -= 1
+        local = local.reshape(-1)
         for batch in _batches(m):
-            base = self.ranks[0, batch]
-            # (du, di) = (1, 1), (1, 0), (0, 1), then (0, 0) over the base
+            base = self.ranks[0, batch].astype(np.intp)     # take needs no cast then
+            # (du, di) = (1, 1), (1, 0), (0, 1), then (0, 0) over the base;
+            # every corner is a read node (the dilation marks it)
             for row, offset in zip(self.ranks[::-1, batch], (intr.height + image,
                                                              intr.height, image, 0)):
-                np.subtract(rank[base + offset], 1, out=row)
-        del rank
-        nodes = np.flatnonzero(read)
-        del read
-        self.starts = np.searchsorted(nodes, image * np.arange(cfg.num_samples + 1))
-        self.pix = (nodes % image).astype(np.int32)
+                corner = base + offset
+                np.add(before.take(corner >> RANK_SHIFT), local.take(corner), out=row)
+        del local, mask
 
     def _per_node(self, values: np.ndarray, batch: slice) -> np.ndarray:
         """``values`` (one per depth bin) at each read node of ``batch``."""
@@ -374,12 +405,20 @@ class _ReadPlan:
         """The read nodes located in ``fld``'s lattice, one
         :class:`~.field.Located` per batch: the kept ones if the lattice's
         key, its origin and resolution bytes and ``theta``'s shape, is the
-        last one's, else located afresh."""
+        last one's, else placed afresh from their points, which the plan
+        forms for the purpose and so scales in place."""
         key = fld.origin.tobytes(), fld.resolution.tobytes(), fld.shape
         if self.located is None or self.located[0] != key:
             self.located = None     # the last lattice's go before these are made
-            self.located = key, [fld.locate(self._points(batch).T)
-                                 for batch in _batches(len(self.pix))]
+            located = []
+            for batch in _batches(len(self.pix)):
+                pts = self._points(batch)
+                for a in range(3):      # to node units in place, as locate scales a copy
+                    pts[a] -= fld.origin[a]
+                    pts[a] /= fld.resolution[a]
+                located.append(fld.place(pts))
+                del pts     # before the next batch's are formed
+            self.located = key, located
         return self.located[1]
 
     def opacity(self, density_field):
@@ -402,13 +441,12 @@ class _ReadPlan:
             opacity(s, self._per_node(self.delta, batch), out=alpha[batch])
         for batch in _batches(self.frac.shape[1]):
             sampled = np.zeros(batch.stop - batch.start)
-            # With base 0 and strides (2, 4, 1) each corner's index is
-            # 2 du + 4 dv + di: its row of ``ranks``, plus 4 if it is one rank on.
-            for corner, wgt in trilinear_corners(0, self.frac[:, batch], (2, 4, 1)):
-                ranks = self.ranks[corner & 3, batch]
-                wgt *= alpha[ranks + 1 if corner & 4 else ranks]
+            # Under strides (2, 4, 1) a corner's offset is 2 du + 4 dv + di: its
+            # row of ``ranks``, plus 4 if it is the read node one rank on.  An
+            # index, not ``take``, which would copy the int32 ranks to intp.
+            for corner, wgt in trilinear_corners(self.frac[:, batch], (2, 4, 1)):
+                wgt *= alpha[corner >> 2:][self.ranks[corner & 3, batch]]
                 sampled += wgt
-                del ranks           # before the next corner's are gathered
             yield batch, sampled
 
     def occupancy(self, density_field) -> np.ndarray:

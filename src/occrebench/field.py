@@ -293,32 +293,34 @@ def render_reference_image(scene: AnalyticScene, view: CameraView) -> np.ndarray
     return image.reshape(intr.height, intr.width, 3)
 
 
-def trilinear_corners(base: np.ndarray, frac, strides, out=None):
+def trilinear_corners(frac, strides, out=None):
     """The eight corners of trilinear interpolation, one at a time.
 
-    ``base`` (...) holds the flat index, into a node array with element
-    ``strides`` along the three axes, of each query's lower cell corner,
-    and ``frac`` (3, ...) the query's offset within its cell along each
-    axis, in [0, 1].  Yields (flat index, weight) per corner (dx, dy, dz)
-    in lexicographic order; the weight is (wx * wy) * wz, where each factor
-    is frac or 1 - frac.  wx * wy is taken once per (dx, dy) and each
-    corner's index is one addition to ``base``; no (..., 8) array is
-    built.  It holds four 8 B arrays a query, ``out`` if given (int64 of
-    ``base``'s shape, then three of a ``frac`` row's): the yielded index
-    and weight, which each corner overwrites, wx and wx * wy.  A caller
-    may work in a yielded array until it asks for the next corner.
+    ``frac`` (3, ...) holds each query's offset within its cell along each
+    axis, in [0, 1], in a node array with element ``strides`` along the
+    three axes.  Yields (offset, weight) per corner (dx, dy, dz) in
+    lexicographic order: the corner's flat offset dx * sx + dy * sy + dz *
+    sz from the cell's lower corner, an int, and its weight (wx * wy) * wz,
+    where each factor is frac or 1 - frac.  A caller with lower corners
+    ``base`` reads the corner as ``values[offset:].take(base)`` and
+    scatters to it with ``np.add.at(row[offset:], base, w)``: the elements
+    of ``base + offset`` in the same order, with no index array built.
+    wx * wy is taken once per (dx, dy), and no (..., 8) array is built.
+    It holds three 8 B arrays a query, ``out`` if given (three of a
+    ``frac`` row's shape): the yielded weight, which each corner
+    overwrites, wx and wx * wy.  A caller may work in a yielded array
+    until it asks for the next corner.
     """
     sx, sy, sz = strides
     fx, fy, fz = frac
-    flat, w, wx_buf, wxy = out if out is not None else (
-        np.empty(np.shape(base), np.int64), *(np.empty(np.shape(fx)) for _ in range(3)))
+    w, wx_buf, wxy = out if out is not None else [np.empty(np.shape(fx)) for _ in range(3)]
     for dx in (0, 1):
         wx = fx if dx else np.subtract(1, fx, out=wx_buf)
         for dy in (0, 1):       # a 1 - f factor is made in the product's own array
             np.multiply(wx, fy if dy else np.subtract(1, fy, out=wxy), out=wxy)
             for dz in (0, 1):
                 np.multiply(wxy, fz if dz else np.subtract(1, fz, out=w), out=w)
-                yield np.add(base, dx * sx + dy * sy + dz * sz, out=flat), w
+                yield dx * sx + dy * sy + dz * sz, w
 
 
 # ---------------------------------------------------------------------------
@@ -371,40 +373,59 @@ class VoxelDensityField:
     def locate(self, pts: np.ndarray, ws: Workspace | None = None) -> "Located":
         """Where points (..., 3) fall in the node lattice; see :class:`Located`.
 
-        Each coordinate is scaled to node units as its own column.  Points
-        in the hull have coordinates >= 0, so truncation is their floor.
+        Two steps: each coordinate is scaled to node units as its own
+        column, (p - origin) / resolution, and :meth:`place` places them.
         The result's arrays are taken from ``ws``, which it keeps, sized for
         all the points so that batches of one size reuse them (else they
-        fit the inside points).  The scratch is three 8 B arrays a point
-        from ``ws`` and, allocated, the index of the inside points.
+        fit the inside points).  The scratch is the three 8 B node-unit
+        arrays a point, from ``ws``, and :meth:`place`'s.
         """
         p = np.asarray(pts, dtype=np.float64)
-        n, size = self.shape, p.size // 3
-        kept, ws = ws, Workspace() if ws is None else ws
-        arrays = kept and (ws.take(size, np.int64), ws.take(3 * size))
-        inside = ws.take(p.shape[:-1], bool)
-        with ws:
-            rel, test = [ws.take(inside.shape) for _ in range(3)], ws.take(inside.shape, bool)
-            inside.fill(True)
+        shape, size = p.shape[:-1], p.size // 3
+        out = ws and (ws.take(size, np.int64), ws.take(3 * size), ws.take(shape, bool))
+        with (ws or Workspace()) as scratch:
+            rel = [scratch.take(shape) for _ in range(3)]
             for a in range(3):      # per column; see VoxelGrid.flat_index
                 np.subtract(p[..., a], self.origin[a], out=rel[a])
                 rel[a] /= self.resolution[a]
+            return self.place(rel, scratch, out)
+
+    def place(self, rel, ws: Workspace | None = None, out=None) -> "Located":
+        """Points given in node units, placed in the lattice: the second step
+        of :meth:`locate`, and the whole of it for a caller that owns its
+        points and scales them in place (``benchmark._ReadPlan``).
+
+        ``rel`` holds the three node-unit coordinates, one contiguous
+        float64 row each of the points' shape, and is overwritten.  Points
+        in the hull have coordinates >= 0, so truncation is their floor.
+        ``out`` is (base, frac, inside) taken from ``ws`` for all the
+        points, and the result keeps ``ws`` with them; without it they are
+        allocated, fitting the inside points.  The scratch is a boolean a
+        point from ``ws`` (or its own) and, allocated, the index of the
+        inside points.
+        """
+        n, shape = self.shape, np.shape(rel[0])
+        base, frac, inside = out or (None, None, np.empty(shape, bool))
+        with (ws or Workspace()) as scratch:
+            test = scratch.take(shape, bool)
+            inside.fill(True)
+            for a in range(3):
                 inside &= np.greater_equal(rel[a], 0.0, out=test)
                 inside &= np.less_equal(rel[a], n[a] - 1, out=test)
-            index = np.flatnonzero(inside)
-            m = len(index)
-            base, frac = arrays or (np.empty(m, np.int64), np.empty(3 * m))
-            base, frac = base[:m], frac[:3 * m].reshape(3, m)
-            base.fill(0)
-            for a in range(3):
-                np.take(rel[a].reshape(-1), index, out=frac[a], mode="clip")
-                cell = rel[a].reshape(-1)[:m].view(np.int64)    # rel[a] is read by now
-                np.copyto(cell, frac[a], casting="unsafe")
-                np.minimum(cell, n[a] - 2, out=cell)
-                frac[a] -= cell
-                base *= n[a]
-                base += cell
-        return Located(inside, base, frac, kept)
+        index = np.flatnonzero(inside)
+        m = len(index)
+        base, frac = ((base[:m], frac[:3 * m].reshape(3, m)) if out
+                      else (np.empty(m, np.int64), np.empty((3, m))))
+        base.fill(0)
+        for a in range(3):
+            np.take(rel[a].reshape(-1), index, out=frac[a], mode="clip")
+            cell = rel[a].reshape(-1)[:m].view(np.int64)    # rel[a] is read by now
+            np.copyto(cell, frac[a], casting="unsafe")
+            np.minimum(cell, n[a] - 2, out=cell)
+            frac[a] -= cell
+            base *= n[a]
+            base += cell
+        return Located(inside, base, frac, ws if out else None)
 
     def density_at(self, pts: np.ndarray) -> np.ndarray:
         return self.density_from(self.locate(pts), self.node_density())
@@ -420,20 +441,20 @@ class VoxelDensityField:
         or a new array; zero outside the hull.
 
         ``nodes`` is :meth:`node_density` of the current ``theta``.  At its
-        peak this holds six 8 B arrays per point from ``loc.ws`` (or its
+        peak this holds five 8 B arrays per point from ``loc.ws`` (or its
         own, which go before a new ``out`` is made): the sum, one corner's
-        gathered node values and the four :func:`trilinear_corners` names.
+        gathered node values and the three :func:`trilinear_corners` names.
         """
         with (loc.ws or Workspace()) as ws:
-            m, dtypes = len(loc.base), (float, float, np.int64, float, float, float)
+            m = len(loc.base)
             cap = m if loc.ws is None else loc.inside.size      # a reused one: all the points'
-            inner, gathered, flat, *corners = (ws.take(cap, t)[:m] for t in dtypes)
+            inner, gathered, *corners = (ws.take(cap)[:m] for _ in range(5))
             inner.fill(0.0)
-            for flat, w in trilinear_corners(loc.base, loc.frac, self.node_strides,
-                                             (flat, *corners)):
-                w *= nodes.take(flat, out=gathered, mode="clip")   # every index is in range
+            for offset, w in trilinear_corners(loc.frac, self.node_strides, corners):
+                # every index is in range: base + offset is a node
+                w *= nodes[offset:].take(loc.base, out=gathered, mode="clip")
                 inner += w
-        del ws, gathered, flat, w, corners      # inner stays: nothing more is taken
+        del ws, gathered, w, corners      # inner stays: nothing more is taken
         out = np.empty(loc.inside.shape) if out is None else out
         out.fill(0.0)
         out[loc.inside] = inner
@@ -459,8 +480,8 @@ class VoxelDensityField:
         Memory: the rows, 8 per node (64 B a node), span the batch; per
         point, only the current part's.  A part is dropped before the next
         is drawn, so a generator of parts holds one at a time.  Beyond the
-        parts, the scatter holds five 8 B arrays per inside point of the
-        part: its coefficients, allocated, and the four arrays
+        parts, the scatter holds four 8 B arrays per inside point of the
+        part: its coefficients, allocated, and the three arrays
         :func:`trilinear_corners` names, from ``loc.ws`` or its own.
         """
         size, strides, own = self.theta.size, self.node_strides, Workspace()
@@ -470,11 +491,10 @@ class VoxelDensityField:
             coeff = coeff[loc.inside]
             with (loc.ws or own) as ws:
                 cap = len(coeff) if loc.ws is None else loc.inside.size     # as density_from's
-                buffers = [ws.take(cap, t)[:len(coeff)] for t in (np.int64, float, float, float)]
-                for row, (flat, w) in zip(sums, trilinear_corners(loc.base, loc.frac, strides,
-                                                                  buffers)):
+                buffers = [ws.take(cap)[:len(coeff)] for _ in range(3)]
+                for row, (offset, w) in zip(sums, trilinear_corners(loc.frac, strides, buffers)):
                     w *= coeff
-                    np.add.at(row, flat, w)
+                    np.add.at(row[offset:], loc.base, w)
             del loc, dloss_dsigma, coeff   # before the next part is drawn
         grad_flat = np.zeros(size)
         for row in sums:
@@ -484,7 +504,8 @@ class VoxelDensityField:
 
 @dataclass(frozen=True)
 class Located:
-    """Points placed in a field's node lattice by :meth:`VoxelDensityField.locate`.
+    """Points placed in a field's node lattice by :meth:`VoxelDensityField.place`,
+    the last step of :meth:`~VoxelDensityField.locate`.
 
     ``inside`` has the points' shape and marks those in the node hull (its
     max faces included).  For those M points, in their C order, ``base``

@@ -287,7 +287,8 @@ class EvalSetup:
 
 def evaluate_field(density_field, scene: AnalyticScene, views,
                    setup: EvalSetup, cfg: TrainConfig):
-    """Full benchmark pass: opacity map, voxelize, masks, metrics.
+    """Score a field on one view: its occupancy in the frustum, the masks
+    and the metrics.
 
     The prediction is ``benchmark._ReadPlan.occupancy``: the field's
     opacity at the map nodes the frustum voxels read (about 6% on the
@@ -299,8 +300,8 @@ def evaluate_field(density_field, scene: AnalyticScene, views,
     object, counts as the same input):
 
     - ``t_vc`` and the ground truth, frustum and visibility grids, while
-      the scene, the evaluated view, the grid's origin, counts and
-      resolution and ``grid_to_world`` pickle to the same bytes;
+      the scene, the evaluated view, the grid's origin, counts, resolution
+      and frame and ``grid_to_world`` pickle to the same bytes;
     - the read plan (``benchmark._ReadPlan``), while those do and
       ``setup.num_samples``, ``cfg.near`` and ``cfg.far`` are equal, so a
       change of the sampling config alone rebuilds only it;
@@ -335,7 +336,7 @@ def _eval_plan(scene: AnalyticScene, view, setup: EvalSetup, eval_cfg: SamplingC
     caller's."""
     global _last_plan
     grid = setup.grid
-    key = pickle.dumps((scene, view, grid.origin, grid.counts, grid.resolution,
+    key = pickle.dumps((scene, view, grid.origin, grid.counts, grid.resolution, grid.frame,
                         setup.grid_to_world))
     if _last_plan is None or _last_plan[0] != key:
         _last_plan = None   # the last plan's grids go before this one's are built

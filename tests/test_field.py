@@ -58,9 +58,9 @@ def bincount_param_grad(f: VoxelDensityField, loc, dloss_dsigma) -> np.ndarray:
     one located batch, one ``np.bincount`` per corner, added in corner order."""
     coeff = np.asarray(dloss_dsigma, dtype=np.float64).reshape(loc.inside.shape)[loc.inside]
     grad_flat = np.zeros(f.theta.size)
-    for flat, w in trilinear_corners(loc.base, loc.frac, f.node_strides):
+    for offset, w in trilinear_corners(loc.frac, f.node_strides):
         w *= coeff
-        grad_flat += np.bincount(flat, weights=w, minlength=f.theta.size)
+        grad_flat += np.bincount(loc.base + offset, weights=w, minlength=f.theta.size)
     return (grad_flat * sigmoid(f.theta).reshape(-1)).reshape(f.shape)
 
 
@@ -439,12 +439,12 @@ class TestVoxelDensityField:
 
     @pytest.mark.parametrize("stage", ["density_from", "param_grad_from"])
     def test_lattice_kernels_hold_what_their_docstrings_name(self, stage):
-        """Beyond 16 KiB, ``density_from`` peaks at six 8 B arrays per
+        """Beyond 16 KiB, ``density_from`` peaks at five 8 B arrays per
         inside point (the sum, one corner's gathered node values and the
-        four arrays ``trilinear_corners`` names; its output is made after
-        them) and the scatter of one part at five (the coefficients and
-        those four).  Holding the previous corner while the next is made
-        costs one more at least."""
+        three arrays ``trilinear_corners`` names; its output is made after
+        them) and the scatter of one part at four (the coefficients and
+        those three).  Holding the previous corner while the next is made,
+        or a corner's index array, costs one more at least."""
         rng = np.random.default_rng(11)
         f = self.make_field(rng.normal(size=(4, 4, 4)))
         loc = f.locate(rng.uniform(0.0, 1.5, (50_000, 3)))
@@ -452,9 +452,9 @@ class TestVoxelDensityField:
         g = rng.normal(size=len(loc.base))
         nodes = f.node_density()
         if stage == "density_from":
-            run, arrays = lambda: f.density_from(loc, nodes), 6
+            run, arrays = lambda: f.density_from(loc, nodes), 5
         else:
-            run, arrays = lambda: f.param_grad_from([(loc, g)]), 5
+            run, arrays = lambda: f.param_grad_from([(loc, g)]), 4
         run()
         tracemalloc.start()
         try:

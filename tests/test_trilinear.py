@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from occrebench.benchmark import OpacityMap, build_opacity_map, grid_sample_opacity
-from occrebench.field import AnalyticScene, Sphere, VoxelDensityField, sigmoid, softplus
+from occrebench.field import (AnalyticScene, Sphere, VoxelDensityField, sigmoid, softplus,
+                              trilinear_corners)
 from occrebench.geometry import CameraIntrinsics, CameraView, FrustumSpec, Pose
 from occrebench.rendering import MODE_EVAL, SamplingConfig
 
@@ -60,6 +61,21 @@ def reference_accumulate(fld: VoxelDensityField, pts, dloss_dsigma):
                 grad_flat += np.bincount(flat, weights=coeff * w,
                                          minlength=fld.theta.size)
     return (grad_flat * sig_flat).reshape(fld.shape)
+
+
+def reference_corners(frac, strides) -> list:
+    """(offset, weight) of each corner (dx, dy, dz) in lexicographic order,
+    from the three-index loop: the offset is the corner's flat index less
+    its cell's lower corner's."""
+    corners = []
+    for dx in (0, 1):
+        for dy in (0, 1):
+            for dz in (0, 1):
+                w = (np.where(dx, frac[0], 1 - frac[0])
+                     * np.where(dy, frac[1], 1 - frac[1])
+                     * np.where(dz, frac[2], 1 - frac[2]))
+                corners.append((dx * strides[0] + dy * strides[1] + dz * strides[2], w))
+    return corners
 
 
 def reference_grid_sample(omap: OpacityMap, points_tcs):
@@ -122,6 +138,24 @@ def test_accumulate_param_grad_bit_exact(voxel_field):
     coeff = rng.normal(size=len(pts))
     assert np.array_equal(voxel_field.accumulate_param_grad(pts, coeff),
                           reference_accumulate(voxel_field, pts, coeff))
+
+
+@pytest.mark.parametrize("strides", [(2, 4, 1), (35, 7, 1), (24, 1, 768)])
+def test_trilinear_corners_yield_offsets_and_weights(strides):
+    """The kernel's (offset, weight) pairs are the three-index loop's, bit
+    for bit, on a lattice, a C-ordered node array and a depth-major map's
+    strides; a corner read as ``values[offset:].take(base)`` is the value
+    at ``base + offset``."""
+    rng = np.random.default_rng(13)
+    frac = np.concatenate([rng.uniform(0.0, 1.0, (3, 300)), [[0.0, 1.0, 0.5]] * 3], axis=1)
+    got = [(offset, w.copy()) for offset, w in trilinear_corners(frac, strides)]
+    ref = reference_corners(frac, strides)
+    assert [offset for offset, _ in got] == [offset for offset, _ in ref]
+    assert all(np.array_equal(w, r) for (_, w), (_, r) in zip(got, ref))
+    values = rng.normal(size=2000)
+    base = rng.integers(0, len(values) - sum(strides), frac.shape[1])
+    for offset, _ in got:
+        assert np.array_equal(values[offset:].take(base), values[base + offset])
 
 
 def depth_major(values: np.ndarray) -> np.ndarray:

@@ -14,9 +14,11 @@ also do the work it claims (one lookup of about 6% of the occluder map's
 nodes, one score per frustum voxel) and still fail on a NaN density
 wherever it reads one.  ``optim.evaluate_field`` keeps the
 field-independent masks and the read plan between calls, rebuilds each
-when an input of it changes by content, keeps the grid's frame, holds the
-bytes the plan states and nothing of ``theta``, and peaks no higher than
-the dense pass.  The read plan keeps its read nodes located in the last
+when an input of it changes by content (the grid's frame included), keeps
+the grid's frame, holds the bytes the plan states and nothing of
+``theta``, and peaks no higher than the dense pass; a cold call peaks at
+most a byte a map node above the plan's per-node terms, and the ranks it
+counts in the read mask's bytes are an int32 cumsum's.  The read plan keeps its read nodes located in the last
 field's lattice: fields on one lattice locate them once, a field on
 another lattice or with its origin moved in place locates them again, a
 ``theta`` changed in place is read afresh, and a source that is not a
@@ -34,10 +36,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from occrebench import fixtures, optim
-from occrebench.benchmark import (_ReadPlan, build_opacity_map, compute_metrics,
+from occrebench.benchmark import (_map_cells, _ReadPlan, build_opacity_map, compute_metrics,
                                   frustum_mask, visibility_mask, voxelize_occupancy)
 from occrebench.field import VoxelDensityField, ground_truth_occupancy, inverse_softplus
-from occrebench.geometry import CameraIntrinsics, CameraView, FrustumSpec, Pose
+from occrebench.geometry import CameraIntrinsics, CameraView, FrustumSpec, Pose, ccs_to_tcs
 from occrebench.grids import BLOCK_VOXELS, VoxelGrid
 from occrebench.rendering import MODE_EVAL, SamplingConfig
 
@@ -90,6 +92,31 @@ def dense(density_field, view, cfg, grid, t_vc) -> np.ndarray:
     """The dense formula within the frustum, False outside it."""
     pred = voxelize_occupancy(build_opacity_map(density_field, view, cfg), grid, t_vc)
     return pred.values & frustum_mask(grid, t_vc, view.intrinsics).values
+
+
+def cumsum_ranks(reads: _ReadPlan, view, cfg, grid, t_vc) -> np.ndarray:
+    """``reads.ranks`` as the read plan first built them, kept as the
+    oracle: the read mask dilated in whole-map operations, an int32 cumsum
+    over every map node, and each frustum voxel's (du, di) corners looked up
+    in it.  Checks on the way that the plan's read nodes are the mask's."""
+    intr, fr = view.intrinsics, FrustumSpec(cfg.near, cfg.far)
+    counts, image = (intr.width, intr.height, cfg.num_samples), intr.width * intr.height
+    frustum = frustum_mask(grid, t_vc, intr).values
+    base = np.concatenate([np.zeros(0, np.int64)] + [
+        _map_cells(counts, ccs_to_tcs(np.compress(frustum[xs].reshape(-1), centers, axis=0),
+                                      intr, fr))[0]
+        for xs, centers in grid.center_blocks(t_vc)])
+    read = np.zeros((cfg.num_samples, intr.width, intr.height), dtype=bool)
+    read.reshape(-1)[base] = True
+    read[1:] |= read[:-1]
+    read[:, 1:] |= read[:, :-1]
+    read[:, :, 1:] |= read[:, :, :-1]
+    nodes = np.flatnonzero(read)
+    assert np.array_equal(reads.pix, nodes % image)
+    assert np.array_equal(reads.starts, np.searchsorted(nodes, image * np.arange(counts[2] + 1)))
+    rank = np.cumsum(read.reshape(-1), dtype=np.int32)
+    return np.stack([rank[base + offset] - 1
+                     for offset in (0, image, intr.height, intr.height + image)])
 
 
 def evaluate_field_dense(density_field, scene, views, setup, cfg):
@@ -158,6 +185,7 @@ def test_random_poses_match_the_dense_map(seed):
     assert 0 < inside < front < grid.num_voxels
     reads = plan(SMALL_VIEW, SMALL_CFG, grid, t_vc)
     assert reads.ranks.shape == (4, inside) and reads.frac.shape == (3, inside)
+    assert np.array_equal(reads.ranks, cumsum_ranks(reads, SMALL_VIEW, SMALL_CFG, grid, t_vc))
     got = reads.occupancy(fld)
     assert np.array_equal(got, dense(fld, SMALL_VIEW, SMALL_CFG, grid, t_vc))
     # The score's opacities, which the occupancy thresholds in the frustum.
@@ -211,13 +239,27 @@ def test_a_multi_batch_setup_matches_the_dense_map(monkeypatch):
     assert len(per_block) >= 2 and all(per_block)
     fld = occluder_field(3)
     looked_up = count_located_points(monkeypatch)
-    got = scored(fld, VIEW, EVAL_CFG, setup.grid, T_VC)
+    reads = plan(VIEW, EVAL_CFG, setup.grid, T_VC)
+    assert np.array_equal(reads.ranks, cumsum_ranks(reads, VIEW, EVAL_CFG, setup.grid, T_VC))
+    got = reads.occupancy(fld)
     assert len(looked_up) >= 2 and looked_up[:-1] == [BLOCK_VOXELS] * (len(looked_up) - 1)
     assert got.any() and not got.all()
     assert np.array_equal(got, dense(fld, VIEW, EVAL_CFG, setup.grid, T_VC))
     report = optim.evaluate_field(fld, OCCLUDER.scene, OCCLUDER.views, setup, CFG)
     expected = evaluate_field_dense(fld, OCCLUDER.scene, OCCLUDER.views, setup, CFG)
     assert report.counts == expected.counts
+
+
+@pytest.mark.parametrize("num_samples", [48, 128, 512])
+def test_ranks_equal_the_cumsum_ranks(num_samples):
+    """On the occluder's setup, whose map grows with N while its 4,620
+    frustum voxels do not: the ranks counted in the mask's bytes are the
+    int32 cumsum's, bit for bit, and every one names a read node."""
+    cfg = replace(EVAL_CFG, num_samples=num_samples)
+    reads = plan(VIEW, cfg, SETUP.grid, T_VC)
+    assert np.array_equal(reads.ranks, cumsum_ranks(reads, VIEW, cfg, SETUP.grid, T_VC))
+    assert reads.ranks.dtype == np.int32
+    assert 0 <= reads.ranks.min() and reads.ranks.max() + 1 < len(reads.pix)
 
 
 def test_a_map_beyond_int32_is_rejected():
@@ -234,14 +276,16 @@ def test_a_map_beyond_int32_is_rejected():
 # ---------------------------------------------------------------------------
 
 def count_located_points(monkeypatch) -> list:
-    """The number of points of every ``VoxelDensityField.locate`` call."""
-    counts, real = [], VoxelDensityField.locate
+    """The number of points of every ``VoxelDensityField.place`` call: the
+    placement step that ``locate`` ends in and the read plan calls on its
+    own scaled points."""
+    counts, real = [], VoxelDensityField.place
 
-    def counting(self, pts):
-        counts.append(np.size(pts) // 3)
-        return real(self, pts)
+    def counting(self, rel, *args):
+        counts.append(np.size(rel[0]))
+        return real(self, rel, *args)
 
-    monkeypatch.setattr(VoxelDensityField, "locate", counting)
+    monkeypatch.setattr(VoxelDensityField, "place", counting)
     return counts
 
 
@@ -431,18 +475,23 @@ def test_a_changed_input_rebuilds_the_plan(monkeypatch, change, masks_rebuilt):
     assert report.counts == evaluate_field_dense(*args()).counts != before
 
 
-def held_after_a_cold_call(monkeypatch, args) -> int:
+def cold_call(monkeypatch, args) -> tuple:
     """Bytes that one ``evaluate_field`` call on a fresh plan leaves
-    allocated, after an earlier call has warmed caches."""
+    allocated, and its peak, both above what was held before it, after an
+    earlier call has warmed caches."""
     optim.evaluate_field(*args)
     monkeypatch.setattr(optim, "_last_plan", None)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         optim.evaluate_field(*args)
-        return tracemalloc.get_traced_memory()[0] - before
+        return tuple(m - before for m in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
+
+
+def held_after_a_cold_call(monkeypatch, args) -> int:
+    return cold_call(monkeypatch, args)[0]
 
 
 def located_nodes(reads: _ReadPlan) -> int:
@@ -491,12 +540,46 @@ def test_a_call_leaves_three_grids_allocated(monkeypatch):
     assert abs(held_other - held - more) <= OBJECT_NOISE
 
 
+@pytest.mark.parametrize("num_samples", [48, 128, 512])
+def test_a_cold_call_peaks_at_a_byte_a_map_node(monkeypatch, num_samples):
+    """Above what it leaves held, a cold call peaks within what
+    ``_ReadPlan`` states: 1 B per map node, 56 B per read node and 56 B
+    per frustum voxel, within 64 KiB for Python's objects.  The masks'
+    own scratch, O(pixels), comes and goes before the plan is built.  A
+    rank per map node, as an int32 cumsum, put N = 512 6.9 MiB above the
+    plan, against 1.5 MiB of map."""
+    setup = replace(SETUP, num_samples=num_samples)
+    held, peak = cold_call(monkeypatch, (occluder_field(0), OCCLUDER.scene, OCCLUDER.views,
+                                         setup, CFG))
+    reads = optim._last_plan[3]
+    map_nodes = MAP_NODES // SETUP.num_samples * num_samples
+    assert held <= plan_bound(setup.grid)
+    assert peak - held <= (map_nodes + 56 * len(reads.pix) + 56 * reads.frac.shape[1]
+                           + 64 * 1024)
+
+
 def test_the_plan_keeps_the_grid_frame():
     """The occluder's grid lives in the camera frame, and so do the ground
     truth, frustum and visibility grids the plan keeps for it."""
     assert SETUP.grid.frame == "camera"
     optim.evaluate_field(occluder_field(0), OCCLUDER.scene, OCCLUDER.views, SETUP, CFG)
     assert [g.frame for g in optim._last_plan[1][1:]] == [SETUP.grid.frame] * 3
+
+
+def test_a_grid_retagged_to_another_frame_gets_masks_in_it():
+    """The occluder's grid, then the same grid tagged ``"voxel"``: the frame
+    is part of the masks' key, so the second call builds its masks in that
+    frame, and both count tables are a fresh evaluation's.  With the frame
+    left out of the key, the second call met the first's camera-frame
+    masks and raised a frame mismatch."""
+    fld, grid = occluder_field(0), SETUP.grid
+    voxel = replace(SETUP, grid=VoxelGrid(grid.origin, grid.counts, grid.resolution,
+                                          grid.values, "voxel"))
+    for setup in (SETUP, voxel):
+        args = fld, OCCLUDER.scene, OCCLUDER.views, setup, CFG
+        report = optim.evaluate_field(*args)
+        assert report.counts == evaluate_field_dense(*args).counts
+        assert [g.frame for g in optim._last_plan[1][1:]] == [setup.grid.frame] * 3
 
 
 # ---------------------------------------------------------------------------
