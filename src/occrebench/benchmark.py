@@ -15,7 +15,11 @@ before the first occupied sample.  Metrics are exact count ratios.
 
 Every stage that visits voxel centers does so through
 ``VoxelGrid.map_centers`` or ``center_blocks``, one block of x-slices at a
-time (``test_center_blocks.py``).
+time (``test_center_blocks.py``), except the frustum mask: it decides
+whole sub-blocks of voxels from an affine bound on their box of centers,
+and visits only the centers of the sub-blocks that the image border or
+the z = 0 plane may cross (:func:`frustum_mask`).  Both ways give each
+voxel the bits of the all-at-once formula.
 """
 
 from __future__ import annotations
@@ -25,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import VoxelDensityField, slab_intervals, trilinear_corners
-from .geometry import CameraIntrinsics, CameraView, FrustumSpec, Pose, ccs_to_tcs, \
-    all_pixel_coords, in_image, pixel_directions, project
+from .geometry import CameraIntrinsics, CameraView, FrustumSpec, Pose, Workspace, \
+    ccs_to_tcs, all_pixel_coords, in_image, pixel_directions, project
 from .grids import BLOCK_VOXELS, VoxelGrid
 from .rendering import MODE_EVAL, SamplingConfig, interval_lengths, opacity, \
     sample_distances
@@ -126,10 +130,11 @@ def build_opacity_map(density_field, view: CameraView,
     return OpacityMap(values, intr, FrustumSpec(cfg.near, cfg.far))
 
 
-def _map_cells(counts, pts: np.ndarray):
+def _map_cells(counts, pts: np.ndarray, ws: Workspace | None = None):
     """The cell of each cube point (..., 3) in an opacity map of (w, h, n)
-    ``counts`` nodes: the flat node index of its lower corner, and its
-    offset (3, ...) within the cell.
+    ``counts`` nodes: the flat node index of its lower corner, taken from
+    ``ws``, and its offset (3, ...) within the cell, which is ``pts``
+    overwritten in place, one row per axis.
 
     Coordinates are scaled to node indices (u*(w-1), v*(h-1), z*N) and
     clamped to the node range, which implements border padding; a point
@@ -138,16 +143,25 @@ def _map_cells(counts, pts: np.ndarray):
     w, h, n = counts
     scale = (w - 1.0, h - 1.0, float(n))
     strides = _node_strides(counts)
-    base = np.zeros(pts.shape[:-1], dtype=np.int64)
-    frac = np.empty((3,) + pts.shape[:-1])
+    ws = Workspace() if ws is None else ws
+    # the flat index as a float: a sum of whole multiples of the strides,
+    # exact below 2**53, converted once
+    flat, lo = ws.take(pts.shape[:-1]), ws.take(pts.shape[:-1])
     for a in range(3):
-        idx = np.clip(pts[..., a] * scale[a], 0.0, counts[a] - 1.0)
+        idx = np.multiply(pts[..., a], scale[a], out=pts[..., a])
+        np.clip(idx, 0.0, counts[a] - 1.0, out=idx)
         # idx >= 0, so its floor needs only the upper clip; kept as a float
         # until the subtraction is done, which then needs no conversion
-        lo = np.minimum(np.floor(idx), counts[a] - 2.0)
-        np.subtract(idx, lo, out=frac[a, ...])
-        base += lo.astype(np.int64) * strides[a]
-    return base, frac
+        np.minimum(np.floor(idx, out=lo), counts[a] - 2.0, out=lo)
+        idx -= lo
+        if a == 0:
+            np.multiply(lo, strides[a], out=flat)
+        else:
+            lo *= strides[a]
+            flat += lo
+    base = ws.take(pts.shape[:-1], np.int64)
+    np.copyto(base, flat, casting="unsafe")
+    return base, np.moveaxis(pts, -1, 0)
 
 
 def _interpolate(omap: OpacityMap, base, frac) -> np.ndarray:
@@ -163,7 +177,7 @@ def _interpolate(omap: OpacityMap, base, frac) -> np.ndarray:
 def grid_sample_opacity(omap: OpacityMap, points_tcs: np.ndarray) -> np.ndarray:
     """Trilinear sample of the opacity map at cube coordinates (..., 3),
     with border padding."""
-    pts = np.asarray(points_tcs, dtype=np.float64)
+    pts = np.array(points_tcs, dtype=np.float64)   # _map_cells overwrites it
     return _interpolate(omap, *_map_cells(omap.values.shape, pts))
 
 
@@ -209,34 +223,31 @@ def cell_table(omap: OpacityMap) -> np.ndarray:
     table = np.full((n, w, h), CELL_UNDECIDED, dtype=np.uint8)
     below = OCCUPANCY_THRESHOLD - CELL_MARGIN
     above = OCCUPANCY_THRESHOLD + CELL_MARGIN
-    prev = None
+    # Every bin's images are written into these: a half-reduced image, the
+    # (min, max) pairs of this bin and the last, a bound and its mask.
+    pair = np.empty((w - 1, h))
+    extremes = [(np.empty((w - 1, h - 1)), np.empty((w - 1, h - 1))) for _ in range(2)]
+    bound, mask = np.empty((w - 1, h - 1)), np.empty((w - 1, h - 1), dtype=bool)
     for i in range(n):
         img = bins[i]
-        lo = np.minimum(img[:-1], img[1:])
-        lo = np.minimum(lo[:, :-1], lo[:, 1:])
-        hi = np.maximum(img[:-1], img[1:])
-        hi = np.maximum(hi[:, :-1], hi[:, 1:])
-        if prev is not None:
+        lo, hi = extremes[i % 2]
+        np.minimum(img[:-1], img[1:], out=pair)
+        np.minimum(pair[:, :-1], pair[:, 1:], out=lo)
+        np.maximum(img[:-1], img[1:], out=pair)
+        np.maximum(pair[:, :-1], pair[:, 1:], out=hi)
+        if i:
+            prev_lo, prev_hi = extremes[(i - 1) % 2]
             cells = table[i - 1, :-1, :-1]
-            cells[np.maximum(prev[1], hi) < below] = CELL_BELOW
-            cells[np.minimum(prev[0], lo) > above] = CELL_ABOVE
-        prev = lo, hi
+            np.less(np.maximum(prev_hi, hi, out=bound), below, out=mask)
+            np.copyto(cells, CELL_BELOW, where=mask)
+            np.greater(np.minimum(prev_lo, lo, out=bound), above, out=mask)
+            np.copyto(cells, CELL_ABOVE, where=mask)
     return table.reshape(-1)
 
 
 # ---------------------------------------------------------------------------
 # Voxelization protocols
 # ---------------------------------------------------------------------------
-
-def _front_tcs(centers_cam: np.ndarray, intr: CameraIntrinsics, fr: FrustumSpec):
-    """Cube coordinates of the centers (m, 3) in front of the camera, and
-    which centers those are (``slice(None)`` if all are: such a block is
-    passed on as it is, with no row gather)."""
-    front = centers_cam[:, 2] > 0
-    if front.all():
-        return slice(None), ccs_to_tcs(centers_cam, intr, fr)
-    return front, ccs_to_tcs(np.compress(front, centers_cam, axis=0), intr, fr)
-
 
 def voxelize_occupancy(omap: OpacityMap, grid: VoxelGrid, t_vc: Pose) -> VoxelGrid:
     """Opacity protocol: occupied iff the sampled opacity exceeds 0.5.
@@ -253,27 +264,37 @@ def voxelize_occupancy(omap: OpacityMap, grid: VoxelGrid, t_vc: Pose) -> VoxelGr
     in undecided cells are interpolated.  Smaller grids interpolate every
     voxel.  Either way a voxel reads the map only at its cell's eight
     corners (``test_center_blocks.py::test_voxelize_through_the_cell_table``).
+    A block's cube points, cells and classes are written into the buffers
+    of one ``Workspace``, which every block reuses.
     """
     table = None
     if CELL_TABLE_NODES_PER_VOXEL * grid.num_voxels >= omap.values.size:
         table = cell_table(omap)
-
-    def occupied_in_front(tcs):
-        if table is None:
-            return grid_sample_opacity(omap, tcs) > OCCUPANCY_THRESHOLD
-        base, frac = _map_cells(omap.values.shape, tcs)
-        cls = table[base]
-        occ = cls == CELL_ABOVE
-        todo = np.flatnonzero(cls == CELL_UNDECIDED)
-        occ[todo] = _interpolate(omap, base[todo], frac[:, todo]) > OCCUPANCY_THRESHOLD
-        return occ
+    ws = Workspace()
 
     def occupied(centers_cam):
-        front, tcs = _front_tcs(centers_cam, omap.intrinsics, omap.frustum)
-        occ_front = occupied_in_front(tcs)   # before the block's output exists
-        occ = np.zeros(len(centers_cam), dtype=bool)
-        occ[front] = occ_front
-        return occ
+        with ws:
+            m = len(centers_cam)
+            front = np.greater(centers_cam[:, 2], 0, out=ws.take(m, bool))
+            k = int(np.count_nonzero(front))
+            if k < m:   # the centers in front, column by column
+                pts = ws.take((3, k))
+                for a in range(3):
+                    np.compress(front, centers_cam[:, a], out=pts[a])
+                centers_cam = pts.T
+            tcs = ccs_to_tcs(centers_cam, omap.intrinsics, omap.frustum, out=ws.take((3, k)))
+            base, frac = _map_cells(omap.values.shape, tcs, ws)
+            if table is None:
+                occ = _interpolate(omap, base, frac) > OCCUPANCY_THRESHOLD
+            else:
+                cls = table.take(base, out=ws.take(k, np.uint8))
+                occ = cls == CELL_ABOVE
+                todo = np.flatnonzero(cls == CELL_UNDECIDED)
+                occ[todo] = _interpolate(omap, base[todo], frac[:, todo]) > OCCUPANCY_THRESHOLD
+            if k < m:
+                occ_front, occ = occ, np.zeros(m, dtype=bool)
+                occ[front] = occ_front
+            return occ
 
     return grid.map_centers(occupied, t_vc)
 
@@ -346,16 +367,21 @@ class _ReadPlan:
         size = image * cfg.num_samples
         mask = np.zeros(-(-size // RANK_BLOCK) * RANK_BLOCK, dtype=bool)
         read = mask[:size].reshape(cfg.num_samples, intr.width, intr.height)
-        n = 0
+        n, ws = 0, Workspace()
         for xs, centers_cam in frustum.center_blocks(t_vc):
             # every frustum center has z > 0 (geometry.in_image)
             inside = self.frustum[xs].reshape(-1)   # a run of x-slices is contiguous
-            tcs = ccs_to_tcs(np.compress(inside, centers_cam, axis=0), intr, fr)
-            base, offsets = _map_cells(counts, tcs)
-            read.reshape(-1)[base] = True
-            self.ranks[0, n:n + len(base)] = base
-            self.frac[:, n:n + len(base)] = offsets
-            n += len(base)
+            k = int(np.count_nonzero(inside))
+            with ws:
+                pts = ws.take((3, k))
+                for a in range(3):
+                    np.compress(inside, centers_cam[:, a], out=pts[a])
+                # the cube points are written where their offsets are kept
+                tcs = ccs_to_tcs(pts.T, intr, fr, out=self.frac[:, n:n + k])
+                base, _ = _map_cells(counts, tcs, ws)
+                read.reshape(-1)[base] = True
+                self.ranks[0, n:n + k] = base
+            n += k
         # Lower corners to whole cells.  _map_cells keeps each lower corner
         # one node short of the last on every axis, so no corner leaves the map.
         # One image at a time: numpy copies an operand that overlaps the
@@ -480,14 +506,124 @@ def conventional_voxelize(density_field, grid: VoxelGrid, t_vc: Pose) -> VoxelGr
 # Masks
 # ---------------------------------------------------------------------------
 
+# Voxels along each axis of a sub-block that :func:`frustum_mask` decides
+# from a bound; a one-voxel tail joins the run before it.
+SUB_BLOCK = 16
+# The frustum bound's margin, as a share of the scale of its forms; see
+# :func:`frustum_mask`.
+FRUSTUM_MARGIN = 2.0 ** -40
+# Voxels per batch of undecided sub-blocks that :func:`frustum_mask`
+# projects (a sub-block may take a batch past it).
+FRUSTUM_BATCH = 2 ** 14
+
+
+def _runs(n: int) -> np.ndarray:
+    """Bounds of the sub-block runs along an axis of ``n`` voxels."""
+    starts = list(range(0, n, SUB_BLOCK))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return np.array(starts + [n])
+
+
 def frustum_mask(grid: VoxelGrid, t_vc: Pose, intr: CameraIntrinsics) -> VoxelGrid:
     """True iff the voxel center projects inside the image with depth > 0.
 
     The positive-depth requirement is an addition over the pure image-bounds
     test: projection of behind-camera points is geometrically meaningless.
+
+    The mask is that of :func:`~.geometry.in_image` over
+    :func:`~.geometry.project` of ``t_vc.apply(grid.centers_flat())``, bit
+    for bit (``test_center_blocks.py::test_frustum_mask_on_the_image_border``),
+    but most of it is decided a sub-block of ``SUB_BLOCK`` voxels a side at
+    a time.  With (x, y, z) = R p + t for a grid-frame center p, and z > 0,
+    each of the five tests is the sign of an affine form a . p + b:
+    z; fx x + cx z (u >= 0); (w-1-cx) z - fx x (u <= w-1); and the two
+    like it in v.  Over the box [lo, hi] of a sub-block's centers a form
+    takes values in a . mid + b -/+ |a| . half.  A sub-block whose every
+    form stays above the margin is all True, one with a form below minus
+    the margin all False; all sub-blocks are decided in one array
+    operation.  The centers of the others go through ``t_vc.apply`` in
+    batches of about ``FRUSTUM_BATCH`` and are projected as above.  Every
+    sub-block has two voxels or more, unless the grid is one voxel, and
+    ``Pose.apply`` gives each row of two or more the bits the full product
+    gives it
+    (``test_center_blocks.py::test_apply_rows_do_not_depend_on_the_others``).
+
+    Why the margin decides right: let e = 2**-53, P_k the largest |center
+    coordinate| on grid axis k, C the largest entry of |R| P + |t| and
+    S = (fx + fy + |cx| + |cy| + w + h) C, so each form's |coefficients|
+    times |terms| sum to at most S.  ``Pose.apply`` computes (x', y', z')
+    within 5e C of R p + t.  For z' > 0, u' = fl(fl(fl(fx x') / z') + cx)
+    is >= 0 iff s = fl(fl(fx x') / z') + cx is (a nonzero sum of two floats
+    does not round to 0), and z' s is within 2.01e fx |x'| of the form at
+    (x', z'), so within 8e S of the form at R p + t; u' <= w - 1 likewise,
+    but for u' = w - 1 when s is within e |s| above it, which widens the
+    band to 10e S.  So every test has its form's sign unless the form is
+    within 10e S of 0.  The bound's own arithmetic (a and b from R and t,
+    the midpoints and half-widths, their products and sums) is off by less
+    than 24e S.  ``FRUSTUM_MARGIN`` S is 2**13 e S: a form decided above it
+    is above 10e S at every center, so its test is true, and one decided
+    below its negative is below -10e S, so its test is false (as it is for
+    any center with z' <= 0).
     """
-    return grid.map_centers(lambda centers_cam: in_image(intr, *project(intr, centers_cam)),
-                            t_vc)
+    axes = grid._center_axes()
+    runs = [_runs(n) for n in grid.counts]
+    w1, h1 = intr.width - 1.0, intr.height - 1.0
+    forms = np.array([[0.0, 0.0, 1.0], [intr.fx, 0.0, intr.cx], [-intr.fx, 0.0, w1 - intr.cx],
+                      [0.0, intr.fy, intr.cy], [0.0, -intr.fy, h1 - intr.cy]])
+    a, b = forms @ t_vc.rotation, forms @ t_vc.translation
+    reach = np.array([max(abs(ax[0]), abs(ax[-1])) for ax in axes])
+    scale = (intr.fx + intr.fy + abs(intr.cx) + abs(intr.cy) + intr.width + intr.height) \
+        * np.max(np.abs(t_vc.rotation) @ reach + np.abs(t_vc.translation))
+    # each form (first axis) over the sub-blocks (the other three)
+    mid = b.reshape(5, 1, 1, 1)
+    half = 0.0
+    for k, (ax, r) in enumerate(zip(axes, runs)):
+        lo, hi = ax[r[:-1]], ax[r[1:] - 1]
+        shape = [5, 1, 1, 1]
+        shape[k + 1] = len(lo)
+        mid = mid + (a[:, k, None] * ((lo + hi) / 2)).reshape(shape)
+        half = half + (np.abs(a[:, k, None]) * ((hi - lo) / 2)).reshape(shape)
+    margin = FRUSTUM_MARGIN * scale
+    inside = np.all(mid - half > margin, axis=0)
+    undecided = ~inside & ~np.any(mid + half < -margin, axis=0)
+    # the decided values, the runs' booleans repeated out to their voxels
+    out = inside
+    for k in (2, 1, 0):
+        out = np.repeat(out, np.diff(runs[k]), axis=k)
+
+    ws = Workspace()
+
+    def project_exactly(boxes, m):
+        """Set the voxels of ``boxes``, m in all, from their centers' projections."""
+        with ws:
+            xyz, o = ws.take((3, m)), 0
+            for box in boxes:
+                seg = xyz[:, o:o + out[box].size].reshape(3, *out[box].shape)
+                seg[0] = axes[0][box[0], None, None]
+                seg[1] = axes[1][box[1], None]
+                seg[2] = axes[2][box[2]]
+                o += seg[0].size
+            cam = t_vc.apply(xyz.T, out=ws.take((3, m)))
+            ok = in_image(intr, *project(intr, cam, out=(cam[:, 0], cam[:, 1])))
+            o = 0
+            for box in boxes:
+                voxels = out[box]
+                voxels[...] = ok[o:o + voxels.size].reshape(voxels.shape)
+                o += voxels.size
+
+    batch, m = [], 0
+    for index in np.argwhere(undecided).tolist():
+        box = tuple(slice(r[j], r[j + 1]) for r, j in zip(runs, index))
+        n = out[box].size
+        if batch and m + n > FRUSTUM_BATCH:
+            project_exactly(batch, m)
+            batch, m = [], 0
+        batch.append(box)
+        m += n
+    if batch:
+        project_exactly(batch, m)
+    return grid.like(out)
 
 
 def visibility_mask(gt: VoxelGrid, view: CameraView, t_vc: Pose) -> VoxelGrid:

@@ -251,7 +251,7 @@ def in_image(intr: CameraIntrinsics, u: np.ndarray, v: np.ndarray,
 
 
 def ccs_to_tcs(points_cam: np.ndarray, intr: CameraIntrinsics,
-               fr: FrustumSpec) -> np.ndarray:
+               fr: FrustumSpec, out: np.ndarray | None = None) -> np.ndarray:
     """Map camera-frame points into the normalized frustum cube.
 
     x = u/(w-1), y = v/(h-1),
@@ -260,17 +260,27 @@ def ccs_to_tcs(points_cam: np.ndarray, intr: CameraIntrinsics,
     Points on the image with radial distance in [near, far] land in [0,1]^3.
     Requires strictly positive depth and nonzero norm; a NaN coordinate
     fails both.  The result is stored one coordinate at a time
-    (``out[..., a]`` contiguous), the order the opacity-map lookup reads.
+    (``out[..., a]`` contiguous), the order the opacity-map lookup reads;
+    ``out`` may give the (3, ...) rows it is written into, which must not
+    overlap the points.
     """
     pts = np.asarray(points_cam, dtype=np.float64)
     x, y, z = (pts[..., a] for a in range(3))
+    rows = np.empty((3,) + pts.shape[:-1]) if out is None else out
+    u, v, norm = (rows[a, ...] for a in range(3))
     # the (x0 + x1) + x2 fold of np.linalg.norm along a length-3 axis
-    norm = np.sqrt(x * x + y * y + z * z)
+    np.multiply(x, x, out=norm)
+    norm += np.multiply(y, y, out=u)
+    norm += np.multiply(z, z, out=u)
+    np.sqrt(norm, out=norm)
     if not np.all(norm > 0.0):
         raise ValueError("ccs_to_tcs: zero-norm or NaN input point")
     if not np.all(z > 0.0):
         raise ValueError("ccs_to_tcs: point has nonpositive or NaN depth (outside frustum)")
-    u, v, _ = project(intr, pts)
-    inv_span = 1.0 / fr.near - 1.0 / fr.far
-    zt = (1.0 / fr.near - 1.0 / norm) / inv_span
-    return np.moveaxis(np.stack([u / (intr.width - 1.0), v / (intr.height - 1.0), zt]), 0, -1)
+    project(intr, pts, out=(u, v))
+    u /= intr.width - 1.0
+    v /= intr.height - 1.0
+    zt = np.divide(1.0, norm, out=norm)
+    np.subtract(1.0 / fr.near, zt, out=zt)
+    zt /= 1.0 / fr.near - 1.0 / fr.far
+    return np.moveaxis(rows, 0, -1)

@@ -101,28 +101,35 @@ class VoxelGrid:
         Yields (x-index slice, (voxels in the block, 3) centers), column-major
         (``centers[:, a]`` contiguous) as every per-voxel stage reads them.
         The centers are taken to ``pose``'s frame here (a ``geometry.Pose``;
-        the grid frame if None), so that only the transformed block is held
-        while the caller works on it, and are bit-equal to the matching rows
-        of ``pose.apply(centers_flat())``.  A block holds as many whole
-        slices as fit in ``BLOCK_VOXELS``, and at least one.  No block is a
-        single voxel unless the grid is: ``Pose.apply`` may round a one-row
-        product differently from the same row among others, so a one-voxel
-        tail is folded into the block before it.
+        the grid frame if None) and are bit-equal to the matching rows of
+        ``pose.apply(centers_flat())``.  Every block is written into the
+        same buffers, so a yielded block stays valid only until the next
+        one is asked for; a caller that keeps one copies it.  A block holds
+        as many whole slices as fit in ``BLOCK_VOXELS``, and at least one.
+        No block is a single voxel unless the grid is: ``Pose.apply`` may
+        round a one-row product differently from the same row among others
+        (``test_center_blocks.py::test_apply_rows_do_not_depend_on_the_others``),
+        so a one-voxel tail is folded into the block before it.
         """
         nx, ny, nz = self.counts
         per_block = max(1, BLOCK_VOXELS // (ny * nz))
         starts = list(range(0, nx, per_block))
         if ny * nz == 1 and len(starts) > 1 and nx - starts[-1] == 1:
             starts.pop()
+        stops = starts[1:] + [nx]
+        size = 3 * ny * nz * max(i1 - i0 for i0, i1 in zip(starts, stops))
+        grid_buf = np.empty(size)
+        pose_buf = None if pose is None else np.empty(size)
         ax, ay, az = self._center_axes()
-        for i0, i1 in zip(starts, starts[1:] + [nx]):
-            xyz = np.empty((3, i1 - i0, ny, nz))
+        for i0, i1 in zip(starts, stops):
+            m = (i1 - i0) * ny * nz
+            xyz = grid_buf[:3 * m].reshape(3, i1 - i0, ny, nz)
             xyz[0] = ax[i0:i1, None, None]
             xyz[1] = ay[:, None]
             xyz[2] = az
-            xyz = xyz.reshape(3, -1).T
+            xyz = xyz.reshape(3, m).T
             if pose is not None:
-                xyz = pose.apply(xyz)   # rebinding frees the grid-frame buffer
+                xyz = pose.apply(xyz, out=pose_buf[:3 * m].reshape(3, m))
             yield slice(i0, i1), xyz
 
     def map_centers(self, fn, pose=None) -> "VoxelGrid":

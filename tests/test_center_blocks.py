@@ -18,7 +18,8 @@ import pytest
 
 from occrebench import benchmark, fixtures
 from occrebench.benchmark import (CELL_ABOVE, CELL_BELOW, CELL_MARGIN, CELL_UNDECIDED,
-                                  OCCUPANCY_THRESHOLD, OpacityMap, conventional_voxelize,
+                                  OCCUPANCY_THRESHOLD, SUB_BLOCK, OpacityMap,
+                                  conventional_voxelize,
                                   frustum_mask, grid_sample_opacity, visibility_mask,
                                   voxelize_occupancy)
 from occrebench.field import (AnalyticScene, Box, HalfSpace, Sphere, VoxelDensityField,
@@ -148,6 +149,26 @@ class TestCenterBlocks:
         assert [len(c) for _, c in grid.center_blocks()] == sizes
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_apply_rows_do_not_depend_on_the_others(seed):
+    """The premise of ``center_blocks`` and of ``frustum_mask``'s batches:
+    ``Pose.apply`` of any two or more rows, in any order, laid out as
+    (3, rows) as they lay them out, gives each row the bits the product of
+    all rows gives it.  (A single row need not.)"""
+    rng = np.random.default_rng(seed)
+    for _ in range(50):
+        pose = Pose(rotation_about(rng.normal(size=3), rng.uniform(0, 2 * np.pi)),
+                    rng.normal(size=3) * 10.0)
+        n = int(rng.integers(2, 3000))
+        rows = np.empty((3, n))
+        rows[...] = rng.normal(size=(3, n)) * rng.uniform(0.1, 100.0)
+        full = pose.apply(rows.T)
+        pick = rng.permutation(n)[:int(rng.integers(2, n + 1))]
+        subset = np.ascontiguousarray(rows[:, pick])
+        got = pose.apply(subset.T, out=np.empty(subset.shape))
+        assert got.tobytes() == np.ascontiguousarray(full[pick]).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # The five stages against their oracles, bit for bit
 # ---------------------------------------------------------------------------
@@ -213,6 +234,94 @@ def test_visibility_march_on_the_line_grid_takes_few_passes(seed, monkeypatch):
     monkeypatch.setattr(VoxelGrid, "flat_index", counting)
     visibility_mask(gt, VIEW, t_vc)
     assert 0 < len(passes) <= 1000
+
+
+# ---------------------------------------------------------------------------
+# The frustum mask's sub-block bound on grids built to sit on it
+# ---------------------------------------------------------------------------
+
+# fx = cx and fy = cy, powers of two: a camera-frame center with x = -z
+# projects to u = 0 exactly, x = z to u = w - 1, y = -z to v = 0 and y = z to
+# v = h - 1.
+BORDER_INTR = CameraIntrinsics(16.0, 8.0, 16.0, 8.0, 33, 17)
+
+
+def border_grid(shift: int):
+    """Centers on multiples of 0.25 m: x in [-6, 5.75] and y in [-5, 4.75],
+    both moved by ``shift`` voxels, and z in [-4, 7.75]; the z = 0 plane
+    starts a run of sub-blocks.  Over the 16 shifts, each of the lines
+    x = -z, x = z, y = -z and y = z meets some sub-block only at an edge
+    or corner of its box of centers."""
+    return VoxelGrid.filled([-6.125 + 0.25 * shift, -5.125 + 0.25 * shift, -4.125],
+                            (48, 40, 48), 0.25, False, dtype=bool)
+
+
+# Poses that keep the centers' coordinates exact: the identity, and a cyclic
+# swap of the axes with a translation of whole voxels.
+EXACT_POSES = {"identity": Pose.identity(),
+               "cyclic": Pose([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+                              [0.5, -0.25, 1.0])}
+
+
+def count_projected(monkeypatch) -> list:
+    """The number of centers of each batch ``frustum_mask`` projects."""
+    projected = []
+
+    def counting(intr, u, v, z):
+        projected.append(len(z))
+        return in_image(intr, u, v, z)
+
+    monkeypatch.setattr(benchmark, "in_image", counting)
+    return projected
+
+
+@pytest.mark.parametrize("shift", range(SUB_BLOCK))
+@pytest.mark.parametrize("pose", sorted(EXACT_POSES))
+def test_frustum_mask_on_the_image_border(pose, shift, monkeypatch):
+    """Centers exactly on u = 0, u = w - 1, v = 0, v = h - 1 and z = 0, in
+    sub-blocks that touch those borders from either side: bit for bit the
+    all-at-once mask, with both decided and projected sub-blocks."""
+    grid, t_vc = border_grid(shift), EXACT_POSES[pose]
+    u, v, z = project(BORDER_INTR, t_vc.apply(grid.centers_flat()))
+    for on_border in (u == 0, u == BORDER_INTR.width - 1, v == 0,
+                      v == BORDER_INTR.height - 1, z == 0):
+        assert on_border.any()
+    projected = count_projected(monkeypatch)
+    got = frustum_mask(grid, t_vc, BORDER_INTR).values
+    want = frustum_all_at_once(grid, t_vc, BORDER_INTR)
+    assert np.array_equal(got, want)
+    assert want.any() and not want.all()
+    assert 0 < sum(projected) < grid.num_voxels
+
+
+def test_frustum_mask_on_the_optical_axis(monkeypatch):
+    """Centers on the optical axis from z = 0 on: every form but z's is
+    positive, and z's is 0 at the first center, which is outside."""
+    grid = VoxelGrid.filled([-0.125, -0.125, -0.125], (1, 1, 3 * SUB_BLOCK), 0.25, False,
+                            dtype=bool)
+    projected = count_projected(monkeypatch)
+    got = frustum_mask(grid, Pose.identity(), BORDER_INTR).values.reshape(-1)
+    assert not got[0] and got[1:].all()
+    assert projected == [SUB_BLOCK]
+
+
+@pytest.mark.parametrize("counts", [(1, 1, 1), (2, 1, 1), (3, 4, 5), (SUB_BLOCK + 1, 1, 1),
+                                    (SUB_BLOCK + 1, 2 * SUB_BLOCK + 1, 3),
+                                    (3 * SUB_BLOCK, SUB_BLOCK - 1, 2 * SUB_BLOCK + 1)])
+@pytest.mark.parametrize("seed", range(6))
+def test_frustum_mask_on_tails_and_small_grids(counts, seed):
+    """One-voxel tails on every axis (which join the run before them),
+    grids smaller than a sub-block and single voxels, under random poses
+    and intrinsics, against the all-at-once mask."""
+    rng = np.random.default_rng(seed)
+    grid = centered_grid(counts, rng.uniform(2.0, 12.0, 3))
+    intr = CameraIntrinsics(*rng.uniform(10.0, 40.0, 2), *rng.uniform(0.0, 30.0, 2),
+                            int(rng.integers(2, 40)), int(rng.integers(2, 40)))
+    t_vc = grid_to_camera(rng)
+    t_vc = Pose(t_vc.rotation, t_vc.translation * rng.uniform(0.0, 1.0))
+    assert all(np.diff(benchmark._runs(n)).min() >= min(n, 2) for n in counts)
+    assert np.array_equal(frustum_mask(grid, t_vc, intr).values,
+                          frustum_all_at_once(grid, t_vc, intr))
 
 
 def test_conventional_voxelize_takes_softplus_once(softplus_calls):
@@ -339,7 +448,7 @@ def touching_primitives(grid, pose, k):
     is the float distance from its center to that voxel center, so the
     sphere holds it; with the large radius, center + radius can round to
     the wrong side of it."""
-    _, centers = list(grid.center_blocks(pose))[k]
+    centers = [c.copy() for _, c in grid.center_blocks(pose)][k]   # a block is reused
     lo, hi = centers.min(axis=0), centers.max(axis=0)
     wide_lo, wide_hi = lo - 50.0, hi + 50.0
     prims = []
@@ -373,7 +482,7 @@ def test_ground_truth_culling_at_block_faces(rotated):
 
 def test_primitive_disjoint_from_a_block_is_not_tested_on_it(monkeypatch):
     grid = centered_grid(SHORT_TAIL, [12.0, 6.0, 6.0])
-    blocks = [c for _, c in grid.center_blocks()]
+    blocks = [c.copy() for _, c in grid.center_blocks()]   # a block is reused
     first_x = {c[0, 0]: k for k, c in enumerate(blocks)}
     lo = [c.min(axis=0) for c in blocks]
     hi = [c.max(axis=0) for c in blocks]

@@ -16,7 +16,7 @@ import pytest
 from occrebench import fixtures
 from occrebench.field import (AnalyticScene, Box, HalfSpace, Sphere, VoxelDensityField,
                               ground_truth_occupancy, inverse_softplus,
-                              render_reference_image, sigmoid, softplus,
+                              render_reference_image, sigmoid, slab_intervals, softplus,
                               trilinear_corners)
 from occrebench.geometry import CameraIntrinsics, CameraView, FrustumSpec, Pose, \
     pixel_directions
@@ -533,3 +533,45 @@ def test_grid_counts_must_be_ints(counts):
         VoxelGrid([0.0, 0.0, 0.0], counts, 1.0, np.zeros((2, 2, 2), dtype=bool))
     with pytest.raises(ValueError, match="^voxel counts must be an int >= 1"):
         VoxelGrid.filled([0.0, 0.0, 0.0], counts, 1.0, False, dtype=bool)
+
+
+def reduced_slab_intervals(lo, hi, origin, dirs):
+    """``slab_intervals`` as it was, with length-3 max and min reductions."""
+    o, d = np.asarray(origin, dtype=np.float64), np.asarray(dirs, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_lo, t_hi = (lo - o) / d, (hi - o) / d
+    near, far = np.minimum(t_lo, t_hi), np.maximum(t_lo, t_hi)
+    zero = d == 0.0
+    in_slab = np.broadcast_to((o >= lo) & (o <= hi), d.shape)
+    near = np.where(zero, np.where(in_slab, -np.inf, np.inf), near)
+    far = np.where(zero, np.where(in_slab, np.inf, -np.inf), far)
+    return near.max(axis=-1), far.min(axis=-1)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_slab_folds_equal_the_reductions(seed):
+    """Bit for bit, on rays with zero and signed-zero direction components,
+    origins on a bound (so that t is a signed zero) and half-space-like
+    boxes with infinite bounds; and on every triple drawn from signed
+    zeros, ones and infinities."""
+    rng = np.random.default_rng(seed)
+    for _ in range(200):
+        lo, hi = np.sort(rng.normal(size=(2, 3)) * 3, axis=0)
+        lo[rng.random(3) < 0.3] = -np.inf
+        hi[rng.random(3) < 0.3] = np.inf
+        origin = rng.normal(size=3) * 3
+        bound = np.where(rng.random(3) < 0.5, lo, hi)
+        on_bound = (rng.random(3) < 0.4) & np.isfinite(bound)
+        origin[on_bound] = bound[on_bound]
+        dirs = rng.normal(size=(64, 3))
+        dirs[rng.random((64, 3)) < 0.25] = 0.0
+        dirs[rng.random((64, 3)) < 0.15] = -0.0
+        for got, want in zip(slab_intervals(lo, hi, origin, dirs),
+                             reduced_slab_intervals(lo, hi, origin, dirs)):
+            assert got.tobytes() == want.tobytes()
+    values = np.array([-np.inf, -1.0, -0.0, 0.0, 1.0, np.inf])
+    triples = np.stack(np.meshgrid(values, values, values, indexing="ij"), -1).reshape(-1, 3)
+    fold_max = np.maximum(np.maximum(triples[:, 0], triples[:, 1]), triples[:, 2])
+    fold_min = np.minimum(np.minimum(triples[:, 0], triples[:, 1]), triples[:, 2])
+    assert fold_max.tobytes() == triples.max(axis=-1).tobytes()
+    assert fold_min.tobytes() == triples.min(axis=-1).tobytes()

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from occrebench.gridio import (HEADER, BadMagicError, GridFormatError,
+from occrebench.gridio import (HEADER, TILE, BadMagicError, GridFormatError,
                                HeaderFieldError, PayloadValueError,
                                TruncatedFileError, UnsupportedVersionError,
                                atomic_write_bytes, grid_from_bytes, grid_to_bytes,
@@ -77,6 +77,19 @@ def test_write_read_round_trip(tmp_path):
         path = tmp_path / "grid.ogrd"
         write_voxel_grid(path, grid)
         assert_same_grid(read_voxel_grid(path), grid)
+
+
+@pytest.mark.parametrize("counts", [(1, 1, 1), (TILE, TILE, TILE), (TILE + 1, 2 * TILE - 1, 3),
+                                    (5, TILE + 7, 2 * TILE + 1), (70, 3, 40)])
+def test_boolean_payload_is_x_fastest_across_tiles(counts):
+    """Counts that are not multiples of the tile, on either side of it, and
+    a payload given as a transposed view: the bytes are the payload
+    transposed whole."""
+    values = np.random.default_rng(sum(counts)).random(counts[::-1]) < 0.5
+    for payload in (np.ascontiguousarray(values.transpose(2, 1, 0)), values.transpose(2, 1, 0)):
+        data = grid_to_bytes(VoxelGrid([0.0, 0.0, 0.0], counts, 0.5, payload))
+        assert data[HEADER.size:] == np.ascontiguousarray(
+            payload.transpose(2, 1, 0)).view(np.uint8).tobytes()
 
 
 def test_write_holds_two_payloads(tmp_path):
