@@ -31,7 +31,7 @@ import numpy as np
 from .field import VoxelDensityField, slab_intervals, trilinear_corners
 from .geometry import CameraIntrinsics, CameraView, FrustumSpec, Pose, Workspace, \
     ccs_to_tcs, all_pixel_coords, in_image, pixel_directions, project
-from .grids import BLOCK_VOXELS, VoxelGrid
+from .grids import VoxelGrid, batches
 from .rendering import MODE_EVAL, SamplingConfig, interval_lengths, opacity, \
     sample_distances
 
@@ -305,11 +305,6 @@ RANK_SHIFT = 7
 RANK_BLOCK = 1 << RANK_SHIFT
 
 
-def _batches(size: int):
-    """Slices of ``range(size)`` of ``BLOCK_VOXELS`` each, the last shorter."""
-    return (slice(k, min(k + BLOCK_VOXELS, size)) for k in range(0, size, BLOCK_VOXELS))
-
-
 class _ReadPlan:
     """The part of the opacity protocol's voxelization that does not depend
     on the field, over the voxels of a ``frustum`` mask alone: which nodes
@@ -406,7 +401,7 @@ class _ReadPlan:
         np.cumsum(local[:-1, -1], dtype=np.int32, out=before[1:])
         before -= 1
         local = local.reshape(-1)
-        for batch in _batches(m):
+        for batch in batches(m):
             base = self.ranks[0, batch].astype(np.intp)     # take needs no cast then
             # (du, di) = (1, 1), (1, 0), (0, 1), then (0, 0) over the base;
             # every corner is a read node (the dilation marks it)
@@ -437,7 +432,7 @@ class _ReadPlan:
         if self.located is None or self.located[0] != key:
             self.located = None     # the last lattice's go before these are made
             located = []
-            for batch in _batches(len(self.pix)):
+            for batch in batches(len(self.pix)):
                 pts = self._points(batch)
                 for a in range(3):      # to node units in place, as locate scales a copy
                     pts[a] -= fld.origin[a]
@@ -462,10 +457,10 @@ class _ReadPlan:
             sigma = (density_field.density_from(loc, nodes)
                      for loc in self._located(density_field))
         else:
-            sigma = (density_field.density_at(self._points(b).T) for b in _batches(len(alpha)))
-        for batch, s in zip(_batches(len(alpha)), sigma):
+            sigma = (density_field.density_at(self._points(b).T) for b in batches(len(alpha)))
+        for batch, s in zip(batches(len(alpha)), sigma):
             opacity(s, self._per_node(self.delta, batch), out=alpha[batch])
-        for batch in _batches(self.frac.shape[1]):
+        for batch in batches(self.frac.shape[1]):
             sampled = np.zeros(batch.stop - batch.start)
             # Under strides (2, 4, 1) a corner's offset is 2 du + 4 dv + di: its
             # row of ``ranks``, plus 4 if it is the read node one rank on.  An
@@ -592,13 +587,26 @@ def frustum_mask(grid: VoxelGrid, t_vc: Pose, intr: CameraIntrinsics) -> VoxelGr
     for k in (2, 1, 0):
         out = np.repeat(out, np.diff(runs[k]), axis=k)
 
+    # the undecided sub-blocks, one row of run indices each, and their sizes
+    blocks = np.argwhere(undecided)
+    sizes = np.prod([np.diff(r)[blocks[:, k]] for k, r in enumerate(runs)], axis=0)
+    ex, ey, ez = (r.tolist() for r in runs)
     ws = Workspace()
 
-    def project_exactly(boxes, m):
-        """Set the voxels of ``boxes``, m in all, from their centers' projections."""
+    def boxes(rows):
+        """The voxel slices of the sub-blocks of ``rows``, made one at a
+        time.  A tuple display, not ``tuple()`` of a generator: that one
+        is resized from a longer tuple, so each call would leave one more
+        3-tuple in the interpreter's free list."""
+        for i, j, k in zip(*rows.T.tolist()):
+            yield slice(ex[i], ex[i + 1]), slice(ey[j], ey[j + 1]), slice(ez[k], ez[k + 1])
+
+    def project_exactly(rows, m):
+        """Set the voxels of the sub-blocks ``rows``, m in all, from their
+        centers' projections."""
         with ws:
             xyz, o = ws.take((3, m)), 0
-            for box in boxes:
+            for box in boxes(rows):
                 seg = xyz[:, o:o + out[box].size].reshape(3, *out[box].shape)
                 seg[0] = axes[0][box[0], None, None]
                 seg[1] = axes[1][box[1], None]
@@ -607,22 +615,19 @@ def frustum_mask(grid: VoxelGrid, t_vc: Pose, intr: CameraIntrinsics) -> VoxelGr
             cam = t_vc.apply(xyz.T, out=ws.take((3, m)))
             ok = in_image(intr, *project(intr, cam, out=(cam[:, 0], cam[:, 1])))
             o = 0
-            for box in boxes:
+            for box in boxes(rows):
                 voxels = out[box]
                 voxels[...] = ok[o:o + voxels.size].reshape(voxels.shape)
                 o += voxels.size
 
-    batch, m = [], 0
-    for index in np.argwhere(undecided).tolist():
-        box = tuple(slice(r[j], r[j + 1]) for r, j in zip(runs, index))
-        n = out[box].size
-        if batch and m + n > FRUSTUM_BATCH:
-            project_exactly(batch, m)
-            batch, m = [], 0
-        batch.append(box)
+    first, m = 0, 0
+    for k, n in enumerate(sizes.tolist()):
+        if m and m + n > FRUSTUM_BATCH:
+            project_exactly(blocks[first:k], m)
+            first, m = k, 0
         m += n
-    if batch:
-        project_exactly(batch, m)
+    if m:
+        project_exactly(blocks[first:], m)
     return grid.like(out)
 
 

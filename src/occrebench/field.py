@@ -4,7 +4,11 @@ Two families:
 
 * ``AnalyticScene`` - a list of constant-density primitives with exact
   containment and exact ray intersections.  Supplies reference images and
-  ground-truth occupancy, and serves as the scene oracle in tests.
+  ground-truth occupancy, and serves as the scene oracle in tests.  Its
+  point lookups and the ground truth test a primitive on a run or block
+  of points only if its ``bounds()`` meet the points' box
+  (``AnalyticScene.candidates``, which a NaN bound never prunes), so
+  memory beyond the output is O(``grids.BLOCK_VOXELS``).
 * ``VoxelDensityField`` - a learnable field; raw parameters live on a
   regular lattice of nodes and the density is the trilinear interpolation
   of softplus(theta), so it is nonnegative with smooth parameter gradients.
@@ -26,7 +30,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .geometry import CameraView, Pose, Workspace, all_pixel_coords, check_int, check_real
-from .grids import VoxelGrid, lattice
+from .grids import BLOCK_VOXELS, VoxelGrid, batches, lattice
 
 
 def softplus(x: np.ndarray) -> np.ndarray:
@@ -213,7 +217,21 @@ def slab_intervals(lo: np.ndarray, hi: np.ndarray, origin: np.ndarray, dirs: np.
 
 @dataclass(frozen=True)
 class AnalyticScene:
-    """Ordered primitive list; on overlap the first containing primitive wins."""
+    """Ordered primitive list; on overlap the first containing primitive wins.
+
+    The point lookups (:meth:`density_at`, :meth:`color_at`,
+    :meth:`sample_colors`) take points (..., 3), and any other last axis
+    raises.  They walk the points in runs of ``grids.BLOCK_VOXELS``: a run's
+    coordinates are copied into three contiguous rows of one reused buffer,
+    and only the primitives that :meth:`candidates` keeps for the run's
+    box, spanned per axis by ``np.fmin``/``np.fmax`` of its rows, are asked
+    whether they contain its points.  NaN coordinates are left out of the
+    box; a primitive contains a point with a NaN coordinate only along an
+    axis where its bounds are unbounded, which never prune, so the result
+    is that of testing every primitive on every point.  Memory beyond the
+    output (and a copy of the points if they are not float64 or cannot be
+    viewed as (n, 3)) is O(``BLOCK_VOXELS``).
+    """
 
     primitives: tuple
     background: np.ndarray = dataclass_field(default_factory=lambda: np.zeros(3))
@@ -222,27 +240,67 @@ class AnalyticScene:
         object.__setattr__(self, "primitives", tuple(self.primitives))
         object.__setattr__(self, "background", _as_rgb(self.background))
 
+    def candidates(self):
+        """``meeting(lo, hi)``: the primitives, in order, whose ``bounds()``
+        meet the box [lo, hi].
+
+        A primitive is left out only when pl > hi or lo > ph on some axis,
+        for its bounds (pl, ph): it then contains no point of the box.  A
+        comparison with NaN is false, so a NaN in ``lo`` or ``hi`` prunes
+        nothing along its axis.  The bounds are taken here, once for all
+        the boxes a caller asks about; the scene keeps none, so it pickles
+        as its primitives and background alone (``optim._eval_plan`` keys
+        its plan by those bytes).
+        """
+        bounds = np.array([prim.bounds() for prim in self.primitives], dtype=np.float64)
+        p_lo, p_hi = bounds.reshape(-1, 2, 3).transpose(1, 0, 2)
+
+        def meeting(lo, hi) -> list:
+            miss = np.any(p_lo > hi, axis=1) | np.any(lo > p_hi, axis=1)
+            return [prim for prim, out in zip(self.primitives, miss) if not out]
+
+        return meeting
+
     def _first_containing(self, p: np.ndarray, out: np.ndarray, attr: str) -> np.ndarray:
-        """``out`` with each point's entry set to its first primitive's ``attr``."""
-        unset = np.ones(p.shape[:-1], dtype=bool)
-        for prim in self.primitives:
-            hit = prim.contains(p) & unset
-            out[hit] = getattr(prim, attr)
-            unset &= ~hit
+        """``out``, one row per point of ``p`` in C order, with each point's
+        row set to its first containing primitive's ``attr``, a run of
+        points at a time."""
+        pts, meeting = p.reshape(-1, 3), self.candidates()
+        cols = np.empty((3, min(len(pts), BLOCK_VOXELS)))
+        unset = np.empty(cols.shape[1], dtype=bool)
+        for run in batches(len(pts)):
+            m = run.stop - run.start
+            xyz = cols[:, :m]
+            np.copyto(xyz.T, pts[run])
+            prims = meeting(np.fmin.reduce(xyz, axis=1), np.fmax.reduce(xyz, axis=1))
+            left, dest = unset[:m], out[run]
+            left.fill(True)
+            for prim in prims:
+                hit = prim.contains(xyz.T)
+                hit &= left
+                dest[hit] = getattr(prim, attr)
+                left &= ~hit
         return out
 
-    def density_at(self, pts: np.ndarray) -> np.ndarray:
+    @staticmethod
+    def _as_points(pts) -> np.ndarray:
         p = np.asarray(pts, dtype=np.float64)
-        return self._first_containing(p, np.zeros(p.shape[:-1]), "density")
+        if p.shape[-1:] != (3,):
+            raise ValueError(f"points must have shape (..., 3), got {p.shape}")
+        return p
+
+    def density_at(self, pts: np.ndarray) -> np.ndarray:
+        p = self._as_points(pts)
+        return self._first_containing(p, np.zeros(p.size // 3), "density").reshape(p.shape[:-1])
 
     def color_at(self, pts: np.ndarray) -> np.ndarray:
-        p = np.asarray(pts, dtype=np.float64)
-        colors = np.broadcast_to(self.background, p.shape).copy()
-        return self._first_containing(p, colors, "albedo")
+        p = self._as_points(pts)
+        colors = np.broadcast_to(self.background, (p.size // 3, 3)).copy()
+        return self._first_containing(p, colors, "albedo").reshape(p.shape)
 
     def sample_colors(self, pts: np.ndarray):
         """ColorSource protocol: point colors plus an all-true hit mask."""
-        p = np.asarray(pts, dtype=np.float64)
+        p = self._as_points(pts)
         return self.color_at(p), np.ones(p.shape[:-1], dtype=bool)
 
 
@@ -252,18 +310,17 @@ def ground_truth_occupancy(scene: AnalyticScene, grid: VoxelGrid,
 
     Centers are taken one block of x-slices at a time
     (:meth:`VoxelGrid.center_blocks`), so memory beyond the output grid is
-    O(block).  A primitive is tested on a block only if its ``bounds()``
-    meet the axis-aligned box spanned by the block's centers: one whose
-    bounds miss that box contains none of them, so the grid is the same.
+    O(block).  A primitive is tested on a block only if
+    :meth:`AnalyticScene.candidates` keeps it for the box spanned by the
+    block's centers: one whose bounds miss that box contains none of them,
+    so the grid is the same.
     """
-    bounds = [prim.bounds() for prim in scene.primitives]
+    meeting = scene.candidates()
 
     def occupied(centers):
-        lo, hi = centers.min(axis=0), centers.max(axis=0)
         occ = np.zeros(len(centers), dtype=bool)
-        for prim, (p_lo, p_hi) in zip(scene.primitives, bounds):
-            if np.all(p_lo <= hi) and np.all(lo <= p_hi):
-                occ |= prim.contains(centers)
+        for prim in meeting(centers.min(axis=0), centers.max(axis=0)):
+            occ |= prim.contains(centers)
         return occ
 
     return grid.map_centers(occupied, grid_to_world)

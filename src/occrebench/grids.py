@@ -23,8 +23,15 @@ FRAME_VOXEL = "voxel"
 FRAME_CAMERA = "camera"
 
 # Voxels per block of :meth:`VoxelGrid.center_blocks` (whole x-slices; a
-# block holds at least one slice whatever its size).
+# block holds at least one slice whatever its size), and points per run of
+# :func:`batches`.
 BLOCK_VOXELS = 2 ** 16
+
+
+def batches(size: int):
+    """Slices of ``range(size)`` of ``BLOCK_VOXELS`` each, the last shorter:
+    the runs in which a per-point stage walks its points."""
+    return (slice(k, min(k + BLOCK_VOXELS, size)) for k in range(0, size, BLOCK_VOXELS))
 
 
 def _voxel_counts(counts) -> tuple:

@@ -24,6 +24,13 @@ convention (voxel x forward, y left, z up).
 
 Unknown keys are rejected with their path; semantic violations report the
 offending field; YAML syntax errors carry line/column.
+
+The text is read by ``LOADER``: PyYAML's libyaml-backed ``CSafeLoader``
+when PyYAML was built with libyaml, its pure-Python ``SafeLoader``
+otherwise.  Both build the document with the same ``SafeConstructor`` and
+resolver, so a spec parses to the same ``SceneSpec`` under either.  A
+syntax error's line and column are the same under both and are the
+contract; the wording of the problem comes from the loader.
 """
 
 from __future__ import annotations
@@ -37,6 +44,9 @@ import yaml
 from .field import AnalyticScene, Box, HalfSpace, Sphere
 from .geometry import CameraIntrinsics, CameraView, FrustumSpec, Pose, rotation_y
 from .grids import FRAME_CAMERA, FRAME_VOXEL, VoxelGrid
+
+
+LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 
 
 class SceneSpecError(ValueError):
@@ -218,7 +228,7 @@ def _grid(node, path) -> tuple[VoxelGrid, Pose]:
 
 def parse_scene_spec(text: str) -> SceneSpec:
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=LOADER)
     except yaml.MarkedYAMLError as e:
         mark = e.problem_mark
         where = (f" at line {mark.line + 1}, column {mark.column + 1}"

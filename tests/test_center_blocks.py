@@ -10,6 +10,7 @@ same oracles on inputs built to sit on those bounds.
 
 from __future__ import annotations
 
+import gc
 import tracemalloc
 from unittest import mock
 
@@ -303,6 +304,27 @@ def test_frustum_mask_on_the_optical_axis(monkeypatch):
     got = frustum_mask(grid, Pose.identity(), BORDER_INTR).values.reshape(-1)
     assert not got[0] and got[1:].all()
     assert projected == [SUB_BLOCK]
+
+
+def test_frustum_mask_leaves_nothing_held(monkeypatch):
+    """A call that projects 179 sub-blocks holds no more than its output
+    and a few small objects once it returns.  Boxes made by ``tuple()`` of
+    a generator each left a 64 B tuple in the interpreter's free list
+    (18.4 KiB here), which only ``gc.collect()`` empties."""
+    grid = centered_grid((128, 128, 128), [4.0, 4.0, 4.0])
+    t_vc = Pose(rotation_about(np.array([0.3, 1.0, 0.2]), 0.4), [0.2, -0.1, 3.0])
+    projected = count_projected(monkeypatch)
+    frustum_mask(grid, t_vc, INTR)
+    assert sum(projected) == 179 * SUB_BLOCK ** 3
+    tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        out = frustum_mask(grid, t_vc, INTR)
+        held = tracemalloc.get_traced_memory()[0] - before - out.values.nbytes
+    finally:
+        tracemalloc.stop()
+    assert held <= 6 * 1024, held
 
 
 @pytest.mark.parametrize("counts", [(1, 1, 1), (2, 1, 1), (3, 4, 5), (SUB_BLOCK + 1, 1, 1),

@@ -7,6 +7,8 @@ trust it.
 
 from __future__ import annotations
 
+import pickle
+import re
 import tracemalloc
 import warnings
 
@@ -20,7 +22,7 @@ from occrebench.field import (AnalyticScene, Box, HalfSpace, Sphere, VoxelDensit
                               trilinear_corners)
 from occrebench.geometry import CameraIntrinsics, CameraView, FrustumSpec, Pose, \
     pixel_directions
-from occrebench.grids import VoxelGrid
+from occrebench.grids import BLOCK_VOXELS, VoxelGrid
 
 from conftest import IntervalScaledField, closed_form_transmittance, optical_depth
 
@@ -230,6 +232,147 @@ class TestAnalyticScene:
         scene = AnalyticScene((a, b))
         depth = optical_depth(scene, np.zeros(3), np.array([0, 0, 1.0]), 0.0, 10.0)
         assert np.isclose(depth, 40.0, atol=1e-12)
+
+
+def first_containing(scene: AnalyticScene, pts):
+    """The per-point oracle of the scene lookups: each point's density and
+    color from the first primitive whose own ``contains`` takes it, every
+    primitive tested on every point."""
+    p = np.asarray(pts, dtype=np.float64).reshape(-1, 3)
+    density, color = np.zeros(len(p)), np.tile(scene.background, (len(p), 1))
+    if scene.primitives:
+        hits = np.array([prim.contains(p) for prim in scene.primitives]).reshape(
+            len(scene.primitives), len(p))
+        first, any_hit = np.argmax(hits, axis=0), hits.any(axis=0)
+        density[any_hit] = np.array([prim.density for prim in scene.primitives])[first[any_hit]]
+        color[any_hit] = np.array([prim.albedo for prim in scene.primitives])[first[any_hit]]
+    return density, color
+
+
+def lookup_points(rng, n: int) -> np.ndarray:
+    """n points about the scene below, a tenth of their coordinates
+    NaN, +inf or -inf, and some rows all NaN."""
+    pts = rng.uniform(-4.0, 4.0, (n, 3))
+    odd = rng.random((n, 3)) < 0.1
+    pts[odd] = rng.choice([np.nan, np.inf, -np.inf], size=int(odd.sum()))
+    pts[rng.random(n) < 0.01] = np.nan
+    return pts
+
+
+def overlapping_scene(reverse: bool = False) -> AnalyticScene:
+    """A box, a sphere and two half-spaces that overlap one another."""
+    prims = (Box([-2.0, -1.0, -1.0], [1.0, 2.0, 1.5], 10.0, [1, 0, 0]),
+             Sphere([0.5, 0.5, 0.0], 1.5, 20.0, [0, 1, 0]),
+             HalfSpace(1, 1.0, 1, 30.0, [0, 0, 1]),
+             HalfSpace(2, -3.0, -1, 40.0, [0.5, 0.5, 0.5]))
+    return AnalyticScene(prims[::-1] if reverse else prims, background=[0.1, 0.2, 0.3])
+
+
+class TestSceneLookups:
+    """``density_at``/``color_at`` against :func:`first_containing`."""
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reversed"])
+    def test_runs_equal_the_per_point_oracle(self, reverse):
+        """Two whole runs and a short third, with NaN and infinite rows."""
+        scene = overlapping_scene(reverse)
+        pts = lookup_points(np.random.default_rng(1), 2 * BLOCK_VOXELS + 3)
+        density, color = first_containing(scene, pts)
+        assert np.array_equal(scene.density_at(pts), density)
+        assert np.array_equal(scene.color_at(pts), color)
+        got, hit = scene.sample_colors(pts)
+        assert np.array_equal(got, color) and hit.shape == (len(pts),) and hit.all()
+        assert (density == 0).any() and len(np.unique(density)) == 5
+
+    @pytest.mark.parametrize("layout", ["fortran", "strided", "nested", "point", "empty"])
+    def test_layouts_equal_the_per_point_oracle(self, layout):
+        scene = overlapping_scene()
+        pts = lookup_points(np.random.default_rng(2), 2 * BLOCK_VOXELS + 6)
+        pts = {"fortran": np.asfortranarray(pts),
+               "strided": np.repeat(pts, 2, axis=1)[::2, ::2],
+               "nested": pts.reshape(2, -1, 3).transpose(1, 0, 2),
+               "point": np.array([0.0, 0.5, 0.0]),
+               "empty": np.zeros((0, 3))}[layout]
+        density, color = first_containing(scene, pts)
+        got_density, got_color = scene.density_at(pts), scene.color_at(pts)
+        assert got_density.shape == pts.shape[:-1] and got_color.shape == pts.shape
+        assert np.array_equal(got_density.reshape(-1), density)
+        assert np.array_equal(got_color.reshape(-1, 3), color)
+
+    @pytest.mark.parametrize("shape", [(5, 4), (5, 2), (4,), (), (2, 3, 1)])
+    def test_points_not_ending_in_three_coordinates_raise(self, shape):
+        """(n, 4) points used their first three columns and (n, 2) points
+        raised an IndexError inside ``Box.contains``."""
+        scene = overlapping_scene()
+        for lookup in (scene.density_at, scene.color_at, scene.sample_colors):
+            with pytest.raises(ValueError, match=re.escape(f"got {shape}")):
+                lookup(np.zeros(shape))
+
+    def test_primitive_whose_bounds_miss_a_run_is_not_tested_on_it(self, monkeypatch):
+        """Run k of three holds x in [k, k + 0.5]; ``contains`` is asked
+        about run k only by primitives whose bounds meet its box."""
+        rng = np.random.default_rng(3)
+        pts = rng.uniform(0.0, 0.5, (3 * BLOCK_VOXELS, 3))
+        pts[:, 0] += np.repeat(np.arange(3), BLOCK_VOXELS)
+        prims = (Box([1.1, -9, -9], [1.4, 9, 9], 1.0, [0, 0, 0]),         # run 1 only
+                 Sphere([2.25, 0.25, 0.25], 0.2, 2.0, [0, 0, 0]),         # run 2 only
+                 HalfSpace(0, 0.5, -1, 3.0, [0, 0, 0]),                   # run 0 only
+                 HalfSpace(1, 0.25, 1, 4.0, [0, 0, 0]))                   # every run
+        tested = {id(p): [] for p in prims}
+        for cls in (Box, Sphere, HalfSpace):
+            def counting(self, p, real=cls.contains):
+                tested[id(self)].append(int(p[0, 0]))
+                return real(self, p)
+            monkeypatch.setattr(cls, "contains", counting)
+        scene = AnalyticScene(prims)
+        got = scene.density_at(pts)
+        assert [tested[id(p)] for p in prims] == [[1], [2], [0], [0, 1, 2]]
+        monkeypatch.undo()
+        assert np.array_equal(got, first_containing(scene, pts)[0])
+
+    def test_a_nan_column_prunes_nothing(self):
+        """In a run whose x column is all NaN, the run's x bounds are NaN;
+        a y half-space still sets the density of the points it holds, and
+        a box, which holds no point with a NaN coordinate, sets none."""
+        pts = np.zeros((100, 3))
+        pts[:, 0] = np.nan
+        pts[:, 1] = np.linspace(-1.0, 1.0, 100)
+        scene = AnalyticScene((Box([-1, -1, -1], [1, 1, 1], 5.0, [1, 0, 0]),
+                               HalfSpace(1, 0.0, 1, 7.0, [0, 1, 0])))
+        assert np.array_equal(scene.density_at(pts), np.where(pts[:, 1] >= 0, 7.0, 0.0))
+        assert scene.candidates()([np.nan] * 3, [np.nan] * 3) == list(scene.primitives)
+
+    def test_candidates_keep_a_touching_bound(self):
+        box = Box([0.0, 0.0, 0.0], [1.0, 1.0, 1.0], 1.0, [0, 0, 0])
+        meeting = AnalyticScene((box,)).candidates()
+        assert meeting([1.0, 0.5, 0.5], [2.0, 0.5, 0.5]) == [box]
+        assert meeting([-1.0, 0.5, 0.5], [0.0, 0.5, 0.5]) == [box]
+        assert meeting(np.nextafter([1.0, 0.5, 0.5], 2), [2.0, 0.5, 0.5]) == []
+        assert AnalyticScene(()).candidates()(np.zeros(3), np.ones(3)) == []
+
+    def test_a_lookup_leaves_the_scene_pickling_as_before(self):
+        """``optim._eval_plan`` keys its plan by the scene's pickle, so a
+        lookup may cache nothing on the scene."""
+        scene = overlapping_scene()
+        before = pickle.dumps(scene)
+        scene.density_at(lookup_points(np.random.default_rng(5), 100))
+        assert pickle.dumps(scene) == before
+
+    def test_memory_does_not_grow_with_the_point_count(self):
+        """Beyond the output, a lookup holds one run's rows and masks."""
+        scene = overlapping_scene()
+        peaks = []
+        for runs in (4, 8):
+            pts = lookup_points(np.random.default_rng(4), runs * BLOCK_VOXELS)
+            for lookup, out_bytes in ((scene.density_at, 8), (scene.color_at, 24)):
+                lookup(pts[:10])
+                tracemalloc.start()
+                try:
+                    lookup(pts)
+                    peaks.append(tracemalloc.get_traced_memory()[1] - out_bytes * len(pts))
+                finally:
+                    tracemalloc.stop()
+        assert all(p < 96 * BLOCK_VOXELS for p in peaks), peaks
+        assert peaks[2] <= peaks[0] + 64 * 1024 and peaks[3] <= peaks[1] + 64 * 1024, peaks
 
 
 class TestGroundTruthOccupancy:

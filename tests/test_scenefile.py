@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
+import yaml
 
+from occrebench import scenefile
 from occrebench.scenefile import SceneSpecError, parse_scene_spec
+
+from test_bench_checks import workloads  # noqa: F401  (a fixture)
 
 CAMERA = ("{fx: 31.5, fy: 31.5, cx: 31.5, cy: 23.5, width: 64, height: 48, "
           "near: 2.5, far: 12.0}")
@@ -70,10 +76,76 @@ def test_preset_with_explicit_origin_rejected():
         parse_scene_spec(spec("grid: {preset: desk, origin: [0, 0, 0]}\n"))
 
 
-def test_yaml_syntax_error_reports_line_and_column():
-    # The stray "]" closing the grid mapping is line 3, column 20.
-    with pytest.raises(SceneSpecError, match="syntax error at line 3, column 20"):
-        parse_scene_spec(spec("grid: {preset: desk]\n"))
+# The python loader, and libyaml's if PyYAML has it.
+LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if yaml.__with_libyaml__ else [])
+
+
+def test_yaml_syntax_error_reports_line_and_column(monkeypatch):
+    # The stray "]" closing the grid mapping is line 3, column 20, under
+    # either loader; the wording of the problem is the loader's.
+    for loader in LOADERS:
+        monkeypatch.setattr(scenefile, "LOADER", loader)
+        with pytest.raises(SceneSpecError, match="syntax error at line 3, column 20"):
+            parse_scene_spec(spec("grid: {preset: desk]\n"))
+
+
+def test_the_libyaml_loader_is_chosen_when_pyyaml_has_it(monkeypatch):
+    assert scenefile.LOADER is (yaml.CSafeLoader if yaml.__with_libyaml__
+                                else yaml.SafeLoader)
+    used = []
+
+    class Spy(yaml.SafeLoader):
+        def __init__(self, stream):
+            used.append(stream)
+            super().__init__(stream)
+
+    monkeypatch.setattr(scenefile, "LOADER", Spy)
+    parse_scene_spec(spec())
+    assert used == [spec()]
+
+
+def same(a, b) -> bool:
+    """Equal values, arrays by dtype, shape and elements, dataclasses by field."""
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(same(getattr(a, f.name), getattr(b, f.name))
+                                          for f in dataclasses.fields(a))
+    if isinstance(a, np.ndarray):
+        return (isinstance(b, np.ndarray) and a.dtype == b.dtype
+                and np.array_equal(a, b, equal_nan=a.dtype.kind == "f"))
+    if isinstance(a, (list, tuple)):
+        return (type(a) is type(b) and len(a) == len(b)
+                and all(same(x, y) for x, y in zip(a, b)))
+    return type(a) is type(b) and a == b
+
+
+FULL = spec("background: [0.1, 0.2, 0.3]\n"
+            "primitives:\n"
+            "  - {shape: box, min: [-1, -1, 5], max: [1, 1, 7], density: 60, "
+            "albedo: [0.9, 0.1, 0.1]}\n"
+            "  - {shape: sphere, center: [0, 0, 9], radius: 1.2, density: 4e1, "
+            "albedo: [0.1, 0.9, 0.1]}\n"
+            "  - {shape: ground, axis: z, offset: -1.4, side: below, density: 60, "
+            "albedo: [0.5, 0.5, 0.5]}\n"
+            "grid: {origin: [-2, -2, 3], counts: [8, 8, 4], resolution: [0.5, 0.5, 1.0], "
+            "frame: voxel, position: [0, 0.5, 0], "
+            "rotation: [[1, 0, 0], [0, 0, -1], [0, 1, 0]]}\n",
+            camera=CAMERA[:-1] + ", position: [0.5, -1, 0], yaw_deg: 12.5}")
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML without libyaml")
+@pytest.mark.parametrize("name, primitives", [("minimal", 0), ("desk", 0), ("full", 3),
+                                              ("street", 9)])
+def test_both_loaders_give_equal_specs(name, primitives, workloads,  # noqa: F811
+                                       monkeypatch):
+    text = (yaml.safe_dump(workloads.street_spec(0)) if name == "street" else
+            {"minimal": spec(), "desk": spec("grid: {preset: desk}\n"), "full": FULL}[name])
+    parsed = []
+    for loader in LOADERS:
+        monkeypatch.setattr(scenefile, "LOADER", loader)
+        parsed.append(parse_scene_spec(text))
+    assert same(*parsed)
+    assert len(parsed[0].scene.primitives) == primitives
+    assert not same(parsed[0], parse_scene_spec(spec("background: [0, 0, 0.5]\n")))
 
 
 def test_nan_primitive_names_its_path():
